@@ -63,7 +63,15 @@ func run() error {
 		TrialWorkers: *workers,
 	})
 
-	srv := &http.Server{Addr: *addr, Handler: sweepserve.NewServer(manager)}
+	// Header and idle timeouts bound what a slow or silent client can hold.
+	// There is no write timeout: SSE progress streams stay open for a job's
+	// whole run.
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           sweepserve.NewServer(manager),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	// The drain sequence on SIGINT/SIGTERM: stop the manager first (running
 	// sweeps cancel, still-queued jobs fail with "shutting down" — every job
 	// reaches a terminal state, so SSE streams emit their final event and

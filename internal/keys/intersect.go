@@ -2,6 +2,7 @@ package keys
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -12,11 +13,32 @@ import (
 const denseRingFactor = 128
 
 // Intersector answers ring-intersection queries over a fixed set of rings
-// with a density-adaptive strategy: when rings are dense relative to the pool
-// (K ≥ pool/denseRingFactor) it indexes every ring as a pool-width bitmap and
-// intersects word-parallel; otherwise it falls back to the sorted merge of
-// Ring.SharedCount/SharedWith. Both strategies are exact, so query results
-// are identical either way.
+// with three strategies:
+//
+//   - dense: when rings are dense relative to the pool (K ≥
+//     pool/denseRingFactor) every ring is indexed as a pool-width bitmap and
+//     a query intersects two rows word-parallel, stride = ⌈pool/64⌉ words;
+//   - merge: otherwise a query is the sorted merge of Ring.SharedCount /
+//     SharedAtLeast, up to 2·K̄ IDs;
+//   - row: a whole row |ring(u) ∩ ring(w)| for every sensor w, counted in
+//     one pass over the holder lists of u's keys in a lazily built
+//     key→holders index. Every later query with u (or v) as the row's owner
+//     is one counter read.
+//
+// A row is built on the query that brings a run of consecutive queries
+// sharing one sensor (as first or as second argument) to the break-even
+// count Reset derives from the rings: a row costs Σ_{k∈ring(u)} h_k ≈
+// K̄·ΣK/P counter increments for holder counts h_k, a direct query costs
+// stride words (dense) or 2·K̄ IDs (merge), and a run starts at two
+// queries. Emitters that walk u in order — the on/off skip samplers, CSR
+// ForEachEdge, heterogeneous class blocks — run long enough on each u to
+// build rows when rings are sparse; shuffled queries and the dense plateau
+// (break-even in the thousands) almost never do. There is no setting: the
+// choice depends only on the rings and the order of the queries.
+//
+// All three strategies compute the exact integer |ring(u) ∩ ring(v)| from
+// the same rings, and none draws randomness, so every answer is identical
+// whichever strategy served it and in whatever order queries arrive.
 //
 // The dense index is one flat word arena — ring i occupies
 // flat[i·stride : (i+1)·stride] — rather than per-ring bitset objects: the
@@ -25,14 +47,28 @@ const denseRingFactor = 128
 // instead of the pointer-chase's two to three. At the streaming-ladder
 // design point (P = 512, stride = 8) each ring is exactly one cache line.
 //
-// An Intersector amortizes its arena across Reset calls, making it suitable
-// for repeated deployments. It is not safe for concurrent use.
+// An Intersector amortizes its arena, key index and row counters across
+// Reset calls (memory O(n + ΣK + P)), making it suitable for repeated
+// deployments. It is not safe for concurrent use.
 type Intersector struct {
 	pool   int
 	rings  []Ring
 	dense  bool
 	stride int
 	flat   []uint64
+
+	// Row counting. The index and counters are allocated on the first row,
+	// so configurations whose runs never reach breakEven never pay for them.
+	breakEven int     // run length at which a row pays for itself
+	indexed   bool    // keyOff/holders describe the current rings
+	keyOff    []int32 // holders[keyOff[k]:keyOff[k+1]] hold key k
+	holders   []int32 // sensors holding each key, grouped by key
+	rowU      int32   // sensor owning the current row, or -1
+	rowCnt    []int32 // |ring(rowU) ∩ ring(w)|; zero off the touched list
+	touched   []int32 // sensors with a nonzero rowCnt
+	runU      int32   // sensor the current run of queries shares
+	runAlt    int32   // the run's other candidate while it has one query
+	lenRun    int     // queries in the current run
 }
 
 // NewIntersector returns an Intersector over rings drawn from a pool of the
@@ -41,21 +77,42 @@ func NewIntersector(pool int) (*Intersector, error) {
 	if pool <= 0 {
 		return nil, fmt.Errorf("keys: intersector pool size %d must be positive", pool)
 	}
-	return &Intersector{pool: pool, stride: (pool + 63) / 64}, nil
+	return &Intersector{pool: pool, stride: (pool + 63) / 64, rowU: -1, runU: -1, runAlt: -1}, nil
 }
 
 // Reset points the Intersector at a new set of rings (typically one
-// deployment's assignment) and rebuilds its index if the dense strategy is
-// selected. Ring IDs must lie in [0, pool).
+// deployment's assignment), drops the previous row and key index, derives
+// the row break-even count, and rebuilds the bitmap arena if the dense
+// strategy is selected. Ring IDs must lie in [0, pool); the dense strategy
+// reports an error otherwise, and the merge strategy keeps answering but
+// never builds rows.
 func (x *Intersector) Reset(rings []Ring) error {
 	x.rings = rings
-	minRing := 0
+	x.clearRow()
+	x.indexed = false
+	x.runU, x.runAlt, x.lenRun = -1, -1, 0
+	minRing, total, inPool := 0, 0, true
 	for i, r := range rings {
-		if i == 0 || r.Len() < minRing {
-			minRing = r.Len()
+		l := r.Len()
+		if i == 0 || l < minRing {
+			minRing = l
+		}
+		total += l
+		if l > 0 && (r.ids[0] < 0 || int(r.ids[l-1]) >= x.pool) {
+			inPool = false
 		}
 	}
 	x.dense = len(rings) > 0 && x.pool <= denseRingFactor*minRing
+	x.breakEven = math.MaxInt
+	if inPool && total > 0 {
+		mean := float64(total) / float64(len(rings))
+		row := mean * float64(total) / float64(x.pool)
+		query := 2 * mean
+		if x.dense {
+			query = float64(x.stride)
+		}
+		x.breakEven = max(2, int(math.Ceil(row/query)))
+	}
 	if !x.dense {
 		return nil
 	}
@@ -88,8 +145,105 @@ func (x *Intersector) row(i int32) []uint64 {
 	return x.flat[int(i)*x.stride : (int(i)+1)*x.stride]
 }
 
+// rowOther returns the endpoint of (u, v) that does not own the current
+// row; it is meaningful only when one of them does.
+func (x *Intersector) rowOther(u, v int32) int32 { return u ^ v ^ x.rowU }
+
+// extendRun counts (u, v) into the current run — consecutive queries that
+// share one sensor — and, when the run reaches breakEven, builds that
+// sensor's row and reports true. A run of one query can continue through
+// either endpoint, so runAlt keeps the second argument while lenRun is 1.
+func (x *Intersector) extendRun(u, v int32) bool {
+	switch {
+	case u == x.runU || v == x.runU:
+	case x.lenRun == 1 && (u == x.runAlt || v == x.runAlt):
+		x.runU = x.runAlt
+	default:
+		x.runU, x.runAlt, x.lenRun = u, v, 0
+	}
+	x.lenRun++
+	if x.lenRun < x.breakEven {
+		return false
+	}
+	x.buildRow(x.runU)
+	return true
+}
+
+// clearRow zeroes the current row's counters and drops its owner.
+func (x *Intersector) clearRow() {
+	for _, w := range x.touched {
+		x.rowCnt[w] = 0
+	}
+	x.touched = x.touched[:0]
+	x.rowU = -1
+}
+
+// buildRow counts |ring(u) ∩ ring(w)| for every sensor w by walking the
+// holder lists of u's keys, building the key index first if this is the
+// first row since Reset.
+func (x *Intersector) buildRow(u int32) {
+	if !x.indexed {
+		x.buildIndex()
+	}
+	x.clearRow()
+	if n := len(x.rings); len(x.rowCnt) < n {
+		x.rowCnt = make([]int32, n)
+		x.touched = make([]int32, 0, n)
+	}
+	cnt, touched := x.rowCnt, x.touched
+	for _, k := range x.rings[u].ids {
+		for _, w := range x.holders[x.keyOff[k]:x.keyOff[k+1]] {
+			if cnt[w] == 0 {
+				touched = append(touched, w)
+			}
+			cnt[w]++
+		}
+	}
+	x.touched = touched
+	x.rowU = u
+}
+
+// buildIndex inverts the rings into the key→holders index by counting
+// sort; holder lists come out in ascending sensor order. Reset has checked
+// that every ID lies in the pool.
+func (x *Intersector) buildIndex() {
+	if len(x.keyOff) < x.pool+1 {
+		x.keyOff = make([]int32, x.pool+1)
+	}
+	off := x.keyOff[:x.pool+1]
+	clear(off)
+	total := 0
+	for _, r := range x.rings {
+		for _, k := range r.ids {
+			off[k+1]++
+		}
+		total += len(r.ids)
+	}
+	for k := 1; k <= x.pool; k++ {
+		off[k] += off[k-1]
+	}
+	if cap(x.holders) < total {
+		x.holders = make([]int32, total)
+	}
+	x.holders = x.holders[:total]
+	// off[k] serves as key k's fill cursor, ending at the start of key k+1;
+	// shifting by one slot restores the start offsets.
+	for v, r := range x.rings {
+		for _, k := range r.ids {
+			x.holders[off[k]] = int32(v)
+			off[k]++
+		}
+	}
+	copy(off[1:], off[:x.pool])
+	off[0] = 0
+	x.indexed = true
+}
+
 // SharedCount returns |ring(u) ∩ ring(v)| without allocating.
 func (x *Intersector) SharedCount(u, v int32) int {
+	if x.rowU == u || x.rowU == v || x.extendRun(u, v) {
+		return int(x.rowCnt[x.rowOther(u, v)])
+	}
 	if x.dense {
 		a, b := x.row(u), x.row(v)
 		c := 0
@@ -103,11 +257,17 @@ func (x *Intersector) SharedCount(u, v int32) int {
 
 // HasAtLeast reports whether rings u and v share at least q keys. It is the
 // hot predicate of shared-key discovery — every emitted channel edge of a
-// streaming deployment passes through here — and short-circuits where the
-// representation allows.
+// streaming deployment passes through here. A query whose u or v owns the
+// current row is one counter read; otherwise it may build a row (see
+// Intersector) or falls back to the dense bitmap or the sorted merge, both
+// of which short-circuit once q shared keys are found. The answer is the
+// exact count compared with q whichever path served it.
 func (x *Intersector) HasAtLeast(u, v int32, q int) bool {
 	if q <= 0 {
 		return true
+	}
+	if x.rowU == u || x.rowU == v || x.extendRun(u, v) {
+		return int(x.rowCnt[x.rowOther(u, v)]) >= q
 	}
 	if x.dense {
 		a, b := x.row(u), x.row(v)

@@ -1,6 +1,7 @@
 package keys
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/secure-wsn/qcomposite/internal/rng"
@@ -176,19 +177,311 @@ func FuzzNewRing(f *testing.F) {
 	})
 }
 
-// BenchmarkIntersectorHasAtLeast measures the hot predicate of streaming
-// discovery in its ladder configuration (P = 512, K = 32, q = 2: dense,
-// stride 8 — one cache line per ring) over n = 100000 rings, with the access
-// pattern the edge emitters produce: sequential u, uniform random v. This is
-// the latency-bound load the flat-arena layout exists for.
+// pair is one intersection query.
+type pair struct{ u, v int32 }
+
+// uMajorPairs lists each pair u < v with probability p, u-major ascending:
+// the order the on/off skip samplers and CSR ForEachEdge produce.
+func uMajorPairs(r *rng.Rand, n int, p float64) []pair {
+	var ps []pair
+	for u := int32(0); int(u) < n; u++ {
+		for v := u + 1; int(v) < n; v++ {
+			if r.Bernoulli(p) {
+				ps = append(ps, pair{u, v})
+			}
+		}
+	}
+	return ps
+}
+
+// columnMajorPairs is uMajorPairs with the loops swapped: runs share the
+// second argument, so rows are built and read through v.
+func columnMajorPairs(r *rng.Rand, n int, p float64) []pair {
+	var ps []pair
+	for v := int32(1); int(v) < n; v++ {
+		for u := int32(0); u < v; u++ {
+			if r.Bernoulli(p) {
+				ps = append(ps, pair{u, v})
+			}
+		}
+	}
+	return ps
+}
+
+// classBlockPairs lists pairs in the heterogeneous on/off emission order:
+// within-class blocks u-major, then each cross-class block row by row.
+func classBlockPairs(r *rng.Rand, labels []uint8, classes int, p float64) []pair {
+	buckets := make([][]int32, classes)
+	for v, c := range labels {
+		buckets[c] = append(buckets[c], int32(v))
+	}
+	var ps []pair
+	for i, a := range buckets {
+		for x, u := range a {
+			for _, v := range a[x+1:] {
+				if r.Bernoulli(p) {
+					ps = append(ps, pair{u, v})
+				}
+			}
+		}
+		for _, b := range buckets[i+1:] {
+			for _, u := range a {
+				for _, v := range b {
+					if r.Bernoulli(p) {
+						ps = append(ps, pair{u, v})
+					}
+				}
+			}
+		}
+	}
+	return ps
+}
+
+// checkQueries issues the queries in order, alternating HasAtLeast (with q
+// cycling through 1..3) and SharedCount so that each query is one call,
+// and checks every answer against the sorted merge of the rings. It
+// returns the number of rows built along the way.
+func checkQueries(t *testing.T, name string, ix *Intersector, rings []Ring, queries []pair) (rows int) {
+	t.Helper()
+	for i, p := range queries {
+		want := rings[p.u].SharedCount(rings[p.v])
+		before := ix.rowU
+		if i%2 == 0 {
+			q := 1 + i/2%3
+			if got := ix.HasAtLeast(p.u, p.v, q); got != (want >= q) {
+				t.Fatalf("%s: query %d: HasAtLeast(%d,%d,%d) = %v with %d shared", name, i, p.u, p.v, q, got, want)
+			}
+		} else if got := ix.SharedCount(p.u, p.v); got != want {
+			t.Fatalf("%s: query %d: SharedCount(%d,%d) = %d, want %d", name, i, p.u, p.v, got, want)
+		}
+		if ix.rowU != before {
+			rows++
+		}
+	}
+	return rows
+}
+
+// TestIntersectorRowsMatchMerge pins the row strategy to the sorted merge
+// over every query order the emitters produce — u-major, column-major (the
+// v-owns-the-row branch), heterogeneous class blocks — and a shuffled order
+// that must (almost) never build rows. Back-to-back Resets with a different
+// n, ring size and strategy must not leak a row or key index from the
+// previous rings.
+func TestIntersectorRowsMatchMerge(t *testing.T) {
+	r := rng.New(21)
+	const pool, n = 10000, 300
+	ix, err := NewIntersector(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reset := func(rings []Ring) {
+		t.Helper()
+		if err := ix.Reset(rings); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Figure-1-shaped rings: sparse, break-even of a few queries.
+	rings := randomRings(t, r, pool, 40, n)
+	for _, tc := range []struct {
+		name    string
+		queries []pair
+	}{
+		{"u-major", uMajorPairs(r, n, 0.5)},
+		{"column-major", columnMajorPairs(r, n, 0.5)},
+	} {
+		reset(rings)
+		if ix.Dense() {
+			t.Fatal("K = 40, P = 10000 should select the merge strategy")
+		}
+		if rows := checkQueries(t, tc.name, ix, rings, tc.queries); rows < n/2 {
+			t.Errorf("%s: %d rows over %d sensors, want most sensors to own one", tc.name, rows, n)
+		}
+	}
+	shuffled := uMajorPairs(r, n, 0.5)
+	r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	reset(rings)
+	if rows := checkQueries(t, "shuffled", ix, rings, shuffled); rows*20 > len(shuffled) {
+		t.Errorf("shuffled: %d rows over %d queries, want runs (and rows) to be rare", rows, len(shuffled))
+	}
+
+	// Uneven heterogeneous rings, queried in class-block order.
+	het, err := NewHeterogeneous(pool, 2, []Class{{Mu: 0.6, RingSize: 20}, {Mu: 0.4, RingSize: 120}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hasg, err := het.Assign(r, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reset(hasg.Rings)
+	if rows := checkQueries(t, "class blocks", ix, hasg.Rings, classBlockPairs(r, hasg.Labels, 2, 0.5)); rows == 0 {
+		t.Error("class blocks: no rows built")
+	}
+
+	// Back-to-back Resets: each deployment starts by querying the sensor
+	// that owned the previous row, so a stale row or index would answer.
+	if ix, err = NewIntersector(3000); err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range []struct {
+		keyPool, ring, n int
+		dense            bool
+	}{
+		{3000, 12, 150, false},
+		{600, 30, 60, true}, // a fifth of the pool in use, dense
+		{3000, 5, 200, false},
+		{3000, 12, 150, false},
+		{600, 30, 60, true},
+	} {
+		prev := ix.rowU
+		rings := randomRings(t, r, st.keyPool, st.ring, st.n)
+		reset(rings)
+		if ix.Dense() != st.dense {
+			t.Fatalf("stage %d: Dense() = %v, want %v", i, ix.Dense(), st.dense)
+		}
+		queries := []pair{}
+		if prev >= 0 {
+			u := prev % int32(st.n)
+			for v := int32(0); int(v) < st.n; v++ {
+				if v != u {
+					queries = append(queries, pair{u, v})
+				}
+			}
+		}
+		queries = append(queries, uMajorPairs(r, st.n, 0.5)...)
+		if rows := checkQueries(t, fmt.Sprintf("reset stage %d", i), ix, rings, queries); rows == 0 {
+			t.Errorf("stage %d: no rows built", i)
+		}
+	}
+}
+
+// FuzzIntersectorQueries decodes arbitrary bytes into rings over a small
+// pool plus a query sequence — fresh pairs, runs on the first or second
+// argument, and Resets to a prefix of the rings — and checks every answer
+// against the sorted merge.
+func FuzzIntersectorQueries(f *testing.F) {
+	f.Add([]byte{199, 5, 3, 1, 2, 3, 3, 2, 3, 4, 2, 1, 9, 0, 4, 0, 1, 65, 2, 65, 3, 65, 4, 129, 0, 129, 1, 192, 2, 0, 1})
+	f.Add([]byte{40, 3, 10, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 0, 7, 2, 1, 65, 0, 66, 1, 67, 2})
+	f.Add([]byte{255, 8, 1, 200, 0, 2, 0, 255, 1, 7, 1, 9, 3, 1, 2, 3, 1, 4, 0, 1, 0, 2, 64, 3, 64, 4, 64, 5, 128, 6, 128, 7, 195, 3, 1, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() (byte, bool) {
+			if len(data) == 0 {
+				return 0, false
+			}
+			b := data[0]
+			data = data[1:]
+			return b, true
+		}
+		pb, ok1 := next()
+		nb, ok2 := next()
+		if !ok1 || !ok2 {
+			return
+		}
+		pool, n := 1+int(pb), 1+int(nb)%24
+		rings := make([]Ring, n)
+		for i := range rings {
+			l, _ := next()
+			ids := make([]ID, 0, l%12)
+			for range l % 12 {
+				b, _ := next()
+				ids = append(ids, ID(int(b)%pool))
+			}
+			rings[i] = NewRing(ids)
+		}
+		ix, err := NewIntersector(pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := rings
+		if err := ix.Reset(live); err != nil {
+			t.Fatal(err)
+		}
+		var u, v int32
+		for {
+			a, ok1 := next()
+			b, ok2 := next()
+			if !ok1 || !ok2 {
+				return
+			}
+			m := int32(len(live))
+			switch a >> 6 {
+			case 0:
+				u, v = int32(a)%m, int32(b)%m
+			case 1:
+				v = int32(b) % m
+			case 2:
+				u = int32(b) % m
+			case 3:
+				live = rings[:1+int(b)%n]
+				if err := ix.Reset(live); err != nil {
+					t.Fatal(err)
+				}
+				u, v = 0, 0
+				continue
+			}
+			want := live[u].SharedCount(live[v])
+			if a&1 == 0 {
+				q := int(a>>1) % 4
+				if got := ix.HasAtLeast(u, v, q); got != (want >= q) {
+					t.Fatalf("HasAtLeast(%d,%d,%d) = %v with %d shared", u, v, q, got, want)
+				}
+			} else if got := ix.SharedCount(u, v); got != want {
+				t.Fatalf("SharedCount(%d,%d) = %d, want %d", u, v, got, want)
+			}
+		}
+	})
+}
+
+// BenchmarkIntersectorHasAtLeast measures the hot predicate of discovery
+// in two configurations, each with the query order its workload produces:
+//
+//   - ladder: the streaming ladder (P = 512, K = 32, q = 2: dense, stride 8 —
+//     one cache line per ring) over n = 100000 rings with sequential u and
+//     uniform random v, the latency-bound load the flat-arena layout exists
+//     for. Runs never reach the row break-even (≈ 25000 queries).
+//   - fig1: a Figure-1 point (P = 10000, K = 40, q = 2: merge, break-even 3)
+//     over n = 1000 rings with the u-major queries of an on/off draw at
+//     p = 0.5, so nearly every query is a row-counter read.
 func BenchmarkIntersectorHasAtLeast(b *testing.B) {
-	const (
-		pool = 512
-		ring = 32
-		q    = 2
-		n    = 100_000
-	)
-	s, err := NewQComposite(pool, ring, q)
+	const q = 2
+	b.Run("ladder", func(b *testing.B) {
+		const n = 100_000
+		ix := benchIntersector(b, 512, 32, n, true)
+		r := rng.New(12)
+		hits := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			u := int32(i % n)
+			v := int32(r.Uint64() % n)
+			if ix.HasAtLeast(u, v, q) {
+				hits++
+			}
+		}
+		b.ReportMetric(float64(hits)/float64(b.N), "hit/op")
+	})
+	b.Run("fig1", func(b *testing.B) {
+		ix := benchIntersector(b, 10000, 40, 1000, false)
+		ps := uMajorPairs(rng.New(12), 1000, 0.5)
+		hits := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p := ps[i%len(ps)]
+			if ix.HasAtLeast(p.u, p.v, q) {
+				hits++
+			}
+		}
+		b.ReportMetric(float64(hits)/float64(b.N), "hit/op")
+	})
+}
+
+// benchIntersector returns an Intersector reset to n q-composite rings of
+// the given size, checking that it selected the expected strategy.
+func benchIntersector(b *testing.B, pool, ring, n int, dense bool) *Intersector {
+	b.Helper()
+	s, err := NewQComposite(pool, ring, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -203,19 +496,8 @@ func BenchmarkIntersectorHasAtLeast(b *testing.B) {
 	if err := ix.Reset(asg.Rings); err != nil {
 		b.Fatal(err)
 	}
-	if !ix.Dense() {
-		b.Fatal("ladder configuration should select the dense strategy")
+	if ix.Dense() != dense {
+		b.Fatalf("P = %d, K = %d: Dense() = %v, want %v", pool, ring, ix.Dense(), dense)
 	}
-	r := rng.New(12)
-	hits := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := int32(i % n)
-		v := int32(r.Uint64() % n)
-		if ix.HasAtLeast(u, v, q) {
-			hits++
-		}
-	}
-	b.ReportMetric(float64(hits)/float64(b.N), "hit/op")
+	return ix
 }

@@ -29,12 +29,12 @@ func (c *Client) http() *http.Client {
 	return http.DefaultClient
 }
 
-// decodeError maps non-2xx responses back to errors — structured 400s
-// surface as *SpecError, so callers (and tests) can inspect the offending
-// field across the wire.
+// decodeError maps non-2xx responses back to errors — structured 400s and
+// 413s surface as *SpecError, so callers (and tests) can inspect the
+// offending field across the wire.
 func decodeError(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode == http.StatusBadRequest {
+	if resp.StatusCode == http.StatusBadRequest || resp.StatusCode == http.StatusRequestEntityTooLarge {
 		var spec SpecError
 		if err := json.Unmarshal(body, &spec); err == nil && spec.Field != "" {
 			return &spec

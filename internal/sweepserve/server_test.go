@@ -9,6 +9,8 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -490,6 +492,46 @@ func TestSpecValidation(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != 400 {
 		t.Errorf("unknown JSON field got status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestOversizeSpecRefused checks the submit body bound: a spec past
+// MaxSpecBytes comes back as a 413 naming the body, both as raw bytes and
+// through the typed client, and submits no job.
+func TestOversizeSpecRefused(t *testing.T) {
+	env := newEnv(t, sweepserve.Options{})
+
+	padded := strings.Repeat(" ", sweepserve.MaxSpecBytes) + `{"kind":"connectivity"}`
+	resp, err := env.http.Client().Post(env.http.URL+"/v1/jobs", "application/json", strings.NewReader(padded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize body got status %d, want 413", resp.StatusCode)
+	}
+	var raw sweepserve.SpecError
+	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
+		t.Fatalf("413 body is not a SpecError: %v", err)
+	}
+	if raw.Field != "body" || raw.Msg == "" {
+		t.Errorf("413 payload = %+v, want field \"body\" with a message", raw)
+	}
+
+	ks := make([]int, sweepserve.MaxSpecBytes/2)
+	for i := range ks {
+		ks[i] = 6
+	}
+	_, err = env.client.Submit(context.Background(), connectivitySpec(ks, []float64{0.5}))
+	specErr, ok := err.(*sweepserve.SpecError)
+	if !ok {
+		t.Fatalf("oversize spec: error is %T (%v), want *SpecError", err, err)
+	}
+	if specErr.Field != "body" {
+		t.Errorf("oversize spec names field %q, want \"body\"", specErr.Field)
+	}
+	if _, ok := env.manager.Job("job-1"); ok {
+		t.Error("an oversize spec created a job")
 	}
 }
 

@@ -43,9 +43,11 @@ const maxCountedOverlap = 255
 // assignment into a key→holders index and counts shared keys per co-holding
 // pair — O(Σ_k h_k²) instead of one ring intersection per channel edge —
 // with a dense triangular counter table at small n and a per-row counter at
-// large n. Otherwise it intersects rings per channel edge through a
-// density-adaptive keys.Intersector (bitset-backed for dense rings, sorted
-// merge for sparse ones). All strategies compute the same exact predicate
+// large n. Otherwise it answers every channel edge through a
+// keys.Intersector: a flat bitmap for dense rings, a sorted merge for sparse
+// ones, and for sparse rings queried u by u — the CSR edge walk here, the
+// emitters of the streaming modes — one counted row per sensor from a lazily
+// built key→holders index. All strategies compute the same exact predicate
 // from the actual per-sensor rings (ring sizes may differ per class), so
 // the resulting topology is byte-identical whichever runs.
 type Deployer struct {

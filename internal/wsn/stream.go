@@ -184,7 +184,10 @@ func (d *Deployer) streamSecureEdges(r *rng.Rand, yield func(u, v int32) bool) e
 	}
 
 	// 2. Discovery state: the exact per-edge intersection predicate (the
-	// same keys.Intersector the per-edge CSR strategy uses).
+	// same keys.Intersector the per-edge CSR strategy uses). The emitters
+	// yield edges u by u, so with sparse rings the Intersector answers most
+	// of them from one counted row per u (see keys.Intersector); dense rings
+	// keep the bitmap.
 	if d.ix == nil {
 		ix, err := keys.NewIntersector(d.cfg.Scheme.PoolSize())
 		if err != nil {
