@@ -123,6 +123,60 @@ func TestFigure1ZeroOnePlateauAgainstTheory(t *testing.T) {
 	rep.Check(t)
 }
 
+// TestTheorem1KConnPlateauAgainstTheory extends the plateau gate from
+// connectivity to the paper's main result, k-connectivity: ring sizes well
+// below and well above the k = 2 and k = 3 thresholds, swept through
+// SweepKConnectivity on CSR deployments, must reproduce the Theorem 1
+// endpoints exp(−e^{−α}/(k−1)!) ≈ 0 and 1 within plateau tolerance.
+// Small-budget variant, always run in CI.
+func TestTheorem1KConnPlateauAgainstTheory(t *testing.T) {
+	const (
+		n      = 300
+		pool   = 3000
+		q      = 2
+		pOn    = 0.5
+		trials = 120
+	)
+	grid := experiment.Grid{Ks: []int{18, 24, 44, 52}, Qs: []int{q}, Ps: []float64{pOn}, Xs: []float64{2, 3}}
+	results, err := experiment.SweepKConnectivity(context.Background(), grid,
+		experiment.SweepConfig{Trials: trials, Workers: 4, Seed: 20261016},
+		func(pt experiment.GridPoint) (wsn.Config, error) {
+			scheme, err := keys.NewQComposite(pool, pt.K, pt.Q)
+			if err != nil {
+				return wsn.Config{}, err
+			}
+			return wsn.Config{Sensors: n, Scheme: scheme, Channel: channel.OnOff{P: pt.P}}, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var obs []Observation
+	for _, res := range results {
+		pt := res.Point
+		k, err := experiment.KOf(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pred, err := theory.KConnProbability(n, pool, pt.K, pt.Q, pt.P, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pred > 0.005 && pred < 0.995 {
+			t.Fatalf("k=%d K=%d prediction %v is not a plateau point; pick ring sizes further from the threshold", k, pt.K, pred)
+		}
+		obs = append(obs, Observation{
+			Name:      fmt.Sprintf("theorem1 k=%d K=%d", k, pt.K),
+			Predicted: pred,
+			Observed:  res.Value,
+		})
+	}
+	rep, err := Compare(obs, Config{PlateauTol: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.Check(t)
+}
+
 // figure1InteriorSweep runs the transition-interior slice of the figure1
 // connectivity curve (n = 300, P = 3000, q = 2, p = 0.5; ring sizes on the
 // steep part where the predicted probability is well inside (0, 1)) on the

@@ -124,10 +124,11 @@ func TestIsKConnectedKnownGraphs(t *testing.T) {
 		{name: "K4,7", g: completeBipartite(t, 4, 7), kappa: 4},
 		{name: "hypercube Q3", g: hypercube(t, 3), kappa: 3},
 		{name: "hypercube Q4", g: hypercube(t, 4), kappa: 4},
+		{name: "two disjoint K5", g: twoDisjointK5(t), kappa: 0},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			for k := 0; k <= tt.kappa+2; k++ {
+			for k := 0; k <= max(tt.kappa+2, 4); k++ {
 				want := k <= tt.kappa
 				if got := IsKConnected(tt.g, k); got != want {
 					t.Errorf("IsKConnected(k=%d) = %v, want %v", k, got, want)
@@ -182,6 +183,21 @@ func twoCliquesSharing2(t *testing.T) *graph.Undirected {
 		}
 	}
 	return mustGraph(t, 8, edges)
+}
+
+// twoDisjointK5 is K5 on {0..4} beside K5 on {5..9}: minimum degree 4 with
+// W = {0, 1, 2} a clique, so only the BFS coverage check rejects k = 3, 4.
+func twoDisjointK5(t *testing.T) *graph.Undirected {
+	t.Helper()
+	var edges []graph.Edge
+	for base := int32(0); base < 10; base += 5 {
+		for u := base; u < base+5; u++ {
+			for v := u + 1; v < base+5; v++ {
+				edges = append(edges, graph.Edge{U: u, V: v})
+			}
+		}
+	}
+	return mustGraph(t, 10, edges)
 }
 
 func completeBipartite(t *testing.T, a, b int) *graph.Undirected {

@@ -1,13 +1,12 @@
 package graphalgo
 
 // dinic is a unit-capacity max-flow solver (Dinic's algorithm: BFS level
-// graph + DFS blocking flow). It is used on the vertex-split digraph to
-// count internally vertex-disjoint paths, the Menger quantity behind
-// k-connectivity testing. Capacities are integers; queries can cap the flow
-// at a limit so k-connectivity tests cost at most k augmentation rounds of
-// useful work.
+// graph + DFS blocking flow). It counts internally vertex-disjoint paths on
+// the vertex-split digraph (VertexDisjointPaths) and edge-disjoint paths
+// for the edge-connectivity tests. Capacities are integers; queries can cap
+// the flow at a limit so k-edge-connectivity tests cost at most k
+// augmentation rounds of useful work.
 type dinic struct {
-	n     int
 	head  []int32 // head[v] = first edge id of v, -1 terminated
 	next  []int32 // next[e] = next edge id in v's list
 	to    []int32
@@ -20,38 +19,19 @@ type dinic struct {
 
 // newDinic returns a solver over n flow nodes with room for edgeHint arcs.
 func newDinic(n, edgeHint int) *dinic {
-	d := &dinic{}
-	d.init(n, edgeHint)
-	return d
-}
-
-// init readies the solver for a fresh graph over n flow nodes, reusing
-// existing storage when large enough — the amortization hook of
-// Workspace-backed k-connectivity tests.
-func (d *dinic) init(n, edgeHint int) {
-	d.n = n
-	if cap(d.head) < n {
-		d.head = make([]int32, n)
-		d.level = make([]int32, n)
-		d.iter = make([]int32, n)
+	d := &dinic{
+		head:  make([]int32, n),
+		level: make([]int32, n),
+		iter:  make([]int32, n),
+		next:  make([]int32, 0, edgeHint*2),
+		to:    make([]int32, 0, edgeHint*2),
+		cap0:  make([]int32, 0, edgeHint*2),
+		cap:   make([]int32, 0, edgeHint*2),
 	}
-	d.head = d.head[:n]
-	d.level = d.level[:n]
-	d.iter = d.iter[:n]
 	for i := range d.head {
 		d.head[i] = -1
 	}
-	if cap(d.to) < edgeHint*2 {
-		d.next = make([]int32, 0, edgeHint*2)
-		d.to = make([]int32, 0, edgeHint*2)
-		d.cap0 = make([]int32, 0, edgeHint*2)
-		d.cap = make([]int32, 0, edgeHint*2)
-	}
-	d.next = d.next[:0]
-	d.to = d.to[:0]
-	d.cap0 = d.cap0[:0]
-	d.cap = d.cap[:0]
-	d.queue = d.queue[:0]
+	return d
 }
 
 // addArc inserts a directed arc u→v with the given capacity and its reverse

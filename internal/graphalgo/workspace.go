@@ -6,11 +6,12 @@ import (
 
 // Workspace holds the reusable scratch of the connectivity decision
 // procedures: the union-find forest of IsConnectedW, the low-link DFS arrays
-// of the biconnectivity test, and the Dinic solver of general
-// k-connectivity. All buffers grow to the largest graph seen and are then
-// reused, so Monte Carlo loops that test one topology per trial run the
-// connectivity hot path allocation-free. The zero value is ready to use; a
-// Workspace is not safe for concurrent use — give each worker its own.
+// of the biconnectivity test, and the flow pointers, visit stamps and
+// growing-sink marks of the fan searches behind general k-connectivity. All
+// buffers grow to the largest graph seen and are then reused, so Monte Carlo
+// loops that test one topology per trial run the connectivity hot path
+// allocation-free. The zero value is ready to use; a Workspace is not safe
+// for concurrent use — give each worker its own.
 type Workspace struct {
 	uf UnionFind
 
@@ -20,8 +21,18 @@ type Workspace struct {
 	parent []int32
 	stack  []dfsFrame
 
-	// Vertex-split max-flow solver (general k).
-	d dinic
+	// Fan-search scratch (general k). The residual graph is the implicit
+	// vertex split of g: state 2v is v_in, state 2v+1 is v_out.
+	pred    []int32  // pred[v]: v's predecessor on the current fan's flow, −1 when v carries none
+	touched []int32  // vertices whose pred the current fan set, reset when it ends
+	par     []int32  // par[s]: the state the current search reached s from
+	vis     []uint32 // vis[s] == visGen: s was reached by the current search
+	visGen  uint32
+	sink    []uint32 // sink[v] == sinkGen: v belongs to the current sink set
+	sinkGen uint32
+	sinkNbr []int32 // sinkNbr[v]: neighbours of v in the growing sink
+	order   []int32 // vertices in the order they are tested against the sink
+	queue   []int32 // the current search's frontier of residual states
 }
 
 // dfsFrame is one explicit DFS stack entry of the iterative Tarjan scan.
@@ -166,50 +177,6 @@ func IsKConnectedW(ws *Workspace, g *graph.Undirected, k int) bool {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-
-	// Vertex-split digraph: node v becomes v_in = 2v and v_out = 2v+1 with a
-	// capacity-1 arc in→out; each undirected edge {u,v} becomes arcs
-	// u_out→v_in and v_out→u_in of capacity 1 (effectively unbounded given
-	// the unit vertex caps). One extra auxiliary node x = 2n feeds W.
-	aux := int32(2 * n)
-	d := &ws.d
-	d.init(2*n+1, 2*n+4*g.M()+k)
-	for v := int32(0); int(v) < n; v++ {
-		d.addArc(2*v, 2*v+1, 1)
-	}
-	g.ForEachEdge(func(u, v int32) bool {
-		d.addArc(2*u+1, 2*v, 1)
-		d.addArc(2*v+1, 2*u, 1)
-		return true
-	})
-	for i := int32(0); int(i) < k; i++ {
-		d.addArc(2*i+1, aux, 1) // w_out → x for w ∈ W (x is the fan sink)
-	}
-
-	limit := int32(k)
-	// Step 1: pairs inside W.
-	for i := int32(0); int(i) < k; i++ {
-		for j := i + 1; int(j) < k; j++ {
-			if g.HasEdge(i, j) {
-				// Adjacent pairs cannot be separated by a vertex cut, and in
-				// the κ<k certificate two W-nodes on opposite sides of a
-				// separator are never adjacent.
-				continue
-			}
-			d.reset()
-			// Source v_i_out, sink v_j_in: internal vertex caps of the
-			// endpoints must not constrain the flow.
-			if d.maxFlow(2*i+1, 2*j, limit) < limit {
-				return false
-			}
-		}
-	}
-	// Step 2: every u outside W against the auxiliary x.
-	for u := int32(k); int(u) < n; u++ {
-		d.reset()
-		if d.maxFlow(2*u+1, aux, limit) < limit {
-			return false
-		}
-	}
-	return true
+	ws.growFan(n)
+	return ws.pairsLinked(g, k) && ws.growSink(g, k)
 }
