@@ -9,6 +9,8 @@ import (
 // RingArena amortizes ring storage across repeated assignments: all key IDs
 // of an assignment live in one flat backing slice and the Ring headers in one
 // slice, so assigning n rings costs O(1) allocations after the first use.
+// Each ring is drawn already sorted (rng.SubsetSampler.AppendSortedSample)
+// straight into the flat slice, so no ring is copied or sorted.
 //
 // Rings returned by an arena-backed assignment are views into the arena and
 // remain valid only until the next assignment into the same arena. The zero
@@ -17,15 +19,14 @@ type RingArena struct {
 	ids     []ID
 	rings   []Ring
 	labels  []uint8 // per-sensor class labels of multi-class schemes
-	buf     []ID    // per-ring scratch for sampling before sort/dedup
 	sampler *rng.SubsetSampler
 }
 
 // ensureSampler returns a SubsetSampler over [0, pool), reusing the cached
 // one when the pool matches. A SubsetSampler rolls its permutation back
-// after every draw, so a cached one behaves exactly like a fresh one and
-// can be reused across assignments (it is the arena's largest single
-// buffer).
+// and clears its bitmaps after every draw, so a cached one behaves exactly
+// like a fresh one and can be reused across assignments (it is the arena's
+// largest single buffer).
 func (a *RingArena) ensureSampler(pool int) (*rng.SubsetSampler, error) {
 	if a.sampler == nil || a.sampler.Universe() != pool {
 		var err error
@@ -52,16 +53,17 @@ func (a *RingArena) reserve(n, totalIDs int) {
 	a.rings = a.rings[:0]
 }
 
-// appendRing samples one ring of the given size into the arena.
+// appendRing samples one ring of the given size into the arena. A subset
+// has distinct elements and the draw is ascending, so the appended IDs are
+// already a valid ring.
 func (a *RingArena) appendRing(r *rng.Rand, sampler *rng.SubsetSampler, size int) error {
-	buf, err := sampler.AppendSample(r, size, a.buf[:0])
-	a.buf = buf
+	start := len(a.ids)
+	ids, err := sampler.AppendSortedSample(r, size, a.ids)
 	if err != nil {
 		return err
 	}
-	start := len(a.ids)
-	a.ids = append(a.ids, sortDedup(a.buf)...)
-	a.rings = append(a.rings, Ring{ids: a.ids[start:len(a.ids):len(a.ids)]})
+	a.ids = ids
+	a.rings = append(a.rings, Ring{ids: ids[start:len(ids):len(ids)]})
 	return nil
 }
 

@@ -37,9 +37,8 @@ func NewRing(ids []ID) Ring {
 // sortDedup sorts ids in place and removes adjacent duplicates, returning the
 // compacted prefix. The comparison is index-based rather than against an
 // in-band sentinel, so every ID value — including negative ones — is kept.
-// slices.Sort (not sort.Slice) matters here: this runs once per sensor per
-// deployment, and the reflection-based sorter's two closures per call were
-// most of the Deployer trial loop's residual allocations.
+// Only NewRing needs it: assigned rings are drawn already sorted and
+// duplicate-free (see RingArena).
 func sortDedup(ids []ID) []ID {
 	slices.Sort(ids)
 	out := ids[:0]
@@ -288,25 +287,12 @@ func (s *QComposite) Classes() []Class {
 	return []Class{{Mu: 1, RingSize: s.ring}}
 }
 
-// Assign implements Scheme: n independent uniform K-subsets of the pool.
+// Assign implements Scheme: n independent uniform K-subsets of the pool. It
+// is AssignInto over a private arena, so the returned rings have an
+// independent lifetime.
 func (s *QComposite) Assign(r *rng.Rand, n int) (Assignment, error) {
-	if n < 0 {
-		return Assignment{}, fmt.Errorf("keys: negative sensor count %d", n)
-	}
-	sampler, err := rng.NewSubsetSampler(s.pool)
-	if err != nil {
-		return Assignment{}, fmt.Errorf("keys: assign: %w", err)
-	}
-	rings := make([]Ring, n)
-	var buf []ID
-	for v := 0; v < n; v++ {
-		buf, err = sampler.AppendSample(r, s.ring, buf[:0])
-		if err != nil {
-			return Assignment{}, fmt.Errorf("keys: assign sensor %d: %w", v, err)
-		}
-		rings[v] = NewRing(buf)
-	}
-	return Assignment{Rings: rings}, nil
+	var a RingArena
+	return s.AssignInto(r, n, &a)
 }
 
 // LinkKeySize is the size in bytes of derived link keys.

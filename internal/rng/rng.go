@@ -3,7 +3,9 @@
 // SplitMix64, independent derived streams for parallel Monte Carlo trials,
 // and the distribution samplers the random-graph generators need (uniform
 // integers, Bernoulli, binomial, Poisson, geometric, and k-subset sampling
-// without replacement).
+// without replacement). A k-subset can be drawn in draw order or, with the
+// same draws, in ascending order without a sort (SubsetSampler), which is
+// how key rings are assigned.
 //
 // Every randomized API in this repository takes an explicit *Rand so that
 // experiments are reproducible bit-for-bit from a single seed, regardless of
@@ -260,11 +262,23 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 //
 // It is the hot path for key-ring assignment: each of n sensors draws K keys
 // from a pool of P, so per-draw O(P) work would dominate graph sampling.
+// AppendSortedSample returns a draw in ascending order without sorting it:
+// it marks each drawn element in a bitmap over [0, n) and in a summary
+// bitmap of the bitmap's non-empty words, then reads both back in order,
+// clearing every word it reads. Both bitmaps are therefore all-zero between
+// draws, and a sorted draw costs O(k + n/4096) rather than O(k log k) plus
+// an O(n) clear.
+//
 // A SubsetSampler is not safe for concurrent use.
 type SubsetSampler struct {
 	perm []int32
 	// swapped records the positions touched by the last draw for rollback.
 	swapped []int32
+	// words has bit x set iff x was drawn by the sorted draw in progress;
+	// summary has bit w set iff words[w] is non-zero. Both are all-zero
+	// outside AppendSortedSample.
+	words   []uint64
+	summary []uint64
 }
 
 // NewSubsetSampler returns a sampler over the universe [0, n).
@@ -279,7 +293,12 @@ func NewSubsetSampler(n int) (*SubsetSampler, error) {
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	return &SubsetSampler{perm: perm}, nil
+	words := (n + 63) / 64
+	return &SubsetSampler{
+		perm:    perm,
+		words:   make([]uint64, words),
+		summary: make([]uint64, (words+63)/64),
+	}, nil
 }
 
 // Universe returns the size of the sampling universe.
@@ -293,20 +312,78 @@ func (s *SubsetSampler) AppendSample(r *Rand, k int, dst []int32) ([]int32, erro
 	if k < 0 || k > n {
 		return nil, fmt.Errorf("rng: subset size %d out of range [0, %d]", k, n)
 	}
-	s.swapped = s.swapped[:0]
-	for i := 0; i < k; i++ {
-		j := i + r.Intn(n-i)
-		s.perm[i], s.perm[j] = s.perm[j], s.perm[i]
-		s.swapped = append(s.swapped, int32(j))
-		dst = append(dst, s.perm[i])
+	swapped := s.swappedBuf(k)
+	for i := range swapped {
+		j := i + int(r.uint64n(uint64(n-i)))
+		x := s.perm[j]
+		s.perm[j] = s.perm[i]
+		s.perm[i] = x
+		swapped[i] = int32(j)
+		dst = append(dst, x)
 	}
-	// Roll back so the next draw starts from the identity-equivalent state.
-	// Undoing in reverse order restores the exact previous permutation, and
-	// since the array always remains a permutation of [0,n), uniformity of
-	// subsequent draws is unaffected.
-	for i := k - 1; i >= 0; i-- {
-		j := s.swapped[i]
-		s.perm[i], s.perm[j] = s.perm[j], s.perm[i]
+	s.rollback(swapped)
+	return dst, nil
+}
+
+// AppendSortedSample appends the k-subset AppendSample would draw from the
+// same generator state to dst, in ascending order, and returns the extended
+// slice. It makes exactly the draws AppendSample makes, so the generator is
+// left at the same position and the two are interchangeable wherever only
+// the drawn set matters. k must be in [0, n].
+func (s *SubsetSampler) AppendSortedSample(r *Rand, k int, dst []int32) ([]int32, error) {
+	n := len(s.perm)
+	if k < 0 || k > n {
+		return nil, fmt.Errorf("rng: subset size %d out of range [0, %d]", k, n)
+	}
+	swapped := s.swappedBuf(k)
+	words, summary := s.words, s.summary
+	for i := range swapped {
+		j := i + int(r.uint64n(uint64(n-i)))
+		x := s.perm[j]
+		s.perm[j] = s.perm[i]
+		s.perm[i] = x
+		swapped[i] = int32(j)
+		u := uint32(x)
+		words[u>>6] |= 1 << (u & 63)
+		summary[u>>12] |= 1 << ((u >> 6) & 63)
+	}
+	s.rollback(swapped)
+	// Read the marks back in ascending order, zeroing each word as it is
+	// read so the bitmaps are clean for the next draw.
+	for si, sum := range summary {
+		if sum == 0 {
+			continue
+		}
+		summary[si] = 0
+		for sum != 0 {
+			w := si<<6 | bits.TrailingZeros64(sum)
+			sum &= sum - 1
+			word := words[w]
+			words[w] = 0
+			base := int32(w << 6)
+			for word != 0 {
+				dst = append(dst, base|int32(bits.TrailingZeros64(word)))
+				word &= word - 1
+			}
+		}
 	}
 	return dst, nil
+}
+
+// swappedBuf returns the rollback log resized to k entries.
+func (s *SubsetSampler) swappedBuf(k int) []int32 {
+	if cap(s.swapped) < k {
+		s.swapped = make([]int32, k)
+	}
+	return s.swapped[:k]
+}
+
+// rollback undoes a draw's swaps in reverse order, restoring the exact
+// permutation the draw started from. The array always remains a permutation
+// of [0, n), so the uniformity of subsequent draws is unaffected.
+func (s *SubsetSampler) rollback(swapped []int32) {
+	for i := len(swapped) - 1; i >= 0; i-- {
+		j := swapped[i]
+		s.perm[i], s.perm[j] = s.perm[j], s.perm[i]
+	}
 }
