@@ -9,6 +9,7 @@ package channel
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/secure-wsn/qcomposite/internal/graph"
 	"github.com/secure-wsn/qcomposite/internal/randgraph"
@@ -16,7 +17,8 @@ import (
 	"github.com/secure-wsn/qcomposite/internal/theory"
 )
 
-// Model samples which node pairs have usable communication channels.
+// Model is a channel model: it decides which node pairs have usable
+// communication channels, one draw at a time.
 type Model interface {
 	// Name identifies the model in reports.
 	Name() string
@@ -24,8 +26,55 @@ type Model interface {
 	// checked eagerly at construction time (wsn.NewDeployer, wsn.Deploy) so
 	// misconfigurations surface before any sampling work.
 	Validate() error
-	// Sample draws the channel graph on n nodes.
-	Sample(r *rng.Rand, n int) (*graph.Undirected, error)
+	// EmitEdges streams one channel draw on n nodes to yield, edge by edge,
+	// without materializing a graph; Sample collects it into CSR. Every
+	// built-in model yields each unordered pair at most once, which the
+	// streaming degree accumulator depends on (a union-find sink would
+	// tolerate duplicates, a degree count does not), so other models feeding
+	// wsn.Deployer's degree mode must be duplicate-free too. When yield
+	// returns false the draw stops immediately and the rest of its
+	// randomness is NOT consumed: callers must only early-exit streams
+	// nothing else draws from (per-trial streams qualify).
+	EmitEdges(r *rng.Rand, n int, yield func(u, v int32) bool) error
+}
+
+// ClassModel is a channel model whose link probabilities depend on the
+// sensors' classes. A deployment threads the key scheme's per-sensor class
+// labels to EmitClassEdges (through Emit), so the scheme and channel share
+// one deployment-level class assignment (wsn.Config validates the pairing).
+type ClassModel interface {
+	Model
+	// ClassCount returns the number of sensor classes the model expects.
+	ClassCount() int
+	// EmitClassEdges streams one channel draw on n nodes whose classes are
+	// given by labels (one entry per node; nil means every node is class
+	// 0), under the EmitEdges contract.
+	EmitClassEdges(r *rng.Rand, n int, labels []uint8, yield func(u, v int32) bool) error
+}
+
+// Emit streams one channel draw on n nodes to yield: class-aware models
+// receive the per-node class labels (nil means every node is class 0),
+// every other model ignores them. It is the one place that decides which
+// models see labels, so the CSR (Sample) and graph-free (wsn streaming)
+// paths draw identically.
+func Emit(m Model, r *rng.Rand, n int, labels []uint8, yield func(u, v int32) bool) error {
+	if cm, ok := m.(ClassModel); ok {
+		return cm.EmitClassEdges(r, n, labels, yield)
+	}
+	return m.EmitEdges(r, n, yield)
+}
+
+// Sample draws one channel graph on n nodes: Emit collected into CSR by b.
+// A nil b means a fresh builder; a reused builder keeps repeated draws
+// allocation-free, and the returned graph then follows the builder's
+// lifetime contract (valid until the second-next build).
+func Sample(m Model, r *rng.Rand, n int, labels []uint8, b *graph.Builder) (*graph.Undirected, error) {
+	if b == nil {
+		b = graph.NewBuilder()
+	}
+	return b.Collect(n, func(yield func(u, v int32) bool) error {
+		return Emit(m, r, n, labels, yield)
+	})
 }
 
 // OnOff is the paper's on/off channel model: each channel is independently
@@ -50,16 +99,18 @@ func (m OnOff) Validate() error {
 	return nil
 }
 
-// Sample implements Model by drawing G(n, p).
-func (m OnOff) Sample(r *rng.Rand, n int) (*graph.Undirected, error) {
+// EmitEdges implements Model: one G(n, p) draw streamed with geometric
+// skipping.
+func (m OnOff) EmitEdges(r *rng.Rand, n int, yield func(u, v int32) bool) error {
 	if err := m.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	g, err := randgraph.ErdosRenyi(r, n, m.P)
-	if err != nil {
-		return nil, fmt.Errorf("channel: on/off: %w", err)
+	var src rng.GeometricSource
+	src.Reset(r)
+	if err := randgraph.EmitErdosRenyi(&src, n, m.P, yield); err != nil {
+		return fmt.Errorf("channel: on/off: %w", err)
 	}
-	return g, nil
+	return nil
 }
 
 // AlwaysOn is the full-visibility model: every pair of sensors has an active
@@ -75,13 +126,19 @@ func (AlwaysOn) Name() string { return "always-on" }
 // Validate implements Model: AlwaysOn has no parameters.
 func (AlwaysOn) Validate() error { return nil }
 
-// Sample implements Model by returning the complete graph.
-func (AlwaysOn) Sample(_ *rng.Rand, n int) (*graph.Undirected, error) {
-	g, err := graph.Complete(n)
-	if err != nil {
-		return nil, fmt.Errorf("channel: always-on: %w", err)
+// EmitEdges implements Model: every pair, no randomness.
+func (AlwaysOn) EmitEdges(_ *rng.Rand, n int, yield func(u, v int32) bool) error {
+	if n < 0 {
+		return fmt.Errorf("channel: always-on: negative node count %d", n)
 	}
-	return g, nil
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if !yield(int32(u), int32(v)) {
+				return nil
+			}
+		}
+	}
+	return nil
 }
 
 // Disk is the disk model: sensors are placed uniformly at random on the unit
@@ -116,30 +173,24 @@ func (m Disk) Validate() error {
 	return nil
 }
 
-// Sample implements Model by drawing a random geometric graph.
-func (m Disk) Sample(r *rng.Rand, n int) (*graph.Undirected, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	g, _, err := randgraph.Geometric(r, n, m.Radius, randgraph.GeometricOptions{Torus: m.Torus})
-	if err != nil {
-		return nil, fmt.Errorf("channel: disk: %w", err)
-	}
-	return g, nil
-}
+// geoScratchPool shares geometric-sampling buffers (positions, cell grid)
+// across Disk.EmitEdges calls. Disk is a value-type model, so its scratch
+// cannot live on the model itself; a pool keeps steady-state sampling
+// allocation-free without coupling the model to one deployer.
+var geoScratchPool = sync.Pool{New: func() any { return new(randgraph.GeoScratch) }}
 
-// SamplePositions draws a random geometric graph and also returns sensor
-// positions, for deployments that need coordinates (visualisation, routing
-// studies).
-func (m Disk) SamplePositions(r *rng.Rand, n int) (*graph.Undirected, []randgraph.GeometricPoint, error) {
+// EmitEdges implements Model: the cell-grid walk passes in-range pairs
+// straight to yield, with pooled position/grid buffers and no edge list.
+func (m Disk) EmitEdges(r *rng.Rand, n int, yield func(u, v int32) bool) error {
 	if err := m.Validate(); err != nil {
-		return nil, nil, err
+		return err
 	}
-	g, pts, err := randgraph.Geometric(r, n, m.Radius, randgraph.GeometricOptions{Torus: m.Torus})
-	if err != nil {
-		return nil, nil, fmt.Errorf("channel: disk: %w", err)
+	sc := geoScratchPool.Get().(*randgraph.GeoScratch)
+	defer geoScratchPool.Put(sc)
+	if err := sc.EmitGeometric(r, n, m.Radius, randgraph.GeometricOptions{Torus: m.Torus}, yield); err != nil {
+		return fmt.Errorf("channel: disk: %w", err)
 	}
-	return g, pts, nil
+	return nil
 }
 
 // EquivalentOnOff returns the on/off model whose channel-on probability

@@ -5,12 +5,14 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/secure-wsn/qcomposite/internal/graph"
+	"github.com/secure-wsn/qcomposite/internal/randgraph"
 	"github.com/secure-wsn/qcomposite/internal/rng"
 )
 
 func TestOnOffSample(t *testing.T) {
 	m := OnOff{P: 0.3}
-	g, err := m.Sample(rng.New(1), 100)
+	g, err := Sample(m, rng.New(1), 100, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,12 +33,12 @@ func TestOnOffValidation(t *testing.T) {
 		if err := (OnOff{P: p}).Validate(); err == nil {
 			t.Errorf("p=%v: Validate: want error", p)
 		}
-		if _, err := (OnOff{P: p}).Sample(rng.New(1), 10); err == nil {
+		if _, err := Sample(OnOff{P: p}, rng.New(1), 10, nil, nil); err == nil {
 			t.Errorf("p=%v: Sample: want error", p)
 		}
 	}
 	// p = 0 is the degenerate all-off network: valid, empty channel graph.
-	g, err := (OnOff{P: 0}).Sample(rng.New(1), 10)
+	g, err := Sample(OnOff{P: 0}, rng.New(1), 10, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func TestOnOffValidation(t *testing.T) {
 		t.Errorf("p=0 graph: N=%d M=%d, want N=10 M=0", g.N(), g.M())
 	}
 	// p = 1 is the full-visibility special case of on/off and is valid.
-	g, err = (OnOff{P: 1}).Sample(rng.New(1), 10)
+	g, err = Sample(OnOff{P: 1}, rng.New(1), 10, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +60,8 @@ func TestDiskValidation(t *testing.T) {
 		if err := (Disk{Radius: r}).Validate(); err == nil {
 			t.Errorf("radius=%v: Validate: want error", r)
 		}
-		if _, err := (Disk{Radius: r}).Sample(rng.New(1), 10); err == nil {
+		if _, err := Sample(Disk{Radius: r}, rng.New(1), 10, nil, nil); err == nil {
 			t.Errorf("radius=%v: Sample: want error", r)
-		}
-		if _, _, err := (Disk{Radius: r}).SamplePositions(rng.New(1), 10); err == nil {
-			t.Errorf("radius=%v: SamplePositions: want error", r)
 		}
 	}
 	for _, m := range []Model{OnOff{P: 0.5}, AlwaysOn{}, Disk{Radius: 0.2}} {
@@ -80,7 +79,7 @@ func TestDiskZeroRadius(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatalf("zero radius Validate: %v", err)
 	}
-	g, err := m.Sample(rng.New(4), 40)
+	g, err := Sample(m, rng.New(4), 40, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +93,7 @@ func TestDiskZeroRadius(t *testing.T) {
 	if err := eq.Validate(); err != nil {
 		t.Fatalf("EquivalentOnOff Validate: %v", err)
 	}
-	g, err = eq.Sample(rng.New(4), 40)
+	g, err = Sample(eq, rng.New(4), 40, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +104,7 @@ func TestDiskZeroRadius(t *testing.T) {
 
 func TestAlwaysOn(t *testing.T) {
 	m := AlwaysOn{}
-	g, err := m.Sample(rng.New(1), 30)
+	g, err := Sample(m, rng.New(1), 30, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +118,7 @@ func TestAlwaysOn(t *testing.T) {
 
 func TestDiskSample(t *testing.T) {
 	m := Disk{Radius: 0.2, Torus: true}
-	g, err := m.Sample(rng.New(2), 200)
+	g, err := Sample(m, rng.New(2), 200, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,24 +133,59 @@ func TestDiskSample(t *testing.T) {
 	if strings.Contains((Disk{Radius: 0.1}).Name(), "torus") {
 		t.Error("non-torus Name mentions torus")
 	}
-	if _, err := (Disk{Radius: -1}).Sample(rng.New(1), 10); err == nil {
+	if _, err := Sample(Disk{Radius: -1}, rng.New(1), 10, nil, nil); err == nil {
 		t.Error("negative radius: want error")
 	}
 }
 
+// TestDiskSamplePositions pins a Disk draw to the positions it is drawn
+// from: at the same seed it is the graph randgraph.Geometric builds, and
+// every edge joins two in-square points within the radius.
 func TestDiskSamplePositions(t *testing.T) {
 	m := Disk{Radius: 0.15}
-	g, pts, err := m.SamplePositions(rng.New(3), 50)
+	g, err := Sample(m, rng.New(3), 50, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 50 || g.N() != 50 {
-		t.Fatalf("positions %d, nodes %d", len(pts), g.N())
+	want, pts, err := randgraph.Geometric(rng.New(3), 50, m.Radius, randgraph.GeometricOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != 50 || !sameGraph(g, want) {
+		t.Fatalf("disk draw differs from the geometric graph on its positions (%d points)", len(pts))
 	}
 	for i, p := range pts {
 		if p.X < 0 || p.X >= 1 || p.Y < 0 || p.Y >= 1 {
 			t.Errorf("point %d = %+v outside unit square", i, p)
 		}
+	}
+	g.ForEachEdge(func(u, v int32) bool {
+		if d := math.Hypot(pts[u].X-pts[v].X, pts[u].Y-pts[v].Y); d > m.Radius {
+			t.Errorf("edge (%d,%d) spans %v > radius", u, v, d)
+		}
+		return true
+	})
+}
+
+// TestSampleLifetime checks the double-buffer contract end to end: a
+// channel graph sampled through a builder must survive the next draw
+// through the same builder.
+func TestSampleLifetime(t *testing.T) {
+	m := OnOff{P: 0.3}
+	b := graph.NewBuilder()
+	g1, err := Sample(m, rng.New(1), 50, nil, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Sample(m, rng.New(1), 50, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Sample(m, rng.New(2), 50, nil, b); err != nil {
+		t.Fatal(err)
+	}
+	if !sameGraph(g1, want) {
+		t.Error("channel graph corrupted by the next draw through the same builder")
 	}
 }
 

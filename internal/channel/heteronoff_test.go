@@ -2,6 +2,7 @@ package channel
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/secure-wsn/qcomposite/internal/rng"
@@ -21,6 +22,7 @@ func TestHeterOnOffValidate(t *testing.T) {
 		{P: [][]float64{{-0.1}}},                               // entry < 0
 		{P: [][]float64{{math.NaN()}}},                         // NaN
 		{P: [][]float64{{0.5, math.NaN()}, {math.NaN(), 0.5}}}, // NaN off-diagonal
+		UniformHeterOnOff(300, 0.1),                            // beyond uint8 labels
 	}
 	for i, m := range bad {
 		if err := m.Validate(); err == nil {
@@ -30,8 +32,8 @@ func TestHeterOnOffValidate(t *testing.T) {
 }
 
 // TestHeterOnOffOneClassMatchesOnOff pins the degenerate case: a 1-class
-// HeterOnOff must sample exactly the OnOff graph, through both Sample and
-// SampleClasses (nil labels), from the same stream.
+// HeterOnOff must draw exactly the OnOff edge sequence, through both
+// EmitClassEdges (nil labels) and EmitEdges, from the same stream.
 func TestHeterOnOffOneClassMatchesOnOff(t *testing.T) {
 	const (
 		n = 200
@@ -39,48 +41,33 @@ func TestHeterOnOffOneClassMatchesOnOff(t *testing.T) {
 	)
 	m := UniformHeterOnOff(1, p)
 	for seed := uint64(0); seed < 3; seed++ {
-		want, err := OnOff{P: p}.Sample(rng.New(seed), n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := m.Sample(rng.New(seed), n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotC, err := m.SampleClasses(rng.New(seed), n, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, g := range []interface {
-			N() int
-			M() int
-			HasEdge(u, v int32) bool
-		}{got, gotC} {
-			if g.N() != want.N() || g.M() != want.M() {
-				t.Fatalf("seed %d: %d nodes %d edges, want %d nodes %d edges",
-					seed, g.N(), g.M(), want.N(), want.M())
-			}
-		}
-		want.ForEachEdge(func(u, v int32) bool {
-			if !got.HasEdge(u, v) || !gotC.HasEdge(u, v) {
-				t.Fatalf("seed %d: edge (%d,%d) missing", seed, u, v)
-			}
-			return true
+		want := emittedEdges(t, func(yield func(u, v int32) bool) error {
+			return OnOff{P: p}.EmitEdges(rng.New(seed), n, yield)
 		})
+		got := emittedEdges(t, func(yield func(u, v int32) bool) error {
+			return m.EmitEdges(rng.New(seed), n, yield)
+		})
+		gotC := emittedEdges(t, func(yield func(u, v int32) bool) error {
+			return m.EmitClassEdges(rng.New(seed), n, nil, yield)
+		})
+		if len(want) == 0 || !slices.Equal(got, want) || !slices.Equal(gotC, want) {
+			t.Fatalf("seed %d: EmitEdges %d / EmitClassEdges %d edges differ from OnOff's %d",
+				seed, len(got), len(gotC), len(want))
+		}
 	}
 }
 
-// TestHeterOnOffSampleClassesBlocks checks the class-structured draw: with
+// TestHeterOnOffClassBlocks checks the class-structured draw: with
 // p=[1 0; 0 1] every within-class pair is an edge and no cross-class pair
-// is.
-func TestHeterOnOffSampleClassesBlocks(t *testing.T) {
+// is; without labels every node is class 0, so every pair is an edge.
+func TestHeterOnOffClassBlocks(t *testing.T) {
 	m := HeterOnOff{P: [][]float64{{1, 0}, {0, 1}}}
 	const n = 40
 	labels := make([]uint8, n)
 	for v := range labels {
 		labels[v] = uint8(v % 2)
 	}
-	g, err := m.SampleClasses(rng.New(1), n, labels)
+	g, err := Sample(m, rng.New(1), n, labels, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,17 +79,24 @@ func TestHeterOnOffSampleClassesBlocks(t *testing.T) {
 			}
 		}
 	}
+	g, err = Sample(m, rng.New(1), n, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.M() != n*(n-1)/2 {
+		t.Errorf("nil labels: %d edges, want the complete class-0 block %d", g.M(), n*(n-1)/2)
+	}
 
-	// Multi-class Sample without labels is ill-defined and must error.
-	if _, err := m.Sample(rng.New(1), n); err == nil {
-		t.Error("multi-class Sample without labels accepted")
+	// Multi-class EmitEdges without labels is ill-defined and must error.
+	if err := m.EmitEdges(rng.New(1), n, func(u, v int32) bool { return true }); err == nil {
+		t.Error("multi-class EmitEdges without labels accepted")
 	}
 	// Out-of-range label must error, not panic.
-	if _, err := m.SampleClasses(rng.New(1), 3, []uint8{0, 2, 0}); err == nil {
+	if _, err := Sample(m, rng.New(1), 3, []uint8{0, 2, 0}, nil); err == nil {
 		t.Error("out-of-range class label accepted")
 	}
 	// Label/count mismatch must error.
-	if _, err := m.SampleClasses(rng.New(1), 3, []uint8{0, 1}); err == nil {
+	if _, err := Sample(m, rng.New(1), 3, []uint8{0, 1}, nil); err == nil {
 		t.Error("label count mismatch accepted")
 	}
 }

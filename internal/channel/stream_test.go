@@ -1,14 +1,28 @@
 package channel
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/secure-wsn/qcomposite/internal/graph"
 	"github.com/secure-wsn/qcomposite/internal/rng"
 )
 
-// emittedGraph drains an emitter into a merged CSR graph.
-func emittedGraph(t *testing.T, n int, emit func(yield func(u, v int32) bool) error) *graph.Undirected {
+// sameGraph reports byte-identical CSR contents.
+func sameGraph(a, b *graph.Undirected) bool {
+	if a.N() != b.N() || a.M() != b.M() {
+		return false
+	}
+	for v := int32(0); int(v) < a.N(); v++ {
+		if !slices.Equal(a.Neighbors(v), b.Neighbors(v)) {
+			return false
+		}
+	}
+	return true
+}
+
+// emittedEdges drains an emitter into its edge sequence.
+func emittedEdges(t *testing.T, emit func(yield func(u, v int32) bool) error) []graph.Edge {
 	t.Helper()
 	var edges []graph.Edge
 	if err := emit(func(u, v int32) bool {
@@ -17,11 +31,7 @@ func emittedGraph(t *testing.T, n int, emit func(yield func(u, v int32) bool) er
 	}); err != nil {
 		t.Fatal(err)
 	}
-	g, err := graph.NewFromEdges(n, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
+	return edges
 }
 
 // TestEmitEdgesDuplicateFree pins the emitter half of the streaming-degree
@@ -29,7 +39,7 @@ func emittedGraph(t *testing.T, n int, emit func(yield func(u, v int32) bool) er
 // (degree counting is not idempotent), including on the tiny toroidal disk
 // grids whose aliased neighbor cells used to produce duplicates.
 func TestEmitEdgesDuplicateFree(t *testing.T) {
-	models := []EdgeEmitter{
+	models := []Model{
 		OnOff{P: 0.3},
 		AlwaysOn{},
 		Disk{Radius: 0.2},
@@ -84,11 +94,13 @@ func TestEmitEdgesDuplicateFree(t *testing.T) {
 	}
 }
 
-// TestEmitEdgesMatchesSample pins the EdgeEmitter contract for every model:
-// at a fixed seed the emitted edge set merges to exactly the sampled
-// graph, and both draws consume the generator identically.
+// TestEmitEdgesMatchesSample pins Sample against each model's own emitter:
+// at a fixed seed the EmitEdges edge set merges to exactly the graph Sample
+// collects through Emit, and both draws consume the generator identically.
+// For the one-class HeterOnOff the two sides run different kernels (Emit
+// picks the class-block path, EmitEdges the OnOff one).
 func TestEmitEdgesMatchesSample(t *testing.T) {
-	models := []EdgeEmitter{
+	models := []Model{
 		OnOff{P: 0},
 		OnOff{P: 0.15},
 		OnOff{P: 1},
@@ -105,60 +117,22 @@ func TestEmitEdgesMatchesSample(t *testing.T) {
 				seed := uint64(100 + trial)
 				for _, n := range []int{0, 1, 37, 80} {
 					rs, rd := rng.New(seed), rng.New(seed)
-					want, err := m.Sample(rs, n)
+					want, err := Sample(m, rs, n, nil, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got := emittedGraph(t, n, func(yield func(u, v int32) bool) error {
+					got, err := graph.NewFromEdges(n, emittedEdges(t, func(yield func(u, v int32) bool) error {
 						return m.EmitEdges(rd, n, yield)
-					})
+					}))
+					if err != nil {
+						t.Fatal(err)
+					}
 					if !sameGraph(want, got) {
 						t.Fatalf("seed %d n=%d: emitted graph differs from Sample", seed, n)
 					}
 					if rs.Uint64() != rd.Uint64() {
 						t.Fatalf("seed %d n=%d: generators diverged after the draw", seed, n)
 					}
-				}
-			}
-		})
-	}
-}
-
-// TestEmitClassEdgesMatchesSampleClasses pins the class-aware contract on a
-// 3-class heterogeneous channel with mixed labels, nil labels (all class 0),
-// and empty classes.
-func TestEmitClassEdgesMatchesSampleClasses(t *testing.T) {
-	m := HeterOnOff{P: [][]float64{
-		{0.9, 0.5, 0.2},
-		{0.5, 0.6, 0.4},
-		{0.2, 0.4, 0.8},
-	}}
-	const n = 90
-	labelings := map[string][]uint8{
-		"mixed":       make([]uint8, n),
-		"nil":         nil,
-		"empty-class": make([]uint8, n),
-	}
-	for i := 0; i < n; i++ {
-		labelings["mixed"][i] = uint8(i % 3)
-		labelings["empty-class"][i] = uint8(i%2) * 2 // classes {0, 2}; class 1 empty
-	}
-	for name, labels := range labelings {
-		t.Run(name, func(t *testing.T) {
-			for seed := uint64(1); seed <= 3; seed++ {
-				rs, rd := rng.New(seed), rng.New(seed)
-				want, err := m.SampleClasses(rs, n, labels)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := emittedGraph(t, n, func(yield func(u, v int32) bool) error {
-					return m.EmitClassEdges(rd, n, labels, yield)
-				})
-				if !sameGraph(want, got) {
-					t.Fatalf("seed %d: emitted class graph differs from SampleClasses", seed)
-				}
-				if rs.Uint64() != rd.Uint64() {
-					t.Fatalf("seed %d: generators diverged after the draw", seed)
 				}
 			}
 		})
@@ -222,8 +196,8 @@ func TestEmitEdgesEarlyExit(t *testing.T) {
 	}
 }
 
-// TestEmitEdgesValidation covers the streaming entry points' validation,
-// including the multi-class restriction EmitEdges shares with Sample.
+// TestEmitEdgesValidation covers the emitters' validation, including the
+// multi-class HeterOnOff's refusal to emit without labels.
 func TestEmitEdgesValidation(t *testing.T) {
 	yield := func(u, v int32) bool { return true }
 	r := rng.New(1)

@@ -3,20 +3,17 @@ package graph
 import (
 	"fmt"
 	"slices"
+	"sync"
 )
 
 // Builder constructs CSR graphs from edge lists with reusable scratch, so a
 // Monte Carlo loop that samples a fresh topology every trial approaches zero
 // steady-state allocation. The builder owns the degree/cursor scratch and a
 // double-buffered arena of CSR storage (offsets, adjacency, and the
-// Undirected header itself): a graph returned by FromEdges stays valid
-// through the next build and is invalidated by the second-next one — the same
-// lifetime contract wsn.Deployer.Deploy imposes on the networks it returns.
-//
-// A Builder also loans out generic sampling scratch (EdgeScratch,
-// NodeScratch) so stateless samplers — the channel models — can run
-// allocation-free through a caller-owned builder. A Builder is not safe for
-// concurrent use.
+// Undirected header itself): a graph returned by FromEdges or Collect stays
+// valid through the next build and is invalidated by the second-next one —
+// the same lifetime contract wsn.Deployer.Deploy imposes on the networks it
+// returns. A Builder is not safe for concurrent use.
 type Builder struct {
 	deg    []int32
 	cursor []int32
@@ -24,9 +21,19 @@ type Builder struct {
 	arenas [2]builderArena
 	next   int // arena index the next build writes into
 
-	edges []Edge  // loaned via EdgeScratch
-	nodes []int32 // loaned via NodeScratch
+	// Collect's edge buffer, borrowed from edgeBufPool for one collection,
+	// and its persistent append closure: the closure is handed to arbitrary
+	// emitters, where a per-call closure would escape and allocate every
+	// build.
+	edges      []Edge
+	appendEdge func(u, v int32) bool
 }
+
+// edgeBufPool shares Collect's edge buffers across builders. A buffer is
+// needed only until FromEdges has copied it into CSR form, so a fresh builder
+// (a sweep builds a new Deployer per grid point) starts from a grown buffer
+// instead of regrowing one edge by edge.
+var edgeBufPool = sync.Pool{New: func() any { return new([]Edge) }}
 
 // builderArena is one of the builder's two CSR buffers. The Undirected
 // header lives in the arena too, so repeated builds do not even allocate the
@@ -41,22 +48,34 @@ type builderArena struct {
 // reused.
 func NewBuilder() *Builder { return &Builder{} }
 
-// EdgeScratch returns the builder's reusable edge buffer. Callers truncate
-// it to zero length, append the edges of the current sample, and pass it to
-// FromEdges; appending through the returned pointer persists capacity growth
-// in the builder, so steady-state sampling allocates nothing.
-func (b *Builder) EdgeScratch() *[]Edge { return &b.edges }
-
-// NodeScratch returns a reusable int32 buffer for samplers that need
-// per-node scratch (class bucketing, position grids). Same reuse discipline
-// as EdgeScratch.
-func (b *Builder) NodeScratch() *[]int32 { return &b.nodes }
+// Collect builds a graph on n nodes from the edges emit passes to its yield
+// callback, with FromEdges semantics, and returns emit's error unchanged if
+// it fails. The yield callback lives on the builder and the edge buffer is
+// pooled, so repeated collection allocates nothing in steady state. Same
+// arena lifetime contract as FromEdges.
+func (b *Builder) Collect(n int, emit func(yield func(u, v int32) bool) error) (*Undirected, error) {
+	if b.appendEdge == nil {
+		b.appendEdge = func(u, v int32) bool {
+			b.edges = append(b.edges, Edge{U: u, V: v})
+			return true
+		}
+	}
+	buf := edgeBufPool.Get().(*[]Edge)
+	defer edgeBufPool.Put(buf)
+	b.edges = (*buf)[:0]
+	err := emit(b.appendEdge)
+	*buf, b.edges = b.edges, nil
+	if err != nil {
+		return nil, err
+	}
+	return b.FromEdges(n, *buf)
+}
 
 // FromEdges builds a graph on n nodes from the given edge list, with
 // NewFromEdges semantics: endpoints must lie in [0, n), self-loops are
 // rejected, duplicate edges (in either orientation) are merged. The returned
 // graph aliases builder storage: it remains valid until the second-next
-// FromEdges/Complete call on this builder.
+// build (FromEdges, Collect or Complete) on this builder.
 func (b *Builder) FromEdges(n int, edges []Edge) (*Undirected, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative node count %d", n)

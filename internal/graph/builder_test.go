@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -136,25 +137,60 @@ func TestBuilderCompleteMatchesEdgeList(t *testing.T) {
 	}
 }
 
-func TestBuilderScratchReuse(t *testing.T) {
+// TestBuilderCollect pins Collect against NewFromEdges on the same edge
+// stream across builder reuse, checks that the emitter's error comes back
+// unchanged, and gates steady-state collection at zero allocations.
+func TestBuilderCollect(t *testing.T) {
 	b := NewBuilder()
-	edges := b.EdgeScratch()
-	*edges = append((*edges)[:0], Edge{U: 0, V: 1}, Edge{U: 1, V: 2})
-	g, err := b.FromEdges(3, *edges)
-	if err != nil {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 6; trial++ {
+		n := 2 + r.Intn(40)
+		edges := messyEdges(r, n, r.Intn(120))
+		want, err := NewFromEdges(n, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.Collect(n, func(yield func(u, v int32) bool) error {
+			for _, e := range edges {
+				if !yield(e.U, e.V) {
+					break
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameGraph(want, got) {
+			t.Fatalf("trial %d: Collect differs from NewFromEdges (n=%d, %d edges)", trial, n, len(edges))
+		}
+	}
+
+	errEmit := errors.New("emitter failed")
+	if _, err := b.Collect(4, func(yield func(u, v int32) bool) error {
+		yield(0, 1)
+		return errEmit
+	}); err != errEmit {
+		t.Errorf("Collect error = %v, want the emitter's error", err)
+	}
+
+	emit := func(yield func(u, v int32) bool) error {
+		for u := int32(0); u < 30; u++ {
+			for v := u + 1; v < 30; v += 3 {
+				yield(u, v)
+			}
+		}
+		return nil
+	}
+	if _, err := b.Collect(30, emit); err != nil { // grow the buffers once
 		t.Fatal(err)
 	}
-	if g.M() != 2 {
-		t.Fatalf("M = %d, want 2", g.M())
-	}
-	// The grown capacity must persist in the builder.
-	if cap(*b.EdgeScratch()) < 2 {
-		t.Error("edge scratch capacity not retained")
-	}
-	nodes := b.NodeScratch()
-	*nodes = append((*nodes)[:0], 1, 2, 3)
-	if cap(*b.NodeScratch()) < 3 {
-		t.Error("node scratch capacity not retained")
+	if avg := testing.AllocsPerRun(20, func() {
+		if _, err := b.Collect(30, emit); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("steady-state Collect allocates %.1f allocs/run, want 0", avg)
 	}
 }
 

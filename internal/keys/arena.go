@@ -67,20 +67,7 @@ func (a *RingArena) appendRing(r *rng.Rand, sampler *rng.SubsetSampler, size int
 	return nil
 }
 
-// ArenaAssigner is implemented by schemes that can assign key rings into a
-// caller-provided arena, avoiding the per-ring allocations of Scheme.Assign.
-// wsn.Deployer uses it when available.
-type ArenaAssigner interface {
-	Scheme
-	// AssignInto draws the class labels and key rings for n sensors into
-	// the arena. It must consume randomness exactly as Assign does, so that
-	// a deployment is byte-identical whichever entry point is used.
-	AssignInto(r *rng.Rand, n int, a *RingArena) (Assignment, error)
-}
-
-var _ ArenaAssigner = (*QComposite)(nil)
-
-// AssignInto implements ArenaAssigner. It draws the same rings as Assign for
+// AssignInto implements Scheme. It draws the same rings as Assign for
 // the same generator state (same per-sensor subset draws, in order), but
 // stores them in the arena.
 func (s *QComposite) AssignInto(r *rng.Rand, n int, a *RingArena) (Assignment, error) {

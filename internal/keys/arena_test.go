@@ -44,17 +44,17 @@ func assignmentFingerprint(asg Assignment, next uint64) uint64 {
 // change to which keys a sensor draws or to how many generator outputs an
 // assignment consumes flips a hash and fails this test.
 func TestRingAssignmentPinned(t *testing.T) {
-	must := func(s ArenaAssigner, err error) ArenaAssigner {
+	must := func(s Scheme, err error) Scheme {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
-	qc := func(pool, ring, q int) ArenaAssigner { return must(NewQComposite(pool, ring, q)) }
+	qc := func(pool, ring, q int) Scheme { return must(NewQComposite(pool, ring, q)) }
 	cases := []struct {
 		name   string
-		scheme ArenaAssigner
+		scheme Scheme
 		n      int
 		seed   uint64
 		want   uint64
@@ -102,7 +102,7 @@ func TestAssignIntoAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []ArenaAssigner{qc, het} {
+	for _, s := range []Scheme{qc, het} {
 		var arena RingArena
 		r := rng.New(7)
 		const n = 300

@@ -34,10 +34,7 @@ type Heterogeneous struct {
 	classes []Class
 }
 
-var (
-	_ Scheme        = (*Heterogeneous)(nil)
-	_ ArenaAssigner = (*Heterogeneous)(nil)
-)
+var _ Scheme = (*Heterogeneous)(nil)
 
 // NewHeterogeneous validates the class mixture — 1 ≤ q ≤ K_i ≤ P for every
 // class, 0 < μ_i, Σμ_i = 1 (within 1e-9), at most MaxClasses classes — and
@@ -112,7 +109,7 @@ func (s *Heterogeneous) Assign(r *rng.Rand, n int) (Assignment, error) {
 	return asg, nil
 }
 
-// AssignInto implements ArenaAssigner: it draws per-sensor class labels from
+// AssignInto implements Scheme: it draws per-sensor class labels from
 // a dedicated rng.StreamSeed sub-stream (seeded by one draw of r), then one
 // uniform K_{class}-subset per sensor from r. With a single class no label
 // draw happens at all, which keeps the main stream aligned with QComposite's

@@ -192,6 +192,11 @@ type Scheme interface {
 	Classes() []Class
 	// Assign draws the class labels and key rings for n sensors.
 	Assign(r *rng.Rand, n int) (Assignment, error)
+	// AssignInto is Assign into a caller-provided arena, avoiding per-ring
+	// allocations (wsn.Deployer reuses one arena across deployments). It
+	// must consume randomness exactly as Assign does, so a deployment is
+	// byte-identical whichever entry point is used.
+	AssignInto(r *rng.Rand, n int, a *RingArena) (Assignment, error)
 }
 
 // MeanRingSize returns the expected per-sensor ring size Σ μ_i·K_i of the

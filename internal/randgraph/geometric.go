@@ -40,23 +40,6 @@ type GeoScratch struct {
 // next draw through this scratch.
 func (sc *GeoScratch) Points() []GeometricPoint { return sc.pts }
 
-// AppendGeometric appends the edges of one random geometric graph draw to
-// dst and returns the extended slice: n nodes uniform on the unit square, an
-// edge wherever the (optionally toroidal) Euclidean distance is at most
-// radius. It consumes randomness exactly as Geometric does; positions are
-// available from sc.Points afterwards. A cell grid makes the expected cost
-// O(n + m). It is the appending form of EmitGeometric.
-func (sc *GeoScratch) AppendGeometric(r *rng.Rand, n int, radius float64, opts GeometricOptions, dst []graph.Edge) ([]graph.Edge, error) {
-	err := sc.EmitGeometric(r, n, radius, opts, func(u, v int32) bool {
-		dst = append(dst, graph.Edge{U: u, V: v})
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
 // EmitGeometric streams one random geometric graph draw edge by edge: all n
 // positions are drawn up front in one batched FillFloat64 (randomness is
 // consumed exactly as the per-coordinate draws were — X then Y per node in
@@ -215,17 +198,15 @@ func growInt32(buf []int32, n int) []int32 {
 
 // Geometric samples a random geometric graph as a one-shot: n nodes uniform
 // on the unit square, an edge wherever the (optionally toroidal) Euclidean
-// distance is at most radius. It also returns the sampled positions. See
-// GeoScratch.AppendGeometric for the buffer-reusing form.
+// distance is at most radius. It collects EmitGeometric on a private scratch
+// and also returns the sampled positions.
 func Geometric(r *rng.Rand, n int, radius float64, opts GeometricOptions) (*graph.Undirected, []GeometricPoint, error) {
 	var sc GeoScratch
-	edges, err := sc.AppendGeometric(r, n, radius, opts, nil)
+	g, err := graph.NewBuilder().Collect(n, func(yield func(u, v int32) bool) error {
+		return sc.EmitGeometric(r, n, radius, opts, yield)
+	})
 	if err != nil {
 		return nil, nil, err
-	}
-	g, err := graph.NewFromEdges(n, edges)
-	if err != nil {
-		return nil, nil, fmt.Errorf("randgraph: geometric graph: %w", err)
 	}
 	return g, sc.Points(), nil
 }

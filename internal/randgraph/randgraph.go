@@ -20,7 +20,6 @@ package randgraph
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"github.com/secure-wsn/qcomposite/internal/graph"
@@ -32,47 +31,16 @@ import (
 // memory O(n).
 const maxCounterNodes = 8192
 
-// AppendErdosRenyi appends the edges of one G(n, p) draw to dst and returns
-// the extended slice: each of the C(n,2) possible edges is present
-// independently with probability p. Pairs are enumerated in lexicographic
-// order and skipped geometrically, so the cost is O(n + E[m]) rather than
-// O(n²). Pass a reused buffer (e.g. a graph.Builder's EdgeScratch) to keep
-// Monte Carlo loops allocation-free; the draw consumes randomness exactly as
-// ErdosRenyi does. It is the appending form of AppendErdosRenyiStream.
-func AppendErdosRenyi(r *rng.Rand, n int, p float64, dst []graph.Edge) ([]graph.Edge, error) {
-	err := AppendErdosRenyiStream(r, n, p, func(u, v int32) bool {
-		dst = append(dst, graph.Edge{U: u, V: v})
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// ErdosRenyi samples G(n, p) as a one-shot graph; see AppendErdosRenyi for
-// the buffer-reusing form.
+// ErdosRenyi samples G(n, p) as a one-shot graph: each of the C(n,2)
+// possible edges is present independently with probability p. It collects
+// EmitErdosRenyi on a private kernel over r, so the cost is O(n + E[m])
+// rather than O(n²).
 func ErdosRenyi(r *rng.Rand, n int, p float64) (*graph.Undirected, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("randgraph: negative node count %d", n)
-	}
-	if math.IsNaN(p) || p < 0 || p > 1 {
-		return nil, fmt.Errorf("randgraph: edge probability %v outside [0,1]", p)
-	}
-	var edges []graph.Edge
-	if p > 0 && n > 1 {
-		expected := p * float64(n) * float64(n-1) / 2
-		edges = make([]graph.Edge, 0, int(expected)+16)
-	}
-	edges, err := AppendErdosRenyi(r, n, p, edges)
-	if err != nil {
-		return nil, err
-	}
-	g, err := graph.NewFromEdges(n, edges)
-	if err != nil {
-		return nil, fmt.Errorf("randgraph: erdős–rényi: %w", err)
-	}
-	return g, nil
+	var src rng.GeometricSource
+	src.Reset(r)
+	return graph.NewBuilder().Collect(n, func(yield func(u, v int32) bool) error {
+		return EmitErdosRenyi(&src, n, p, yield)
+	})
 }
 
 // QSampler samples uniform q-intersection graphs G_q(n, K, P) and their
@@ -145,16 +113,7 @@ func NewQSampler(n, ring, pool, q int) (*QSampler, error) {
 
 // Sample draws a fresh G_q(n, K, P).
 func (s *QSampler) Sample(r *rng.Rand) (*graph.Undirected, error) {
-	return s.sample(r, 1.01, nil) // pOn > 1 keeps every edge
-}
-
-// SampleInto draws a fresh G_q(n, K, P) through the caller's graph.Builder:
-// byte-identical to Sample for the same generator state, but the CSR storage
-// comes from the builder's reusable arenas, so a Monte Carlo loop allocates
-// nothing in steady state. The returned graph follows the builder's lifetime
-// contract (valid until the second-next build).
-func (s *QSampler) SampleInto(r *rng.Rand, b *graph.Builder) (*graph.Undirected, error) {
-	return s.sample(r, 1.01, b)
+	return s.sample(r, 1.01) // pOn > 1 keeps every edge
 }
 
 // SampleComposite draws a fresh G_{n,q}(n, K, P, p) = G_q(n,K,P) ∩ G(n,p)
@@ -166,16 +125,7 @@ func (s *QSampler) SampleComposite(r *rng.Rand, pOn float64) (*graph.Undirected,
 	if pOn < 0 || pOn > 1 {
 		return nil, fmt.Errorf("randgraph: channel-on probability %v outside [0,1]", pOn)
 	}
-	return s.sample(r, pOn, nil)
-}
-
-// SampleCompositeInto is SampleComposite through a caller-supplied builder;
-// see SampleInto for the lifetime contract.
-func (s *QSampler) SampleCompositeInto(r *rng.Rand, pOn float64, b *graph.Builder) (*graph.Undirected, error) {
-	if pOn < 0 || pOn > 1 {
-		return nil, fmt.Errorf("randgraph: channel-on probability %v outside [0,1]", pOn)
-	}
-	return s.sample(r, pOn, b)
+	return s.sample(r, pOn)
 }
 
 // KeyRing returns the key ring of node v from the most recent draw, as a
@@ -184,7 +134,7 @@ func (s *QSampler) KeyRing(v int) []int32 {
 	return s.rings[v*s.ring : (v+1)*s.ring]
 }
 
-func (s *QSampler) sample(r *rng.Rand, pOn float64, b *graph.Builder) (*graph.Undirected, error) {
+func (s *QSampler) sample(r *rng.Rand, pOn float64) (*graph.Undirected, error) {
 	// 1. Assign key rings: n independent uniform K-subsets of the pool.
 	s.rings = s.rings[:0]
 	var err error
@@ -245,13 +195,6 @@ func (s *QSampler) sample(r *rng.Rand, pOn float64, b *graph.Builder) (*graph.Un
 		s.touched = s.touched[:0]
 	} else {
 		s.countByRow(q8, pOn < 1, keep)
-	}
-	if b != nil {
-		g, err := b.FromEdges(s.n, s.edges)
-		if err != nil {
-			return nil, fmt.Errorf("randgraph: q-intersection graph: %w", err)
-		}
-		return g, nil
 	}
 	g, err := graph.NewFromEdges(s.n, s.edges)
 	if err != nil {

@@ -20,6 +20,11 @@ func TestErdosRenyiValidation(t *testing.T) {
 	if _, err := ErdosRenyi(r, 10, 1.1); err == nil {
 		t.Error("p > 1: want error")
 	}
+	for _, p := range []float64{math.Inf(1), math.NaN()} {
+		if _, err := ErdosRenyi(r, 10, p); err == nil {
+			t.Errorf("p=%v: want error", p)
+		}
+	}
 }
 
 func TestErdosRenyiExtremes(t *testing.T) {

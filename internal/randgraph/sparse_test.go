@@ -3,8 +3,28 @@ package randgraph
 import (
 	"testing"
 
+	"github.com/secure-wsn/qcomposite/internal/graph"
 	"github.com/secure-wsn/qcomposite/internal/rng"
 )
+
+// sameGraph reports byte-identical CSR contents.
+func sameGraph(a, b *graph.Undirected) bool {
+	if a.N() != b.N() || a.M() != b.M() {
+		return false
+	}
+	for v := int32(0); int(v) < a.N(); v++ {
+		na, nb := a.Neighbors(v), b.Neighbors(v)
+		if len(na) != len(nb) {
+			return false
+		}
+		for i := range na {
+			if na[i] != nb[i] {
+				return false
+			}
+		}
+	}
+	return true
+}
 
 // forceSparse converts a sampler to the per-row pair counter that is
 // normally selected only for n > maxCounterNodes, so the sparse path can be
@@ -96,4 +116,35 @@ func TestSparseCounterReuseIsClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkClean("second draw")
+}
+
+// TestSparseCompositeMatchesDense pins that the dense and per-row counting
+// strategies spend channel coins in the same (ascending pair) order, so the
+// composite draw is strategy-independent, not just the key graph.
+func TestSparseCompositeMatchesDense(t *testing.T) {
+	mk := func(sparse bool) *QSampler {
+		s, err := NewQSampler(110, 10, 280, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sparse {
+			forceSparse(s)
+		}
+		return s
+	}
+	dense, sparse := mk(false), mk(true)
+	for trial := 0; trial < 10; trial++ {
+		seed := uint64(900 + trial)
+		gd, err := dense.SampleComposite(rng.New(seed), 0.4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs, err := sparse.SampleComposite(rng.New(seed), 0.4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameGraph(gd, gs) {
+			t.Fatalf("trial %d: composite draw differs between counting strategies", trial)
+		}
+	}
 }

@@ -7,23 +7,25 @@ import (
 	"github.com/secure-wsn/qcomposite/internal/rng"
 )
 
-// Streaming edge enumeration: push-style duals of the Append* samplers,
-// running on the batched rng.GeometricSource skip kernel. Each Emit/Stream
-// function drives the exact same skip-distance walk as its appending
-// counterpart — skip i consumes uniform i, so at a fixed generator state the
-// yielded edge sequence equals the appended one — but edges flow to a
-// callback instead of a buffer, so a consumer (e.g. a union-find
-// connectivity trial) never materializes the edge list.
+// Edge emitters: every Erdős–Rényi family the channel models draw — G(n, p),
+// G(n, p) over a node subset, and a bipartite block between two node sets —
+// streamed edge by edge through the batched rng.GeometricSource skip kernel.
+// Edges flow to a callback instead of a buffer, so a consumer (e.g. a
+// union-find connectivity trial) never materializes the edge list, and a
+// caller that wants a graph collects the stream with graph.Builder.Collect.
+// Block emitters share one kernel across calls, which is how the
+// class-structured channel (channel.HeterOnOff) threads one draw through all
+// its class-pair blocks; that also makes them the substrate of any
+// class-structured model, each block costing O(block size + E[block edges]).
 //
 // Randomness discipline: the kernel refills its uniform buffer in batches,
 // so after any draw (early-exited or fully drained) the underlying generator
 // parks at the next batch boundary rather than at the last uniform used.
-// Both duals of every sampler share the kernel and therefore stay
-// state-identical to each other, but callers sharing a generator across a
-// draw and later consumers must treat the whole draw as one randomness
-// commitment (per-trial streams, as montecarlo hands out, satisfy this
-// trivially). When yield returns false the enumeration stops immediately and
-// no further skips are consumed from the buffer.
+// Callers sharing a generator across a draw and later consumers must treat
+// the whole draw as one randomness commitment (per-trial streams, as
+// montecarlo hands out, satisfy this trivially). When yield returns false
+// the enumeration stops immediately and no further skips are consumed from
+// the buffer.
 
 // EmitErdosRenyi streams one G(n, p) draw edge by edge through the given
 // skip kernel: each of the C(n,2) possible edges is present independently
@@ -83,22 +85,12 @@ func EmitErdosRenyi(src *rng.GeometricSource, n int, p float64, yield func(u, v 
 	}
 }
 
-// AppendErdosRenyiStream is EmitErdosRenyi on a private kernel over r: the
-// classic push-style dual of AppendErdosRenyi, consuming r's uniforms draw
-// for draw. The name keeps the Append* family prefix: it is AppendErdosRenyi
-// with the append replaced by a callback.
-func AppendErdosRenyiStream(r *rng.Rand, n int, p float64, yield func(u, v int32) bool) error {
-	var src rng.GeometricSource
-	src.Reset(r)
-	return EmitErdosRenyi(&src, n, p, yield)
-}
-
 // EmitErdosRenyiSubset streams G(|nodes|, p) drawn over the given node IDs
 // through the given skip kernel: every unordered pair of distinct entries of
 // nodes is an edge independently with probability p. Node IDs must be
 // distinct. See EmitErdosRenyi for the kernel-sharing contract.
 func EmitErdosRenyiSubset(src *rng.GeometricSource, nodes []int32, p float64, yield func(u, v int32) bool) error {
-	if p < 0 || p > 1 {
+	if math.IsNaN(p) || p < 0 || p > 1 {
 		return fmt.Errorf("randgraph: edge probability %v outside [0,1]", p)
 	}
 	m := len(nodes)
@@ -143,19 +135,11 @@ func EmitErdosRenyiSubset(src *rng.GeometricSource, nodes []int32, p float64, yi
 	}
 }
 
-// AppendErdosRenyiSubsetStream is EmitErdosRenyiSubset on a private kernel
-// over r, consuming randomness exactly as AppendErdosRenyiSubset.
-func AppendErdosRenyiSubsetStream(r *rng.Rand, nodes []int32, p float64, yield func(u, v int32) bool) error {
-	var src rng.GeometricSource
-	src.Reset(r)
-	return EmitErdosRenyiSubset(&src, nodes, p, yield)
-}
-
 // EmitErdosRenyiBipartite streams independent Bernoulli(p) edges between
 // every pair (a[i], b[j]) through the given skip kernel. The two sides must
 // be disjoint. See EmitErdosRenyi for the kernel-sharing contract.
 func EmitErdosRenyiBipartite(src *rng.GeometricSource, a, b []int32, p float64, yield func(u, v int32) bool) error {
-	if p < 0 || p > 1 {
+	if math.IsNaN(p) || p < 0 || p > 1 {
 		return fmt.Errorf("randgraph: edge probability %v outside [0,1]", p)
 	}
 	if p == 0 || len(a) == 0 || len(b) == 0 {
@@ -189,12 +173,4 @@ func EmitErdosRenyiBipartite(src *rng.GeometricSource, a, b []int32, p float64, 
 			return nil
 		}
 	}
-}
-
-// AppendErdosRenyiBipartiteStream is EmitErdosRenyiBipartite on a private
-// kernel over r, consuming randomness exactly as AppendErdosRenyiBipartite.
-func AppendErdosRenyiBipartiteStream(r *rng.Rand, a, b []int32, p float64, yield func(u, v int32) bool) error {
-	var src rng.GeometricSource
-	src.Reset(r)
-	return EmitErdosRenyiBipartite(&src, a, b, p, yield)
 }

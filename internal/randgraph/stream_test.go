@@ -21,8 +21,15 @@ func collectStream(t *testing.T, emit func(yield func(u, v int32) bool) error) [
 	return edges
 }
 
-// requireSameEdges asserts two edge sequences are identical, order included —
-// the streaming duals must replay the appending walk exactly.
+// source returns a skip kernel reset to r, the private kernel a one-shot
+// draw runs on.
+func source(r *rng.Rand) *rng.GeometricSource {
+	var src rng.GeometricSource
+	src.Reset(r)
+	return &src
+}
+
+// requireSameEdges asserts two edge sequences are identical, order included.
 func requireSameEdges(t *testing.T, want, got []graph.Edge) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -31,75 +38,6 @@ func requireSameEdges(t *testing.T, want, got []graph.Edge) {
 	for i := range want {
 		if want[i] != got[i] {
 			t.Fatalf("edge %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestErdosRenyiStreamMatchesAppend pins the draw-for-draw contract: at a
-// fixed generator state the streamed G(n, p) edge sequence equals the
-// appended one, and both walks leave the generator in the same state.
-func TestErdosRenyiStreamMatchesAppend(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3, 10, 47} {
-		for _, p := range []float64{0, 0.01, 0.3, 0.95, 1} {
-			for seed := uint64(1); seed <= 3; seed++ {
-				ra, rs := rng.New(seed), rng.New(seed)
-				want, err := AppendErdosRenyi(ra, n, p, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := collectStream(t, func(yield func(u, v int32) bool) error {
-					return AppendErdosRenyiStream(rs, n, p, yield)
-				})
-				requireSameEdges(t, want, got)
-				if a, s := ra.Uint64(), rs.Uint64(); a != s {
-					t.Fatalf("n=%d p=%v seed=%d: generators diverged after the draw", n, p, seed)
-				}
-			}
-		}
-	}
-}
-
-// TestErdosRenyiSubsetStreamMatchesAppend covers the subset-block dual used
-// by within-class draws.
-func TestErdosRenyiSubsetStreamMatchesAppend(t *testing.T) {
-	nodes := []int32{3, 7, 8, 11, 20, 21, 35, 40}
-	for _, p := range []float64{0, 0.1, 0.5, 1} {
-		for seed := uint64(1); seed <= 3; seed++ {
-			ra, rs := rng.New(seed), rng.New(seed)
-			want, err := AppendErdosRenyiSubset(ra, nodes, p, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := collectStream(t, func(yield func(u, v int32) bool) error {
-				return AppendErdosRenyiSubsetStream(rs, nodes, p, yield)
-			})
-			requireSameEdges(t, want, got)
-			if a, s := ra.Uint64(), rs.Uint64(); a != s {
-				t.Fatalf("p=%v seed=%d: generators diverged after the draw", p, seed)
-			}
-		}
-	}
-}
-
-// TestErdosRenyiBipartiteStreamMatchesAppend covers the cross-class block
-// dual.
-func TestErdosRenyiBipartiteStreamMatchesAppend(t *testing.T) {
-	a := []int32{0, 2, 4, 6, 9}
-	b := []int32{1, 3, 5, 7, 8, 10, 12}
-	for _, p := range []float64{0, 0.1, 0.5, 1} {
-		for seed := uint64(1); seed <= 3; seed++ {
-			ra, rs := rng.New(seed), rng.New(seed)
-			want, err := AppendErdosRenyiBipartite(ra, a, b, p, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := collectStream(t, func(yield func(u, v int32) bool) error {
-				return AppendErdosRenyiBipartiteStream(rs, a, b, p, yield)
-			})
-			requireSameEdges(t, want, got)
-			if av, sv := ra.Uint64(), rs.Uint64(); av != sv {
-				t.Fatalf("p=%v seed=%d: generators diverged after the draw", p, seed)
-			}
 		}
 	}
 }
@@ -114,16 +52,16 @@ func TestStreamEarlyExitIsPrefix(t *testing.T) {
 	sideB := []int32{1, 3, 5, 7, 9}
 	variants := map[string]func(r *rng.Rand, yield func(u, v int32) bool) error{
 		"er": func(r *rng.Rand, yield func(u, v int32) bool) error {
-			return AppendErdosRenyiStream(r, 30, 0.3, yield)
+			return EmitErdosRenyi(source(r), 30, 0.3, yield)
 		},
 		"er-dense": func(r *rng.Rand, yield func(u, v int32) bool) error {
-			return AppendErdosRenyiStream(r, 12, 1, yield)
+			return EmitErdosRenyi(source(r), 12, 1, yield)
 		},
 		"subset": func(r *rng.Rand, yield func(u, v int32) bool) error {
-			return AppendErdosRenyiSubsetStream(r, nodes, 0.5, yield)
+			return EmitErdosRenyiSubset(source(r), nodes, 0.5, yield)
 		},
 		"bipartite": func(r *rng.Rand, yield func(u, v int32) bool) error {
-			return AppendErdosRenyiBipartiteStream(r, sideA, sideB, 0.5, yield)
+			return EmitErdosRenyiBipartite(source(r), sideA, sideB, 0.5, yield)
 		},
 	}
 	for name, emit := range variants {
@@ -183,11 +121,11 @@ func TestBipartiteStreamEarlyExitPrefix(t *testing.T) {
 		for _, p := range []float64{0.05, 0.5, 0.95, 1} {
 			for seed := uint64(1); seed <= 3; seed++ {
 				full := collectStream(t, func(yield func(u, v int32) bool) error {
-					return AppendErdosRenyiBipartiteStream(rng.New(seed), shape.a, shape.b, p, yield)
+					return EmitErdosRenyiBipartite(source(rng.New(seed)), shape.a, shape.b, p, yield)
 				})
 				for stop := 0; stop <= len(full); stop++ {
 					var prefix []graph.Edge
-					err := AppendErdosRenyiBipartiteStream(rng.New(seed), shape.a, shape.b, p,
+					err := EmitErdosRenyiBipartite(source(rng.New(seed)), shape.a, shape.b, p,
 						func(u, v int32) bool {
 							prefix = append(prefix, graph.Edge{U: u, V: v})
 							return len(prefix) < stop
@@ -218,56 +156,26 @@ func TestBipartiteStreamEarlyExitPrefix(t *testing.T) {
 	}
 }
 
-// TestEmitGeometricMatchesAppend pins the geometric dual: the emitted pair
-// sequence equals AppendGeometric's, including on the tiny toroidal grids
-// where the 3×3 cell walk can revisit a pair.
-func TestEmitGeometricMatchesAppend(t *testing.T) {
-	cases := []struct {
-		name   string
-		n      int
-		radius float64
-		opts   GeometricOptions
-	}{
-		{"plane", 60, 0.2, GeometricOptions{}},
-		{"torus", 60, 0.2, GeometricOptions{Torus: true}},
-		{"tiny-torus", 8, 0.45, GeometricOptions{Torus: true}},
-		{"zero-radius", 30, 0, GeometricOptions{}},
-		{"empty", 0, 0.3, GeometricOptions{}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			for seed := uint64(1); seed <= 3; seed++ {
-				var sa, ss GeoScratch
-				want, err := sa.AppendGeometric(rng.New(seed), tc.n, tc.radius, tc.opts, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := collectStream(t, func(yield func(u, v int32) bool) error {
-					return ss.EmitGeometric(rng.New(seed), tc.n, tc.radius, tc.opts, yield)
-				})
-				requireSameEdges(t, want, got)
-			}
-		})
-	}
-}
-
-// TestStreamValidation mirrors the appending validation on the streaming
-// entry points.
+// TestStreamValidation pins the emitters' argument checks: a negative node
+// count and every probability outside [0, 1], NaN and +Inf included, are
+// errors. A NaN p must not reach the skip kernel, whose garbage skips would
+// index the node lists out of range.
 func TestStreamValidation(t *testing.T) {
 	yield := func(u, v int32) bool { return true }
 	r := rng.New(1)
-	if err := AppendErdosRenyiStream(r, -1, 0.5, yield); err == nil {
+	if err := EmitErdosRenyi(source(r), -1, 0.5, yield); err == nil {
 		t.Error("negative n: want error")
 	}
-	for _, p := range []float64{-0.1, 1.1, math.NaN()} {
-		if err := AppendErdosRenyiStream(r, 10, p, yield); err == nil {
+	nodes := []int32{0, 1, 2, 3, 4, 5, 6, 7}
+	for _, p := range []float64{-1, -0.1, 1.1, 2, math.NaN(), math.Inf(1)} {
+		if err := EmitErdosRenyi(source(rng.New(1)), 8, p, yield); err == nil {
 			t.Errorf("p=%v: want error", p)
 		}
-	}
-	if err := AppendErdosRenyiSubsetStream(r, []int32{1, 2}, -1, yield); err == nil {
-		t.Error("subset p=-1: want error")
-	}
-	if err := AppendErdosRenyiBipartiteStream(r, []int32{1}, []int32{2}, 2, yield); err == nil {
-		t.Error("bipartite p=2: want error")
+		if err := EmitErdosRenyiSubset(source(rng.New(1)), nodes, p, yield); err == nil {
+			t.Errorf("subset p=%v: want error", p)
+		}
+		if err := EmitErdosRenyiBipartite(source(rng.New(1)), nodes[:4], nodes[4:], p, yield); err == nil {
+			t.Errorf("bipartite p=%v: want error", p)
+		}
 	}
 }

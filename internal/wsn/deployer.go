@@ -92,7 +92,7 @@ type Deployer struct {
 
 	// Streaming connectivity-only mode (DeployConnectivity): the union-find
 	// sink and its persistent yield closure. The closure is created once and
-	// reused because it crosses the channel.EdgeEmitter interface boundary,
+	// reused because it crosses the channel.Model interface boundary,
 	// where a per-call closure would escape and allocate every trial.
 	suf         graphalgo.StreamUnionFind
 	streamQ     int
@@ -149,38 +149,18 @@ func (d *Deployer) DeployRand(r *rng.Rand) (*Network, error) {
 func (d *Deployer) deploy(cfg Config, r *rng.Rand) (*Network, error) {
 	n := cfg.Sensors
 
-	// 1. Key predistribution: per-sensor class labels and class-sized rings.
-	// Schemes that support arena assignment write the rings into the
-	// Deployer's arena; others allocate per deployment.
-	var asg keys.Assignment
-	var err error
-	if aa, ok := cfg.Scheme.(keys.ArenaAssigner); ok {
-		asg, err = aa.AssignInto(r, n, &d.arena)
-	} else {
-		asg, err = cfg.Scheme.Assign(r, n)
-	}
+	// 1. Key predistribution: per-sensor class labels and class-sized rings,
+	// written into the Deployer's arena.
+	asg, err := cfg.Scheme.AssignInto(r, n, &d.arena)
 	if err != nil {
 		return nil, fmt.Errorf("wsn: deploy: %w", err)
 	}
 	rings := asg.Rings
 
-	// 2. Physical channel sampling through the deployer-owned builder when
-	// the model supports it (all built-in models do; the unbuffered branches
-	// keep third-party Model implementations working). Class-aware models
-	// receive the deployment's class labels, so the scheme and channel
-	// observe one shared class assignment.
-	var channels *graph.Undirected
-	if cm, ok := cfg.Channel.(channel.ClassModel); ok {
-		if bcm, ok := cfg.Channel.(channel.BufferedClassModel); ok {
-			channels, err = bcm.SampleClassesInto(r, n, asg.Labels, d.chanBld)
-		} else {
-			channels, err = cm.SampleClasses(r, n, asg.Labels)
-		}
-	} else if bm, ok := cfg.Channel.(channel.BufferedModel); ok {
-		channels, err = bm.SampleInto(r, n, d.chanBld)
-	} else {
-		channels, err = cfg.Channel.Sample(r, n)
-	}
+	// 2. Physical channel sampling through the deployer-owned builder.
+	// Class-aware models receive the deployment's class labels, so the
+	// scheme and channel observe one shared class assignment.
+	channels, err := channel.Sample(cfg.Channel, r, n, asg.Labels, d.chanBld)
 	if err != nil {
 		return nil, fmt.Errorf("wsn: deploy: %w", err)
 	}

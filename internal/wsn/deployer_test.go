@@ -256,7 +256,7 @@ func TestSparseIndexDiscoveryMatchesEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	channels, err := cfg.Channel.Sample(r, n)
+	channels, err := channel.Sample(cfg.Channel, r, n, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestDiscoveryStrategySelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		channels, err := cfg.Channel.Sample(rng.New(1), cfg.Sensors)
+		channels, err := channel.Sample(cfg.Channel, rng.New(1), cfg.Sensors, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/secure-wsn/qcomposite/internal/channel"
-	"github.com/secure-wsn/qcomposite/internal/graph"
 	"github.com/secure-wsn/qcomposite/internal/keys"
 	"github.com/secure-wsn/qcomposite/internal/rng"
 )
@@ -57,7 +56,7 @@ func (d *Deployer) DeployConnectivityRand(r *rng.Rand) (ConnStats, error) {
 func (d *Deployer) deployConnectivity(r *rng.Rand) (ConnStats, error) {
 	d.suf.Reset(d.cfg.Sensors)
 	if d.streamYield == nil {
-		// One persistent closure: yield crosses the EdgeEmitter interface
+		// One persistent closure: yield crosses the channel.Model interface
 		// boundary, where escape analysis would heap-allocate a fresh
 		// closure per call; capturing only the receiver keeps the trial
 		// loop at zero allocations.
@@ -172,13 +171,7 @@ func (d *Deployer) streamSecureEdges(r *rng.Rand, yield func(u, v int32) bool) e
 	n := d.cfg.Sensors
 
 	// 1. Key predistribution, identical to deploy: same arena, same draws.
-	var asg keys.Assignment
-	var err error
-	if aa, ok := d.cfg.Scheme.(keys.ArenaAssigner); ok {
-		asg, err = aa.AssignInto(r, n, &d.arena)
-	} else {
-		asg, err = d.cfg.Scheme.Assign(r, n)
-	}
+	asg, err := d.cfg.Scheme.AssignInto(r, n, &d.arena)
 	if err != nil {
 		return err
 	}
@@ -200,35 +193,7 @@ func (d *Deployer) streamSecureEdges(r *rng.Rand, yield func(u, v int32) bool) e
 	}
 	d.streamQ = d.cfg.Scheme.RequiredOverlap()
 
-	// 3. Stream the channel draw into the sinks. Class-aware models take
-	// priority exactly as in deploy, so a model that is class-aware AND a
-	// plain emitter streams with the deployment's labels, never without
-	// them. Models with no streaming support fall back to a sampled channel
-	// graph walked edge by edge — the secure side still never materializes.
-	if cem, ok := d.cfg.Channel.(channel.ClassEdgeEmitter); ok {
-		err = cem.EmitClassEdges(r, n, asg.Labels, yield)
-	} else if cm, ok := d.cfg.Channel.(channel.ClassModel); ok {
-		var g *graph.Undirected
-		if bcm, ok := d.cfg.Channel.(channel.BufferedClassModel); ok {
-			g, err = bcm.SampleClassesInto(r, n, asg.Labels, d.chanBld)
-		} else {
-			g, err = cm.SampleClasses(r, n, asg.Labels)
-		}
-		if err == nil {
-			g.ForEachEdge(yield)
-		}
-	} else if em, ok := d.cfg.Channel.(channel.EdgeEmitter); ok {
-		err = em.EmitEdges(r, n, yield)
-	} else {
-		var g *graph.Undirected
-		if bm, ok := d.cfg.Channel.(channel.BufferedModel); ok {
-			g, err = bm.SampleInto(r, n, d.chanBld)
-		} else {
-			g, err = d.cfg.Channel.Sample(r, n)
-		}
-		if err == nil {
-			g.ForEachEdge(yield)
-		}
-	}
-	return err
+	// 3. Stream the channel draw into the sinks, with the class labels
+	// handed over exactly as deploy's channel.Sample hands them.
+	return channel.Emit(d.cfg.Channel, r, n, asg.Labels, yield)
 }

@@ -4,41 +4,9 @@ import (
 	"testing"
 
 	"github.com/secure-wsn/qcomposite/internal/channel"
-	"github.com/secure-wsn/qcomposite/internal/graph"
 	"github.com/secure-wsn/qcomposite/internal/graphalgo"
 	"github.com/secure-wsn/qcomposite/internal/keys"
-	"github.com/secure-wsn/qcomposite/internal/rng"
 )
-
-// bufferedOnlyChannel hides a model's EdgeEmitter methods while keeping the
-// buffered Sample path, forcing the connectivity-only mode onto its
-// SampleInto fallback.
-type bufferedOnlyChannel struct{ m channel.BufferedModel }
-
-func (b bufferedOnlyChannel) Name() string    { return b.m.Name() }
-func (b bufferedOnlyChannel) Validate() error { return b.m.Validate() }
-func (b bufferedOnlyChannel) Sample(r *rng.Rand, n int) (*graph.Undirected, error) {
-	return b.m.Sample(r, n)
-}
-func (b bufferedOnlyChannel) SampleInto(r *rng.Rand, n int, bld *graph.Builder) (*graph.Undirected, error) {
-	return b.m.SampleInto(r, n, bld)
-}
-
-// bufferedOnlyClassChannel is the class-aware analogue.
-type bufferedOnlyClassChannel struct{ m channel.BufferedClassModel }
-
-func (b bufferedOnlyClassChannel) Name() string    { return b.m.Name() }
-func (b bufferedOnlyClassChannel) Validate() error { return b.m.Validate() }
-func (b bufferedOnlyClassChannel) ClassCount() int { return b.m.ClassCount() }
-func (b bufferedOnlyClassChannel) Sample(r *rng.Rand, n int) (*graph.Undirected, error) {
-	return b.m.Sample(r, n)
-}
-func (b bufferedOnlyClassChannel) SampleClasses(r *rng.Rand, n int, labels []uint8) (*graph.Undirected, error) {
-	return b.m.SampleClasses(r, n, labels)
-}
-func (b bufferedOnlyClassChannel) SampleClassesInto(r *rng.Rand, n int, labels []uint8, bld *graph.Builder) (*graph.Undirected, error) {
-	return b.m.SampleClassesInto(r, n, labels, bld)
-}
 
 // connStatsOf computes a deployment's ConnStats the batch way: deploy the
 // full network and measure the CSR secure topology.
@@ -63,51 +31,33 @@ func connStatsOf(t *testing.T, net *Network) ConnStats {
 }
 
 // TestDeployConnectivityMatchesCSR is the central equivalence test of the
-// streaming pipeline (the PR's satellite 1): for every channel model, both
-// discovery regimes and several seeds, the connectivity-only mode must report
-// exactly the statistics a full CSR deployment measures — on the streaming
-// emitters AND on the sampled-graph fallbacks (emitter methods hidden).
+// streaming pipeline: for every channel model, both discovery regimes and
+// several seeds, the connectivity-only mode must report exactly the
+// statistics a full CSR deployment measures.
 func TestDeployConnectivityMatchesCSR(t *testing.T) {
 	for name, cfg := range deployerConfigs(t) {
-		variants := map[string]Config{"streaming": cfg}
-		fallback := cfg
-		if cm, ok := cfg.Channel.(channel.BufferedClassModel); ok {
-			fallback.Channel = bufferedOnlyClassChannel{m: cm}
-		} else {
-			fallback.Channel = bufferedOnlyChannel{m: cfg.Channel.(channel.BufferedModel)}
-		}
-		variants["sampled-fallback"] = fallback
-		unbuf := cfg
-		if cm, ok := cfg.Channel.(channel.ClassModel); ok {
-			unbuf.Channel = unbufferedClassChannel{m: cm}
-		} else {
-			unbuf.Channel = unbufferedChannel{m: cfg.Channel}
-		}
-		variants["unbuffered-fallback"] = unbuf
-		for vname, vcfg := range variants {
-			t.Run(name+"/"+vname, func(t *testing.T) {
-				d, err := NewDeployer(vcfg)
+		t.Run(name+"/streaming", func(t *testing.T) {
+			d, err := NewDeployer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := uint64(0); seed < 4; seed++ {
+				refCfg := cfg
+				refCfg.Seed = seed
+				net, err := Deploy(refCfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for seed := uint64(0); seed < 4; seed++ {
-					refCfg := cfg
-					refCfg.Seed = seed
-					net, err := Deploy(refCfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := connStatsOf(t, net)
-					got, err := d.DeployConnectivity(seed)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != want {
-						t.Fatalf("seed %d: ConnStats %+v, want %+v", seed, got, want)
-					}
+				want := connStatsOf(t, net)
+				got, err := d.DeployConnectivity(seed)
+				if err != nil {
+					t.Fatal(err)
 				}
-			})
-		}
+				if got != want {
+					t.Fatalf("seed %d: ConnStats %+v, want %+v", seed, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -176,47 +126,36 @@ func degreeStatsOf(t *testing.T, net *Network, k int) DegreeStats {
 }
 
 // TestDeployDegreeStatsMatchesCSR is the degree-mode analogue of the
-// connectivity equivalence test (the PR's satellite coverage): for every
-// channel model, streaming and fallback variants, several seeds and several
-// degree levels, the streaming degree mode must report exactly what a full
-// CSR deployment measures — connectivity statistics, the min-degree ≥ k
-// verdict, the truncated min degree and the below-k count.
+// connectivity equivalence test: for every channel model, several seeds and
+// several degree levels, the streaming degree mode must report exactly what
+// a full CSR deployment measures — connectivity statistics, the min-degree
+// ≥ k verdict, the truncated min degree and the below-k count.
 func TestDeployDegreeStatsMatchesCSR(t *testing.T) {
 	for name, cfg := range deployerConfigs(t) {
-		variants := map[string]Config{"streaming": cfg}
-		fallback := cfg
-		if cm, ok := cfg.Channel.(channel.BufferedClassModel); ok {
-			fallback.Channel = bufferedOnlyClassChannel{m: cm}
-		} else {
-			fallback.Channel = bufferedOnlyChannel{m: cfg.Channel.(channel.BufferedModel)}
-		}
-		variants["sampled-fallback"] = fallback
-		for vname, vcfg := range variants {
-			t.Run(name+"/"+vname, func(t *testing.T) {
-				d, err := NewDeployer(vcfg)
+		t.Run(name+"/streaming", func(t *testing.T) {
+			d, err := NewDeployer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := uint64(0); seed < 4; seed++ {
+				refCfg := cfg
+				refCfg.Seed = seed
+				net, err := Deploy(refCfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for seed := uint64(0); seed < 4; seed++ {
-					refCfg := cfg
-					refCfg.Seed = seed
-					net, err := Deploy(refCfg)
+				for _, k := range []int{0, 1, 2, 4} {
+					want := degreeStatsOf(t, net, k)
+					got, err := d.DeployDegreeStats(seed, k)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, k := range []int{0, 1, 2, 4} {
-						want := degreeStatsOf(t, net, k)
-						got, err := d.DeployDegreeStats(seed, k)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got != want {
-							t.Fatalf("seed %d k=%d: DegreeStats %+v, want %+v", seed, k, got, want)
-						}
+					if got != want {
+						t.Fatalf("seed %d k=%d: DegreeStats %+v, want %+v", seed, k, got, want)
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
