@@ -83,28 +83,34 @@ func NewIntersector(pool int) (*Intersector, error) {
 // Reset points the Intersector at a new set of rings (typically one
 // deployment's assignment), drops the previous row and key index, derives
 // the row break-even count, and rebuilds the bitmap arena if the dense
-// strategy is selected. Ring IDs must lie in [0, pool); the dense strategy
-// reports an error otherwise, and the merge strategy keeps answering but
-// never builds rows.
+// strategy is selected. Ring IDs must lie in [0, pool): Reset reports an
+// error otherwise, whichever strategy the rings would select, and the
+// Intersector must not be queried until a later Reset succeeds.
 func (x *Intersector) Reset(rings []Ring) error {
 	x.rings = rings
 	x.clearRow()
 	x.indexed = false
+	x.dense = false
+	x.breakEven = math.MaxInt
 	x.runU, x.runAlt, x.lenRun = -1, -1, 0
-	minRing, total, inPool := 0, 0, true
+	minRing, total := 0, 0
 	for i, r := range rings {
 		l := r.Len()
 		if i == 0 || l < minRing {
 			minRing = l
 		}
 		total += l
+		// Ring IDs are sorted, so the two ends bound the whole ring.
 		if l > 0 && (r.ids[0] < 0 || int(r.ids[l-1]) >= x.pool) {
-			inPool = false
+			k := r.ids[0]
+			if k >= 0 {
+				k = r.ids[l-1]
+			}
+			return fmt.Errorf("keys: intersector: ring %d key %d outside pool [0,%d)", i, k, x.pool)
 		}
 	}
 	x.dense = len(rings) > 0 && x.pool <= denseRingFactor*minRing
-	x.breakEven = math.MaxInt
-	if inPool && total > 0 {
+	if total > 0 {
 		mean := float64(total) / float64(len(rings))
 		row := mean * float64(total) / float64(x.pool)
 		query := 2 * mean
@@ -126,10 +132,6 @@ func (x *Intersector) Reset(rings []Ring) error {
 	for i, r := range rings {
 		row := x.flat[i*x.stride : (i+1)*x.stride]
 		for _, k := range r.ids {
-			if int(k) < 0 || int(k) >= x.pool {
-				x.dense = false
-				return fmt.Errorf("keys: intersector: ring %d key %d outside pool [0,%d)", i, k, x.pool)
-			}
 			row[k/64] |= 1 << (uint(k) % 64)
 		}
 	}

@@ -32,6 +32,45 @@ func TestNewRingKeepsNegativeIDs(t *testing.T) {
 	}
 }
 
+// TestIntersectorResetRejectsOutOfPool pins that Reset refuses a ring ID
+// outside [0, pool) on every strategy. The sparse (merge and row) path used
+// to accept it: two rings holding key 1500 at pool 1000 reset cleanly and
+// then reported a shared key the pool cannot contain.
+func TestIntersectorResetRejectsOutOfPool(t *testing.T) {
+	cases := []struct {
+		name  string
+		rings []Ring
+	}{
+		{"sparse/above", []Ring{NewRing([]ID{3, 1500}), NewRing([]ID{7, 1500})}},
+		{"sparse/negative", []Ring{NewRing([]ID{-2, 40}), NewRing([]ID{-2, 41})}},
+		{"dense/above", []Ring{NewRing([]ID{1, 2, 3, 4, 5, 6, 7, 1500}), NewRing([]ID{1, 2, 3, 4, 5, 6, 7, 8})}},
+	}
+	for _, tc := range cases {
+		ix, err := NewIntersector(1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.Reset(tc.rings); err == nil {
+			t.Errorf("%s: Reset accepted a key outside the pool", tc.name)
+		}
+	}
+	// The same Intersector accepts in-pool rings again afterwards.
+	ix, err := NewIntersector(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Reset(cases[0].rings); err == nil {
+		t.Fatal("Reset accepted a key outside the pool")
+	}
+	good := []Ring{NewRing([]ID{3, 999}), NewRing([]ID{7, 999})}
+	if err := ix.Reset(good); err != nil {
+		t.Fatal(err)
+	}
+	if !ix.HasAtLeast(0, 1, 1) || ix.HasAtLeast(0, 1, 2) {
+		t.Error("in-pool rings after a rejected Reset answer wrongly")
+	}
+}
+
 // randomRings draws n rings of the given size from a pool, via the public
 // scheme so the rings are realistic assignments.
 func randomRings(t *testing.T, r *rng.Rand, pool, ring, n int) []Ring {

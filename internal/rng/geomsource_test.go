@@ -32,6 +32,79 @@ func TestGeometricSourceMatchesScalar(t *testing.T) {
 	}
 }
 
+// skipGrid spans the success probabilities the exactness tests sweep, from
+// the tiny-p regime where the guard sends every draw to the exact path to
+// the largest p below 1.
+var skipGrid = []float64{
+	1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.1,
+	0.25, 0.5, 0.75, 0.9, 0.99, 1 - 1e-6, 1 - 1e-12, 1 - 0x1p-52,
+}
+
+// TestGeometricSkipBoundaries feeds the kernel the values of x = 1−u where
+// its approximate quotient is least certain: within ±N ulps of exp(j·ln q),
+// where the exact skip steps from j−1 to j. Every skip must equal
+// floor(log(x)/ln q), the scalar formula.
+func TestGeometricSkipBoundaries(t *testing.T) {
+	const ulps = 300
+	var src GeometricSource
+	src.Reset(New(1))
+	for _, p := range skipGrid {
+		src.SetP(p)
+		lnq := math.Log1p(-p)
+		var xs []float64
+		for j := 0; j <= 200; j++ {
+			x0 := math.Exp(float64(j) * lnq)
+			lo, hi := x0, x0
+			for d := 0; d < ulps; d++ {
+				lo, hi = math.Nextafter(lo, 0), math.Nextafter(hi, 2)
+			}
+			for x := lo; x <= hi; x = math.Nextafter(x, 2) {
+				if x >= 0x1p-53 && x <= 1 {
+					xs = append(xs, x)
+				}
+			}
+		}
+		for len(xs) > 0 {
+			batch := xs[:min(len(xs), geometricBatch)]
+			xs = xs[len(batch):]
+			// Load the batch into the buffer's tail, as a partly drained
+			// refill would hold it.
+			src.pos = geometricBatch - len(batch)
+			for i, x := range batch {
+				src.xs[src.pos+i], src.logs[src.pos+i] = x, approxLog(x)
+			}
+			for _, x := range batch {
+				want := math.Floor(math.Log(x) / lnq)
+				if got := src.Next(); float64(got) != want && !(got == math.MaxInt && want >= maxIntFloat) {
+					t.Fatalf("p=%g x=%v: kernel %d, exact %v", p, x, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzGeometricSourceExact checks the kernel against (*Rand).Geometric for
+// an arbitrary p in (0, 1) and seed, across refills.
+func FuzzGeometricSourceExact(f *testing.F) {
+	for i, p := range skipGrid {
+		f.Add(p, uint64(i))
+	}
+	f.Fuzz(func(t *testing.T, p float64, seed uint64) {
+		if !(p > 0 && p < 1) {
+			t.Skip()
+		}
+		rScalar, rKernel := New(seed), New(seed)
+		var src GeometricSource
+		src.Reset(rKernel)
+		src.SetP(p)
+		for d := 0; d < 3*geometricBatch; d++ {
+			if got, want := src.Next(), rScalar.Geometric(p); got != want {
+				t.Fatalf("p=%v seed=%d draw %d: kernel %d, scalar %d", p, seed, d, got, want)
+			}
+		}
+	})
+}
+
 // TestGeometricSourceResetRealigns covers the lend-return cycle the
 // samplers perform: after Reset the source must discard any partially
 // drained batch and consume fresh uniforms from the generator's current

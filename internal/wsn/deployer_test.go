@@ -50,9 +50,8 @@ func requireSameNetwork(t *testing.T, want, got *Network) {
 	}
 }
 
-// deployerConfigs covers both discovery strategies and all channel models:
-// dense channels at small n take the inverted-index path, near-empty
-// channels the per-edge path (the strategy is logged per case).
+// deployerConfigs covers every channel model, dense and near-empty
+// channels, and dense and sparse rings relative to the pool.
 func deployerConfigs(t *testing.T) map[string]Config {
 	t.Helper()
 	scheme, err := keys.NewQComposite(500, 40, 2)
@@ -239,63 +238,6 @@ func TestDeployerPoolConcurrent(t *testing.T) {
 	}
 }
 
-// TestSparseIndexDiscoveryMatchesEdges pins the n > maxDenseCounterNodes
-// per-row counting fallback against the per-edge intersection strategy:
-// above the dense-table bound, inverted-index discovery must still produce
-// the exact secure topology, including across Deployer reuse (the per-key
-// cursors and row counters must come back clean).
-func TestSparseIndexDiscoveryMatchesEdges(t *testing.T) {
-	const n = maxDenseCounterNodes + 500
-	scheme, err := keys.NewQComposite(3000, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Sensors: n, Scheme: scheme, Channel: channel.OnOff{P: 0.3}}
-	r := rng.New(7)
-	asg, err := scheme.Assign(r, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	channels, err := channel.Sample(cfg.Channel, r, n, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	edgeD, err := NewDeployer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := edgeD.discoverByEdges(asg.Rings, channels, 1); err != nil {
-		t.Fatal(err)
-	}
-	want, err := graph.NewFromEdges(n, edgeD.edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.M() == 0 {
-		t.Fatal("test topology has no secure links")
-	}
-
-	indexD, err := NewDeployer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pass := 0; pass < 2; pass++ {
-		indexD.edges = indexD.edges[:0]
-		if err := indexD.discoverByIndex(asg.Rings, channels, 1); err != nil {
-			t.Fatal(err)
-		}
-		got, err := graph.NewFromEdges(n, indexD.edges)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !graphsEqual(want, got) {
-			t.Fatalf("pass %d: sparse index topology differs from per-edge (%d vs %d links)",
-				pass, got.M(), want.M())
-		}
-	}
-}
-
 // TestOneClassHeterogeneousDeploymentMatchesQComposite is the deployment
 // half of the 1-class equivalence contract (the scheme half lives in
 // internal/keys): a single-class Heterogeneous scheme must yield deployments
@@ -373,33 +315,116 @@ func TestNewDeployerValidatesEagerly(t *testing.T) {
 	}
 }
 
-// TestDiscoveryStrategySelection asserts that the test configurations above
-// genuinely exercise both discovery strategies.
-func TestDiscoveryStrategySelection(t *testing.T) {
-	cfgs := deployerConfigs(t)
-	wantIndex := map[string]bool{
-		"onoff-dense":   true,
-		"onoff-sparse":  false, // ~70 channel edges: per-edge intersection wins
-		"always-on":     true,
-		"onoff-all-off": false, // empty channel graph
+// outOfPoolScheme is a q-composite scheme whose assignment gives sensors 0
+// and 1 key 1500, outside its pool of 1000.
+type outOfPoolScheme struct{ keys.Scheme }
+
+func (s outOfPoolScheme) Assign(r *rng.Rand, n int) (keys.Assignment, error) {
+	asg, err := s.Scheme.Assign(r, n)
+	if err != nil {
+		return asg, err
 	}
-	for name, want := range wantIndex {
-		cfg := cfgs[name]
-		d, err := NewDeployer(cfg)
+	for v := 0; v < 2 && v < n; v++ {
+		asg.Rings[v] = keys.NewRing(append(asg.Rings[v].IDs(), 1500))
+	}
+	return asg, nil
+}
+
+func (s outOfPoolScheme) AssignInto(r *rng.Rand, n int, _ *keys.RingArena) (keys.Assignment, error) {
+	return s.Assign(r, n)
+}
+
+// TestOutOfPoolRingsFailClosed pins that every deployment mode refuses key
+// IDs outside the pool, for sparse rings (which the ring intersector answers
+// by sorted merge or counted rows) and dense ones (bitmap rows).
+func TestOutOfPoolRingsFailClosed(t *testing.T) {
+	for _, ring := range []int{4, 40} {
+		inner, err := keys.NewQComposite(1000, ring, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		channels, err := channel.Sample(cfg.Channel, rng.New(1), cfg.Sensors, nil, nil)
+		d, err := NewDeployer(Config{Sensors: 50, Scheme: outOfPoolScheme{inner}, Channel: channel.AlwaysOn{}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		asg, err := cfg.Scheme.Assign(rng.New(1), cfg.Sensors)
-		if err != nil {
-			t.Fatal(err)
+		if _, err := d.Deploy(1); err == nil {
+			t.Errorf("K=%d: Deploy accepted a key outside the pool", ring)
 		}
-		if got := d.useIndexDiscovery(asg.Rings, channels, cfg.Scheme.RequiredOverlap()); got != want {
-			t.Errorf("%s: useIndexDiscovery = %v, want %v (channel edges %d)",
-				name, got, want, channels.M())
+		if _, err := d.DeployConnectivity(1); err == nil {
+			t.Errorf("K=%d: DeployConnectivity accepted a key outside the pool", ring)
 		}
+		if _, err := d.DeployDegreeStats(1, 1); err == nil {
+			t.Errorf("K=%d: DeployDegreeStats accepted a key outside the pool", ring)
+		}
+	}
+}
+
+// TestChannelTopologyIsLazyAndExact pins the lazily re-emitted channel
+// graph: it equals channel.Sample drawn from the generator state after key
+// assignment, with the deployment's class labels; a second call returns the
+// same graph without drawing again; building it never moves the caller's
+// generator; and SimulateDiscovery, which reads it, still finds exactly the
+// deployment's links.
+func TestChannelTopologyIsLazyAndExact(t *testing.T) {
+	scheme, err := keys.NewQComposite(2000, 30, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hetero, err := keys.NewHeterogeneous(2000, 2, []keys.Class{{Mu: 0.4, RingSize: 25}, {Mu: 0.6, RingSize: 50}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := map[string]Config{
+		"onoff": {Sensors: 300, Scheme: scheme, Channel: channel.OnOff{P: 0.4}},
+		"disk":  {Sensors: 300, Scheme: scheme, Channel: channel.Disk{Radius: 0.15}},
+		"heter-on-off": {Sensors: 300, Scheme: hetero, Channel: channel.HeterOnOff{P: [][]float64{
+			{0.7, 0.2},
+			{0.2, 0.5},
+		}}},
+	}
+	for name, cfg := range cfgs {
+		t.Run(name, func(t *testing.T) {
+			d, err := NewDeployer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := uint64(1); seed <= 3; seed++ {
+				ref := rng.New(seed)
+				asg, err := cfg.Scheme.Assign(ref, cfg.Sensors)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := channel.Sample(cfg.Channel, ref, cfg.Sensors, asg.Labels, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				r := rng.New(seed)
+				net, err := d.DeployRand(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if *r != *ref {
+					t.Fatal("deployment left the generator elsewhere than Assign + Sample")
+				}
+				got := net.ChannelTopology()
+				if *r != *ref {
+					t.Fatal("ChannelTopology advanced the caller's generator")
+				}
+				if !graphsEqual(want, got) {
+					t.Fatalf("seed %d: channel topology differs from Sample (%d vs %d edges)", seed, got.M(), want.M())
+				}
+				if again := net.ChannelTopology(); again != got {
+					t.Fatal("second ChannelTopology call built a new graph")
+				}
+				st, err := net.SimulateDiscovery()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.EstablishedLinks != net.FullSecureTopology().M() {
+					t.Fatalf("discovery found %d links, deployment %d", st.EstablishedLinks, net.FullSecureTopology().M())
+				}
+			}
+		})
 	}
 }

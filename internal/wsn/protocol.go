@@ -56,6 +56,10 @@ func (n *Network) SimulateDiscovery() (DiscoveryStats, error) {
 	if n.cfg.Sensors == 0 {
 		return DiscoveryStats{}, nil
 	}
+	channels, err := n.channelGraph()
+	if err != nil {
+		return DiscoveryStats{}, err
+	}
 	sent := make([]int64, n.cfg.Sensors)
 	st := DiscoveryStats{}
 
@@ -69,9 +73,9 @@ func (n *Network) SimulateDiscovery() (DiscoveryStats, error) {
 		st.Broadcasts++
 		st.BroadcastBytes += broadcastFrame
 		sent[v] += broadcastFrame
-		totalNeighbors += n.channels.Degree(v)
+		totalNeighbors += channels.Degree(v)
 	}
-	n.channels.ForEachEdge(func(u, v int32) bool {
+	channels.ForEachEdge(func(u, v int32) bool {
 		// Both endpoints hear each other's broadcast; each runs one merge.
 		st.KeyComparisons += 2 * int64(n.rings[u].Len()+n.rings[v].Len())
 		return true
@@ -81,7 +85,7 @@ func (n *Network) SimulateDiscovery() (DiscoveryStats, error) {
 	// Phase 2: challenge/response per qualifying channel edge. The
 	// lower-indexed endpoint issues the challenge; the peer acknowledges.
 	q := n.cfg.Scheme.RequiredOverlap()
-	n.channels.ForEachEdge(func(u, v int32) bool {
+	channels.ForEachEdge(func(u, v int32) bool {
 		shared := n.rings[u].SharedCount(n.rings[v])
 		if shared < q {
 			return true

@@ -67,7 +67,7 @@ func (d *Deployer) deployConnectivity(r *rng.Rand) (ConnStats, error) {
 			return !d.suf.Done()
 		}
 	}
-	if err := d.streamSecureEdges(r, d.streamYield); err != nil {
+	if _, err := d.streamSecureEdges(r, d.streamYield); err != nil {
 		return ConnStats{}, fmt.Errorf("wsn: deploy connectivity: %w", err)
 	}
 	return d.connStats(), nil
@@ -146,7 +146,7 @@ func (d *Deployer) deployDegreeStats(r *rng.Rand, k int) (DegreeStats, error) {
 			return !(d.suf.Done() && d.sd.AllAtLeastK())
 		}
 	}
-	if err := d.streamSecureEdges(r, d.degYield); err != nil {
+	if _, err := d.streamSecureEdges(r, d.degYield); err != nil {
 		return DegreeStats{}, fmt.Errorf("wsn: deploy degree stats: %w", err)
 	}
 	minDeg := d.sd.MinDegree()
@@ -162,38 +162,37 @@ func (d *Deployer) deployDegreeStats(r *rng.Rand, k int) (DegreeStats, error) {
 	}, nil
 }
 
-// streamSecureEdges is the shared core of the graph-free deployment modes:
-// key predistribution, ring-intersector reset, and the channel draw
-// streamed edge by edge into yield (which filters by secure overlap and
-// feeds whatever sinks the mode maintains). The caller resets its sinks
-// first; yield's early-exit verdict stops the emitter.
-func (d *Deployer) streamSecureEdges(r *rng.Rand, yield func(u, v int32) bool) error {
+// streamSecureEdges is the pipeline every deployment mode shares: key
+// predistribution, ring-intersector reset, and the channel draw streamed
+// edge by edge into yield (which filters by secure overlap and feeds
+// whatever sinks the mode maintains). The caller resets its sinks first;
+// yield's early-exit verdict stops the emitter. The generator position the
+// draw starts from is saved in d.chanRand, and the assignment is returned,
+// so the CSR mode can hand both to its Network.
+func (d *Deployer) streamSecureEdges(r *rng.Rand, yield func(u, v int32) bool) (keys.Assignment, error) {
 	n := d.cfg.Sensors
-
-	// 1. Key predistribution, identical to deploy: same arena, same draws.
 	asg, err := d.cfg.Scheme.AssignInto(r, n, &d.arena)
 	if err != nil {
-		return err
+		return keys.Assignment{}, err
 	}
 
-	// 2. Discovery state: the exact per-edge intersection predicate (the
-	// same keys.Intersector the per-edge CSR strategy uses). The emitters
-	// yield edges u by u, so with sparse rings the Intersector answers most
-	// of them from one counted row per u (see keys.Intersector); dense rings
-	// keep the bitmap.
+	// The exact intersection predicate. The emitters yield edges u by u, so
+	// with sparse rings the Intersector answers most of them from one
+	// counted row per u (see keys.Intersector); dense rings keep the bitmap.
 	if d.ix == nil {
 		ix, err := keys.NewIntersector(d.cfg.Scheme.PoolSize())
 		if err != nil {
-			return err
+			return keys.Assignment{}, err
 		}
 		d.ix = ix
 	}
 	if err := d.ix.Reset(asg.Rings); err != nil {
-		return err
+		return keys.Assignment{}, err
 	}
 	d.streamQ = d.cfg.Scheme.RequiredOverlap()
 
-	// 3. Stream the channel draw into the sinks, with the class labels
-	// handed over exactly as deploy's channel.Sample hands them.
-	return channel.Emit(d.cfg.Channel, r, n, asg.Labels, yield)
+	// Class-aware models receive the deployment's class labels, so the
+	// scheme and channel observe one shared class assignment.
+	d.chanRand = *r
+	return asg, channel.Emit(d.cfg.Channel, r, n, asg.Labels, yield)
 }

@@ -88,7 +88,6 @@ type Network struct {
 	cfg         Config
 	rings       []keys.Ring
 	labels      []uint8 // per-sensor class labels; nil = single class
-	channels    *graph.Undirected
 	secure      *graph.Undirected
 	alive       []bool
 	deadN       int
@@ -99,6 +98,13 @@ type Network struct {
 	// networks assembled outside a Deployer); used transiently by
 	// IsConnected/IsKConnected queries.
 	algo *graphalgo.Workspace
+
+	// The channel graph is not kept by the deployment: chanRand is the
+	// generator state its draw started from, and channels is the CSR
+	// re-emitted from it through chanBld on first use (nil until then).
+	chanRand rng.Rand
+	chanBld  *graph.Builder
+	channels *graph.Undirected
 
 	// Lazily materialized link table over the current secure topology;
 	// linksReady reports whether it reflects the current state (revocation
@@ -112,14 +118,17 @@ type Network struct {
 }
 
 // reset re-points the network at a fresh deployment's state, reusing the
-// grown buffers (liveness flags, link-table storage) it already owns. Called
-// by Deployer on its double-buffered Network slots.
+// grown buffers (liveness flags, link-table storage, channel builder) it
+// already owns. chanRand is the generator state the deployment's channel
+// draw started from. Called by Deployer on its double-buffered Network
+// slots.
 func (n *Network) reset(cfg Config, rings []keys.Ring, labels []uint8,
-	channels, secure *graph.Undirected, algo *graphalgo.Workspace) {
+	chanRand *rng.Rand, secure *graph.Undirected, algo *graphalgo.Workspace) {
 	n.cfg = cfg
 	n.rings = rings
 	n.labels = labels
-	n.channels = channels
+	n.chanRand = *chanRand
+	n.channels = nil
 	n.secure = secure
 	n.algo = algo
 	sensors := cfg.Sensors
@@ -261,8 +270,35 @@ func (n *Network) ClassOf(v int32) (int, error) {
 	return int(n.labels[v]), nil
 }
 
-// ChannelTopology returns the sampled channel graph (ignores failures).
-func (n *Network) ChannelTopology() *graph.Undirected { return n.channels }
+// ChannelTopology returns the sampled channel graph (ignores failures). The
+// first call re-emits the deployment's channel draw from its saved starting
+// state into CSR, drawing exactly the edges discovery streamed; later calls
+// return the same graph. Neither touches any caller's generator.
+func (n *Network) ChannelTopology() *graph.Undirected {
+	g, err := n.channelGraph()
+	if err != nil {
+		// The same draw already succeeded once, during deployment.
+		panic(err)
+	}
+	return g
+}
+
+// channelGraph builds the channel CSR on first use; see ChannelTopology.
+func (n *Network) channelGraph() (*graph.Undirected, error) {
+	if n.channels != nil {
+		return n.channels, nil
+	}
+	if n.chanBld == nil {
+		n.chanBld = graph.NewBuilder()
+	}
+	r := n.chanRand
+	g, err := channel.Sample(n.cfg.Channel, &r, n.cfg.Sensors, n.labels, n.chanBld)
+	if err != nil {
+		return nil, fmt.Errorf("wsn: channel topology: %w", err)
+	}
+	n.channels = g
+	return g, nil
+}
 
 // FullSecureTopology returns the secure topology over all sensors, failed or
 // not — the graph G_{n,q} the paper analyses.
@@ -464,12 +500,16 @@ func (n *Network) Snapshot() (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
+	channels, err := n.channelGraph()
+	if err != nil {
+		return Report{}, err
+	}
 	_, comps := graphalgo.Components(sub)
 	rep := Report{
 		Sensors:        n.cfg.Sensors,
 		Alive:          n.AliveCount(),
 		SecureLinks:    sub.M(),
-		ChannelEdges:   n.channels.M(),
+		ChannelEdges:   channels.M(),
 		MinDegree:      sub.MinDegree(),
 		Components:     comps,
 		LargestComp:    graphalgo.LargestComponentSize(sub),
