@@ -193,6 +193,8 @@ func loadJournal(r io.Reader, fingerprint, spec, kind, label string) (map[pointK
 				return nil, fmt.Errorf("experiment: resume journal line %d is corrupt: %w", line, err)
 			}
 			switch {
+			case rec.Header != nil && rec.Point != nil:
+				return nil, fmt.Errorf("experiment: resume journal line %d holds both a header and a point", line)
 			case rec.Header != nil:
 				sawHeader = true
 				inMatching = rec.Header.Fingerprint == fingerprint

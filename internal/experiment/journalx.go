@@ -72,7 +72,8 @@ type JournalPointInfo struct {
 }
 
 // ParseJournalRecord parses one journal line into a header or a point record
-// (exactly one of the returns is non-nil on success). Callers scanning whole
+// (exactly one of the returns is non-nil on success; a line holding both is
+// an error, as is one holding neither). Callers scanning whole
 // files own the framing policy — in particular, tolerating the truncated
 // final line a kill may leave behind.
 func ParseJournalRecord(line []byte) (*JournalHeaderInfo, *JournalPointInfo, error) {
@@ -81,6 +82,8 @@ func ParseJournalRecord(line []byte) (*JournalHeaderInfo, *JournalPointInfo, err
 		return nil, nil, fmt.Errorf("experiment: journal record does not parse: %w", err)
 	}
 	switch {
+	case rec.Header != nil && rec.Point != nil:
+		return nil, nil, fmt.Errorf("experiment: journal record holds both a header and a point")
 	case rec.Header != nil:
 		return &JournalHeaderInfo{
 			Fingerprint: rec.Header.Fingerprint,

@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"sync"
@@ -217,4 +218,118 @@ func TestPointDoneHook(t *testing.T) {
 			}
 		}
 	}
+}
+
+// bothRecord is a journal line holding a header and a point at once. Such a
+// line used to parse as a header, silently dropping its point.
+const bothRecord = `{"header":{"fingerprint":"x"},"point":{"k":3}}`
+
+// TestParseJournalRecordRejectsHeaderAndPoint pins that ParseJournalRecord
+// refuses a line holding both records instead of returning its header.
+func TestParseJournalRecordRejectsHeaderAndPoint(t *testing.T) {
+	h, p, err := ParseJournalRecord([]byte(bothRecord))
+	if err == nil || !strings.Contains(err.Error(), "both") {
+		t.Fatalf("ParseJournalRecord(%s) = %v, %v, %v; want an error saying it holds both", bothRecord, h, p, err)
+	}
+	if h != nil || p != nil {
+		t.Errorf("ParseJournalRecord(%s) returned a record alongside its error", bothRecord)
+	}
+}
+
+// TestResumeRejectsHeaderAndPoint pins the same rule in the resume loop: a
+// journal with a both-record anywhere — mid-file or as its final line —
+// fails the resume rather than resuming from its header.
+func TestResumeRejectsHeaderAndPoint(t *testing.T) {
+	cfg := SweepConfig{Trials: 4, Seed: 5, JournalLabel: "both"}
+	var journal bytes.Buffer
+	ckCfg := cfg
+	ckCfg.Checkpoint = &journal
+	if _, err := SweepProportion(context.Background(), journalxGrid, ckCfg, journalxTrial); err != nil {
+		t.Fatal(err)
+	}
+	header, points, _ := bytes.Cut(journal.Bytes(), []byte("\n"))
+	for name, data := range map[string][]byte{
+		"mid-file":   bytes.Join([][]byte{header, []byte(bothRecord), points}, []byte("\n")),
+		"final line": bytes.Join([][]byte{journal.Bytes(), []byte(bothRecord)}, nil),
+	} {
+		resumeCfg := cfg
+		resumeCfg.Resume = bytes.NewReader(data)
+		_, err := SweepProportion(context.Background(), journalxGrid, resumeCfg, journalxTrial)
+		if err == nil || !strings.Contains(err.Error(), "both") {
+			t.Errorf("%s: resume error %v, want one saying the line holds both", name, err)
+		}
+	}
+}
+
+// FuzzParseJournalRecord feeds arbitrary lines to ParseJournalRecord: it
+// must never panic, on success exactly one return is non-nil, and
+// re-marshalling the record then parsing it again gives an equal record.
+func FuzzParseJournalRecord(f *testing.F) {
+	h, err := MarshalJournalHeader(JournalHeaderInfo{
+		Fingerprint: "fp", Spec: "spec <&>", Code: CodeVersion, Kind: KindProportion,
+		Label: "label", Trials: 7, Seed: 11,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	p, err := MarshalJournalPoint(JournalPointInfo{K: 3, Q: 2, P: 0.25, X: -1e-9, Seed: 1 << 63, Value: []byte(`{"hits": 3, "n":[1e400, " "]}`)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{string(h), string(p), bothRecord, `{}`, `{"point":null}`, `{"point":{"value":null}}`, `{"header":{"fingerprint":"x"`} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		h, p, err := ParseJournalRecord(line)
+		if err != nil {
+			if h != nil || p != nil {
+				t.Fatalf("record returned alongside error %v", err)
+			}
+			return
+		}
+		if (h == nil) == (p == nil) {
+			t.Fatalf("header %v and point %v: want exactly one", h, p)
+		}
+		var out []byte
+		if h != nil {
+			out, err = MarshalJournalHeader(*h)
+		} else {
+			out, err = MarshalJournalPoint(*p)
+		}
+		if err != nil {
+			t.Fatalf("re-marshal: %v", err)
+		}
+		h2, p2, err := ParseJournalRecord(out)
+		if err != nil {
+			t.Fatalf("re-parse of %s: %v", out, err)
+		}
+		if h != nil {
+			if h2 == nil || *h2 != *h {
+				t.Fatalf("header %+v re-parsed as %+v", h, h2)
+			}
+			return
+		}
+		if p2 == nil || p2.K != p.K || p2.Q != p.Q || p2.P != p.P || p2.X != p.X || p2.Seed != p.Seed || !sameJSON(t, p.Value, p2.Value) {
+			t.Fatalf("point %+v re-parsed as %+v", p, p2)
+		}
+	})
+}
+
+// sameJSON reports whether two JSON texts hold the same value, reading
+// numbers as their literals and an absent text as null.
+func sameJSON(t *testing.T, a, b []byte) bool {
+	t.Helper()
+	decode := func(data []byte) any {
+		if data == nil {
+			return nil
+		}
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.UseNumber()
+		var v any
+		if err := dec.Decode(&v); err != nil {
+			t.Fatalf("decoding %s: %v", data, err)
+		}
+		return v
+	}
+	return reflect.DeepEqual(decode(a), decode(b))
 }

@@ -20,21 +20,29 @@ const denseRingFactor = 128
 //     a query intersects two rows word-parallel, stride = ⌈pool/64⌉ words;
 //   - merge: otherwise a query is the sorted merge of Ring.SharedCount /
 //     SharedAtLeast, up to 2·K̄ IDs;
-//   - row: a whole row |ring(u) ∩ ring(w)| for every sensor w, counted in
-//     one pass over the holder lists of u's keys in a lazily built
-//     key→holders index. Every later query with u (or v) as the row's owner
-//     is one counter read.
+//   - row: the counts |ring(u) ∩ ring(w)| for every sensor w, read from a
+//     lazily built key→holders index. A row has two halves — the sensors
+//     above u and those below — and each is counted, in one pass over the
+//     holder lists of u's keys, only when the first query needs a count on
+//     its side. Every later query on that side with u (or v) as the row's
+//     owner is one counter read.
 //
-// A row is built on the query that brings a run of consecutive queries
-// sharing one sensor (as first or as second argument) to the break-even
-// count Reset derives from the rings: a row costs Σ_{k∈ring(u)} h_k ≈
-// K̄·ΣK/P counter increments for holder counts h_k, a direct query costs
-// stride words (dense) or 2·K̄ IDs (merge), and a run starts at two
-// queries. Emitters that walk u in order — the on/off skip samplers, CSR
-// ForEachEdge, heterogeneous class blocks — run long enough on each u to
-// build rows when rings are sparse; shuffled queries and the dense plateau
-// (break-even in the thousands) almost never do. There is no setting: the
-// choice depends only on the rings and the order of the queries.
+// A sensor claims the row on the query that brings a run of consecutive
+// queries sharing it (as first or as second argument) to the break-even
+// count Reset derives from the rings: a half row costs about
+// Σ_{k∈ring(u)} h_k/2 ≈ K̄·ΣK/(2P) counter increments for holder counts
+// h_k, a direct query costs stride words (dense) or 2·K̄ IDs (merge), and a
+// run starts at two queries. Emitters that walk u in order — the on/off
+// skip samplers, CSR ForEachEdge, heterogeneous class blocks — only ask
+// about pairs (u, w) with w > u, so they count upper halves alone and, when
+// rings are sparse, claim a row on the second query of a sensor; shuffled
+// queries and the dense plateau (break-even in the hundreds) almost never
+// do. There is no setting: the choice depends only on the rings and the
+// order of the queries.
+//
+// HasAtLeast is split so that its hot case — u owns the row, its upper half
+// is counted and v > u — is an inlinable counter read at the call site;
+// every other query takes the out-of-line path.
 //
 // All three strategies compute the exact integer |ring(u) ∩ ring(v)| from
 // the same rings, and none draws randomness, so every answer is identical
@@ -64,7 +72,9 @@ type Intersector struct {
 	keyOff    []int32 // holders[keyOff[k]:keyOff[k+1]] hold key k
 	holders   []int32 // sensors holding each key, grouped by key
 	rowU      int32   // sensor owning the current row, or -1
-	rowCnt    []int32 // |ring(rowU) ∩ ring(w)|; zero off the touched list
+	hiU       int32   // rowU once its upper half (w > rowU) is counted, or -1
+	loU       int32   // rowU once its lower half (w < rowU) is counted, or -1
+	rowCnt    []int32 // |ring(rowU) ∩ ring(w)| on counted halves; zero elsewhere
 	touched   []int32 // sensors with a nonzero rowCnt
 	runU      int32   // sensor the current run of queries shares
 	runAlt    int32   // the run's other candidate while it has one query
@@ -77,7 +87,7 @@ func NewIntersector(pool int) (*Intersector, error) {
 	if pool <= 0 {
 		return nil, fmt.Errorf("keys: intersector pool size %d must be positive", pool)
 	}
-	return &Intersector{pool: pool, stride: (pool + 63) / 64, rowU: -1, runU: -1, runAlt: -1}, nil
+	return &Intersector{pool: pool, stride: (pool + 63) / 64, rowU: -1, hiU: -1, loU: -1, runU: -1, runAlt: -1}, nil
 }
 
 // Reset points the Intersector at a new set of rings (typically one
@@ -112,7 +122,7 @@ func (x *Intersector) Reset(rings []Ring) error {
 	x.dense = len(rings) > 0 && x.pool <= denseRingFactor*minRing
 	if total > 0 {
 		mean := float64(total) / float64(len(rings))
-		row := mean * float64(total) / float64(x.pool)
+		row := mean * float64(total) / float64(2*x.pool)
 		query := 2 * mean
 		if x.dense {
 			query = float64(x.stride)
@@ -152,9 +162,10 @@ func (x *Intersector) row(i int32) []uint64 {
 func (x *Intersector) rowOther(u, v int32) int32 { return u ^ v ^ x.rowU }
 
 // extendRun counts (u, v) into the current run — consecutive queries that
-// share one sensor — and, when the run reaches breakEven, builds that
-// sensor's row and reports true. A run of one query can continue through
-// either endpoint, so runAlt keeps the second argument while lenRun is 1.
+// share one sensor — and, when the run reaches breakEven, makes that sensor
+// the owner of an empty row and reports true. A run of one query can
+// continue through either endpoint, so runAlt keeps the second argument
+// while lenRun is 1.
 func (x *Intersector) extendRun(u, v int32) bool {
 	switch {
 	case u == x.runU || v == x.runU:
@@ -167,7 +178,15 @@ func (x *Intersector) extendRun(u, v int32) bool {
 	if x.lenRun < x.breakEven {
 		return false
 	}
-	x.buildRow(x.runU)
+	if !x.indexed {
+		x.buildIndex()
+	}
+	x.clearRow()
+	if n := len(x.rings); len(x.rowCnt) < n {
+		x.rowCnt = make([]int32, n)
+		x.touched = make([]int32, 0, n)
+	}
+	x.rowU = x.runU
 	return true
 }
 
@@ -177,24 +196,44 @@ func (x *Intersector) clearRow() {
 		x.rowCnt[w] = 0
 	}
 	x.touched = x.touched[:0]
-	x.rowU = -1
+	x.rowU, x.hiU, x.loU = -1, -1, -1
 }
 
-// buildRow counts |ring(u) ∩ ring(w)| for every sensor w by walking the
-// holder lists of u's keys, building the key index first if this is the
-// first row since Reset.
-func (x *Intersector) buildRow(u int32) {
-	if !x.indexed {
-		x.buildIndex()
+// rowCount returns |ring(rowU) ∩ ring(w)|, counting the half of the row on
+// w's side first if no earlier query needed it.
+func (x *Intersector) rowCount(w int32) int {
+	u := x.rowU
+	switch {
+	case w == u:
+		return x.rings[u].Len()
+	case w > u && x.hiU != u:
+		x.countHalf(true)
+		x.hiU = u
+	case w < u && x.loU != u:
+		x.countHalf(false)
+		x.loU = u
 	}
-	x.clearRow()
-	if n := len(x.rings); len(x.rowCnt) < n {
-		x.rowCnt = make([]int32, n)
-		x.touched = make([]int32, 0, n)
-	}
+	return int(x.rowCnt[w])
+}
+
+// countHalf counts |ring(rowU) ∩ ring(w)| for every sensor w above rowU
+// (upper) or below it by walking the holder lists of rowU's keys. A holder
+// list is ascending and holds rowU itself, which splits it into the halves.
+func (x *Intersector) countHalf(upper bool) {
+	u := x.rowU
 	cnt, touched := x.rowCnt, x.touched
 	for _, k := range x.rings[u].ids {
-		for _, w := range x.holders[x.keyOff[k]:x.keyOff[k+1]] {
+		hs := x.holders[x.keyOff[k]:x.keyOff[k+1]]
+		i := 0
+		for hs[i] != u {
+			i++
+		}
+		if upper {
+			hs = hs[i+1:]
+		} else {
+			hs = hs[:i]
+		}
+		for _, w := range hs {
 			if cnt[w] == 0 {
 				touched = append(touched, w)
 			}
@@ -202,7 +241,6 @@ func (x *Intersector) buildRow(u int32) {
 		}
 	}
 	x.touched = touched
-	x.rowU = u
 }
 
 // buildIndex inverts the rings into the key→holders index by counting
@@ -244,7 +282,7 @@ func (x *Intersector) buildIndex() {
 // SharedCount returns |ring(u) ∩ ring(v)| without allocating.
 func (x *Intersector) SharedCount(u, v int32) int {
 	if x.rowU == u || x.rowU == v || x.extendRun(u, v) {
-		return int(x.rowCnt[x.rowOther(u, v)])
+		return x.rowCount(x.rowOther(u, v))
 	}
 	if x.dense {
 		a, b := x.row(u), x.row(v)
@@ -259,17 +297,29 @@ func (x *Intersector) SharedCount(u, v int32) int {
 
 // HasAtLeast reports whether rings u and v share at least q keys. It is the
 // hot predicate of shared-key discovery — every emitted channel edge of a
-// streaming deployment passes through here. A query whose u or v owns the
-// current row is one counter read; otherwise it may build a row (see
-// Intersector) or falls back to the dense bitmap or the sorted merge, both
-// of which short-circuit once q shared keys are found. The answer is the
-// exact count compared with q whichever path served it.
+// streaming deployment passes through here — so its common case is small
+// enough to inline: when u owns the current row with its upper half counted
+// and v > u, the answer is one counter read (correct for q ≤ 0 too, since
+// counts are never negative). Every other query goes to hasAtLeast.
 func (x *Intersector) HasAtLeast(u, v int32, q int) bool {
+	if u == x.hiU && v > u {
+		return int(x.rowCnt[v]) >= q
+	}
+	return x.hasAtLeast(u, v, q)
+}
+
+// hasAtLeast is HasAtLeast's out-of-line path. A query whose u or v owns
+// the current row reads (counting its half first if needed) the row;
+// otherwise it may claim a row (see Intersector) or falls back to the dense
+// bitmap or the sorted merge, both of which short-circuit once q shared
+// keys are found. The answer is the exact count compared with q whichever
+// path served it.
+func (x *Intersector) hasAtLeast(u, v int32, q int) bool {
 	if q <= 0 {
 		return true
 	}
 	if x.rowU == u || x.rowU == v || x.extendRun(u, v) {
-		return int(x.rowCnt[x.rowOther(u, v)]) >= q
+		return x.rowCount(x.rowOther(u, v)) >= q
 	}
 	if x.dense {
 		a, b := x.row(u), x.row(v)

@@ -276,28 +276,34 @@ func classBlockPairs(r *rng.Rand, labels []uint8, classes int, p float64) []pair
 	return ps
 }
 
-// checkQueries issues the queries in order, alternating HasAtLeast (with q
-// cycling through 1..3) and SharedCount so that each query is one call,
-// and checks every answer against the sorted merge of the rings. It
-// returns the number of rows built along the way.
+// checkQueries issues the queries in order through checkQuery and returns
+// the number of rows built along the way.
 func checkQueries(t *testing.T, name string, ix *Intersector, rings []Ring, queries []pair) (rows int) {
 	t.Helper()
 	for i, p := range queries {
-		want := rings[p.u].SharedCount(rings[p.v])
 		before := ix.rowU
-		if i%2 == 0 {
-			q := 1 + i/2%3
-			if got := ix.HasAtLeast(p.u, p.v, q); got != (want >= q) {
-				t.Fatalf("%s: query %d: HasAtLeast(%d,%d,%d) = %v with %d shared", name, i, p.u, p.v, q, got, want)
-			}
-		} else if got := ix.SharedCount(p.u, p.v); got != want {
-			t.Fatalf("%s: query %d: SharedCount(%d,%d) = %d, want %d", name, i, p.u, p.v, got, want)
-		}
+		checkQuery(t, name, ix, rings, i, p)
 		if ix.rowU != before {
 			rows++
 		}
 	}
 	return rows
+}
+
+// checkQuery issues query i as HasAtLeast (with q cycling through 1..3)
+// for even i and as SharedCount for odd i, and checks the answer against
+// the sorted merge of the rings.
+func checkQuery(t *testing.T, name string, ix *Intersector, rings []Ring, i int, p pair) {
+	t.Helper()
+	want := rings[p.u].SharedCount(rings[p.v])
+	if i%2 == 0 {
+		q := 1 + i/2%3
+		if got := ix.HasAtLeast(p.u, p.v, q); got != (want >= q) {
+			t.Fatalf("%s: query %d: HasAtLeast(%d,%d,%d) = %v with %d shared", name, i, p.u, p.v, q, got, want)
+		}
+	} else if got := ix.SharedCount(p.u, p.v); got != want {
+		t.Fatalf("%s: query %d: SharedCount(%d,%d) = %d, want %d", name, i, p.u, p.v, got, want)
+	}
 }
 
 // TestIntersectorRowsMatchMerge pins the row strategy to the sorted merge
@@ -395,6 +401,167 @@ func TestIntersectorRowsMatchMerge(t *testing.T) {
 	}
 }
 
+// halfUse records, for one row owner, whether it was claimed by a query
+// naming it as first argument, which halves later queries read, and how
+// many times each half was counted.
+type halfUse struct {
+	byFirst          bool
+	needHi, needLo   int // 1 once a query reads the half
+	countHi, countLo int
+}
+
+// checkHalves issues the queries like checkQueries and records, per row
+// owner, the halves its queries read and the halves it counted.
+func checkHalves(t *testing.T, name string, ix *Intersector, rings []Ring, queries []pair) map[int32]*halfUse {
+	t.Helper()
+	owners := map[int32]*halfUse{}
+	for i, p := range queries {
+		before, hi, lo := ix.rowU, ix.hiU >= 0, ix.loU >= 0
+		checkQuery(t, name, ix, rings, i, p)
+		o := ix.rowU
+		if o != p.u && o != p.v {
+			continue // served by the merge
+		}
+		if o != before {
+			owners[o] = &halfUse{byFirst: o == p.u}
+			hi, lo = false, false
+		}
+		use := owners[o]
+		switch w := p.u ^ p.v ^ o; {
+		case w > o:
+			use.needHi = 1
+		case w < o:
+			use.needLo = 1
+		}
+		if !hi && ix.hiU >= 0 {
+			use.countHi++
+		}
+		if !lo && ix.loU >= 0 {
+			use.countLo++
+		}
+	}
+	return owners
+}
+
+// TestIntersectorRowHalves pins the lazy halves: every owner counts a half
+// exactly once if some query reads it and never otherwise. u-major queries
+// read only upper halves of the rows they claim; orders that visit both
+// sides of a sensor — whole columns, or whole rows in descending order —
+// count both halves of most owners.
+func TestIntersectorRowHalves(t *testing.T) {
+	r := rng.New(33)
+	const pool, n = 10000, 300
+	rings := randomRings(t, r, pool, 40, n)
+	ix, err := NewIntersector(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var column, descending []pair
+	for v := int32(0); v < n; v++ {
+		for u := int32(0); u < n; u++ {
+			if u != v {
+				column = append(column, pair{u, v})
+			}
+		}
+	}
+	for u := int32(n - 1); u >= 0; u-- {
+		for v := int32(n - 1); v >= 0; v-- {
+			if v != u {
+				descending = append(descending, pair{u, v})
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		queries []pair
+		uMajor  bool
+	}{
+		{"u-major", uMajorPairs(r, n, 0.5), true},
+		{"column", column, false},
+		{"descending", descending, false},
+	} {
+		if err := ix.Reset(rings); err != nil {
+			t.Fatal(err)
+		}
+		owners := checkHalves(t, tc.name, ix, rings, tc.queries)
+		both, byFirst := 0, 0
+		for o, use := range owners {
+			if use.countHi != use.needHi || use.countLo != use.needLo {
+				t.Errorf("%s: owner %d counted halves (upper %d, lower %d), read (upper %d, lower %d)",
+					tc.name, o, use.countHi, use.countLo, use.needHi, use.needLo)
+			}
+			if use.countHi == 1 && use.countLo == 1 {
+				both++
+			}
+			if use.byFirst {
+				byFirst++
+				// A u-major run on its first argument only asks about w > u.
+				if tc.uMajor && use.countLo != 0 {
+					t.Errorf("%s: owner %d claimed as first argument counted its lower half", tc.name, o)
+				}
+			}
+		}
+		if tc.uMajor && byFirst < n/2 {
+			t.Errorf("%s: %d rows claimed on the first argument, want most sensors", tc.name, byFirst)
+		}
+		if !tc.uMajor && both < n/2 {
+			t.Errorf("%s: %d owners counted both halves, want most sensors", tc.name, both)
+		}
+	}
+}
+
+// TestIntersectorSelfQueries pins u == v on every strategy, both as the
+// first query of a run (merge or bitmap) and on a row owner, where it
+// answers Len without counting a half.
+func TestIntersectorSelfQueries(t *testing.T) {
+	r := rng.New(34)
+	for _, tc := range []struct{ pool, ring int }{{10000, 40}, {600, 30}} {
+		const n = 40
+		rings := randomRings(t, r, tc.pool, tc.ring, n)
+		ix, err := NewIntersector(tc.pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(stage string, u int32) {
+			t.Helper()
+			k := rings[u].Len()
+			if got := ix.SharedCount(u, u); got != k {
+				t.Fatalf("pool=%d %s: SharedCount(%d,%d) = %d, want %d", tc.pool, stage, u, u, got, k)
+			}
+			for _, q := range []int{0, k, k + 1} {
+				if got := ix.HasAtLeast(u, u, q); got != (k >= q) {
+					t.Fatalf("pool=%d %s: HasAtLeast(%d,%d,%d) = %v with Len %d", tc.pool, stage, u, u, q, got, k)
+				}
+			}
+		}
+		for u := int32(0); u < n; u++ {
+			for q := range 2 {
+				if err := ix.Reset(rings); err != nil {
+					t.Fatal(err)
+				}
+				if q == 0 {
+					check("first query", u)
+					continue
+				}
+				// Claim u's row, then ask about u itself.
+				for w := int32(0); ix.rowU != u && w < n; w++ {
+					if w != u {
+						ix.SharedCount(u, w)
+					}
+				}
+				if ix.rowU != u {
+					continue // dense break-even is out of reach at n = 40
+				}
+				hi, lo := ix.hiU, ix.loU
+				check("row owner", u)
+				if ix.rowU != u || ix.hiU != hi || ix.loU != lo {
+					t.Fatalf("pool=%d: self queries on owner %d changed the row", tc.pool, u)
+				}
+			}
+		}
+	}
+}
+
 // FuzzIntersectorQueries decodes arbitrary bytes into rings over a small
 // pool plus a query sequence — fresh pairs, runs on the first or second
 // argument, and Resets to a prefix of the rings — and checks every answer
@@ -403,6 +570,10 @@ func FuzzIntersectorQueries(f *testing.F) {
 	f.Add([]byte{199, 5, 3, 1, 2, 3, 3, 2, 3, 4, 2, 1, 9, 0, 4, 0, 1, 65, 2, 65, 3, 65, 4, 129, 0, 129, 1, 192, 2, 0, 1})
 	f.Add([]byte{40, 3, 10, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 0, 7, 2, 1, 65, 0, 66, 1, 67, 2})
 	f.Add([]byte{255, 8, 1, 200, 0, 2, 0, 255, 1, 7, 1, 9, 3, 1, 2, 3, 1, 4, 0, 1, 0, 2, 64, 3, 64, 4, 64, 5, 128, 6, 128, 7, 195, 3, 1, 2})
+	// Self queries (u == v) and second-argument runs with v < u, on a row
+	// owner and as a run's first query.
+	f.Add([]byte{49, 3, 5, 1, 2, 3, 4, 5, 5, 3, 4, 5, 6, 7, 4, 1, 3, 5, 7, 3, 2, 4, 6, 0, 0, 4, 0, 2, 1, 66, 0, 68, 1, 65, 2, 70, 3, 64, 2, 128, 3, 130, 1, 132, 0, 129, 2})
+	f.Add([]byte{49, 3, 5, 1, 2, 3, 4, 5, 5, 3, 4, 5, 6, 7, 4, 1, 3, 5, 7, 3, 2, 4, 6, 3, 2, 66, 1, 67, 0, 65, 3, 68, 3, 6, 1, 129, 0, 130, 2, 131, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() (byte, bool) {
 			if len(data) == 0 {
@@ -479,7 +650,7 @@ func FuzzIntersectorQueries(f *testing.F) {
 //     one cache line per ring) over n = 100000 rings with sequential u and
 //     uniform random v, the latency-bound load the flat-arena layout exists
 //     for. Runs never reach the row break-even (≈ 25000 queries).
-//   - fig1: a Figure-1 point (P = 10000, K = 40, q = 2: merge, break-even 3)
+//   - fig1: a Figure-1 point (P = 10000, K = 40, q = 2: merge, break-even 2)
 //     over n = 1000 rings with the u-major queries of an on/off draw at
 //     p = 0.5, so nearly every query is a row-counter read.
 func BenchmarkIntersectorHasAtLeast(b *testing.B) {
