@@ -27,16 +27,31 @@ import (
 	"github.com/secure-wsn/qcomposite/internal/graphalgo"
 	"github.com/secure-wsn/qcomposite/internal/keys"
 	"github.com/secure-wsn/qcomposite/internal/montecarlo"
-	"github.com/secure-wsn/qcomposite/internal/randgraph"
 	"github.com/secure-wsn/qcomposite/internal/rng"
 	"github.com/secure-wsn/qcomposite/internal/stats"
 	"github.com/secure-wsn/qcomposite/internal/theory"
 	"github.com/secure-wsn/qcomposite/internal/wsn"
 )
 
-// BenchmarkE1Figure1Trial measures one Figure 1 Monte Carlo trial (sample
-// G_{n,q}(1000, K, 10000, p), test connectivity) for each of the six
-// curves at its paper K* threshold, where the work is maximal-interesting.
+// benchDeployer returns a Deployer for G_{n,q}(n, ring, pool, pOn), the
+// pipeline every cmd's trials run on.
+func benchDeployer(b *testing.B, n, ring, pool, q int, pOn float64) *wsn.Deployer {
+	b.Helper()
+	scheme, err := keys.NewQComposite(pool, ring, q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := wsn.NewDeployer(wsn.Config{Sensors: n, Scheme: scheme, Channel: channel.OnOff{P: pOn}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d
+}
+
+// BenchmarkE1Figure1Trial measures one Figure 1 Monte Carlo trial (stream
+// G_{n,q}(1000, K, 10000, p) into a union-find, as cmd/figure1 does) for
+// each of the six curves at its paper K* threshold, where the work is
+// maximal-interesting.
 func BenchmarkE1Figure1Trial(b *testing.B) {
 	curves := []struct {
 		name string
@@ -53,19 +68,13 @@ func BenchmarkE1Figure1Trial(b *testing.B) {
 	}
 	for _, c := range curves {
 		b.Run(c.name, func(b *testing.B) {
-			s, err := randgraph.NewQSampler(1000, c.k, 10000, c.q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := rng.New(1)
+			d := benchDeployer(b, 1000, c.k, 10000, c.q, c.p)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g, err := s.SampleComposite(r, c.p)
-				if err != nil {
+				if _, err := d.DeployConnectivity(uint64(i)); err != nil {
 					b.Fatal(err)
 				}
-				_ = graphalgo.IsConnected(g)
 			}
 		})
 	}
@@ -89,56 +98,45 @@ func BenchmarkE2KStarTable(b *testing.B) {
 	}
 }
 
-// BenchmarkE3Theorem1Trial measures one Theorem 1 validation trial:
-// sample at the paper scale and run the Even k-connectivity test, for
-// k = 1, 2, 3.
+// BenchmarkE3Theorem1Trial measures one Theorem 1 validation trial at the
+// paper scale for k = 2, 3: deploy the CSR topology and run the exact
+// k-connectivity decision (k = 1 is E1's streamed trial).
 func BenchmarkE3Theorem1Trial(b *testing.B) {
-	for _, k := range []int{1, 2, 3} {
+	for _, k := range []int{2, 3} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			s, err := randgraph.NewQSampler(1000, 48, 10000, 2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := rng.New(2)
+			d := benchDeployer(b, 1000, 48, 10000, 2, 0.5)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g, err := s.SampleComposite(r, 0.5)
+				net, err := d.Deploy(uint64(i))
 				if err != nil {
 					b.Fatal(err)
 				}
-				_ = graphalgo.IsKConnected(g, k)
+				if _, err := net.IsKConnected(k); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
 }
 
-// BenchmarkE4MinDegreeTrial measures one Lemma 8 trial: sample plus minimum
-// degree scan.
+// BenchmarkE4MinDegreeTrial measures one Lemma 8 trial: the streamed
+// degree pass at k = 2.
 func BenchmarkE4MinDegreeTrial(b *testing.B) {
-	s, err := randgraph.NewQSampler(1000, 48, 10000, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(3)
+	d := benchDeployer(b, 1000, 48, 10000, 2, 0.5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := s.SampleComposite(r, 0.5)
-		if err != nil {
+		if _, err := d.DeployDegreeStats(uint64(i), 2); err != nil {
 			b.Fatal(err)
 		}
-		_ = g.MinDegree() >= 2
 	}
 }
 
-// BenchmarkE5DegreeDistTrial measures one Lemma 9 trial: sample plus degree
+// BenchmarkE5DegreeDistTrial measures one Lemma 9 trial: deploy plus degree
 // histogram plus Poisson comparison.
 func BenchmarkE5DegreeDistTrial(b *testing.B) {
-	s, err := randgraph.NewQSampler(1000, 43, 10000, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := benchDeployer(b, 1000, 43, 10000, 2, 0.5)
 	tProb, err := theory.EdgeProb(10000, 43, 2, 0.5)
 	if err != nil {
 		b.Fatal(err)
@@ -147,15 +145,14 @@ func BenchmarkE5DegreeDistTrial(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := rng.New(4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := s.SampleComposite(r, 0.5)
+		net, err := d.Deploy(uint64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
-		hist := g.DegreeHistogram()
+		hist := net.FullSecureTopology().DegreeHistogram()
 		count := 0
 		if len(hist) > 1 {
 			count = hist[1]
@@ -180,19 +177,17 @@ func BenchmarkE6ZeroOneTrial(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := randgraph.NewQSampler(n, ring, pool, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(5)
+	d := benchDeployer(b, n, ring, pool, 2, 0.5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := s.SampleComposite(r, 0.5)
+		net, err := d.Deploy(uint64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
-		_ = graphalgo.IsKConnected(g, k)
+		if _, err := net.IsKConnected(k); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -21,12 +21,12 @@ import (
 	"time"
 
 	"github.com/secure-wsn/qcomposite/internal/channel"
-	"github.com/secure-wsn/qcomposite/internal/core"
 	"github.com/secure-wsn/qcomposite/internal/experiment"
 	"github.com/secure-wsn/qcomposite/internal/keys"
 	"github.com/secure-wsn/qcomposite/internal/montecarlo"
 	"github.com/secure-wsn/qcomposite/internal/rng"
 	"github.com/secure-wsn/qcomposite/internal/stats"
+	"github.com/secure-wsn/qcomposite/internal/theory"
 	"github.com/secure-wsn/qcomposite/internal/wsn"
 )
 
@@ -52,8 +52,7 @@ func run() error {
 	)
 	flag.Parse()
 
-	m := core.Model{N: *n, K: *ring, P: *pool, Q: *q, ChannelOn: *pOn}
-	tProb, err := m.EdgeProbability()
+	tProb, err := theory.EdgeProb(*pool, *ring, *q, *pOn)
 	if err != nil {
 		return err
 	}
@@ -69,7 +68,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Lemma 9 validation on %s\n", m)
+	fmt.Printf("Lemma 9 validation on G_{n,%d}(n=%d, K=%d, P=%d, p=%g)\n", *q, *n, *ring, *pool, *pOn)
 	fmt.Printf("edge probability t = %.6f, n·t = %.3f, %d trials\n\n", tProb, float64(*n)*tProb, *trials)
 
 	// The fixed degrees h are the grid's Xs axis, so each h gets the sweep
@@ -87,7 +86,7 @@ func run() error {
 	var ms []experiment.Measurement
 	for _, pt := range grid.Points() {
 		h := int(pt.X)
-		lambda, err := m.PoissonDegreeCountMean(h)
+		lambda, err := theory.PoissonNodeCountMean(*n, tProb, h)
 		if err != nil {
 			return err
 		}

@@ -25,10 +25,10 @@ import (
 	"os"
 
 	"github.com/secure-wsn/qcomposite/internal/channel"
-	"github.com/secure-wsn/qcomposite/internal/core"
 	"github.com/secure-wsn/qcomposite/internal/experiment"
 	"github.com/secure-wsn/qcomposite/internal/keys"
 	"github.com/secure-wsn/qcomposite/internal/sweepserve"
+	"github.com/secure-wsn/qcomposite/internal/theory"
 	"github.com/secure-wsn/qcomposite/internal/wsn"
 )
 
@@ -69,7 +69,7 @@ func run() error {
 		*trials, *seed)
 
 	ringFor := func(k int) (int, error) {
-		ring, err := core.DesignK(*n, *pool, *q, *pOn, k, *target)
+		ring, err := theory.DesignRingSize(*n, *pool, *q, *pOn, k, *target)
 		if err != nil {
 			return 0, fmt.Errorf("design k=%d: %w", k, err)
 		}
@@ -138,23 +138,19 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		m := core.Model{N: *n, K: ring, P: *pool, Q: *q, ChannelOn: *pOn}
-		achieved, err := m.TheoreticalKConnProb(k)
+		tProb, err := theory.EdgeProb(*pool, ring, *q, *pOn)
 		if err != nil {
 			return err
 		}
-		alpha, err := m.Alpha(k)
+		alpha, err := theory.Alpha(*n, tProb, k)
 		if err != nil {
 			return err
 		}
-		tProb, err := m.EdgeProbability()
+		achieved, err := theory.KConnProbLimit(alpha, k)
 		if err != nil {
 			return err
 		}
-		deg, err := m.ExpectedDegree()
-		if err != nil {
-			return err
-		}
+		deg := theory.ExpectedDegree(*n, tProb)
 		addCurve(pt, "min ring K", float64(ring))
 		addCurve(pt, "theory P[k-conn]", achieved)
 		lo, hi := res.Value.WilsonInterval(1.96)
@@ -191,11 +187,11 @@ func run() error {
 		return err
 	}
 
-	exact, err := core.ThresholdK(*n, *pool, *q, *pOn)
+	exact, err := theory.ThresholdRingSize(*n, *pool, *q, *pOn)
 	if err != nil {
 		return err
 	}
-	asym, err := core.ThresholdKAsymptotic(*n, *pool, *q, *pOn)
+	asym, err := theory.ThresholdRingSizeAsymptotic(*n, *pool, *q, *pOn)
 	if err != nil {
 		return err
 	}

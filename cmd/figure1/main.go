@@ -26,9 +26,9 @@ import (
 
 	"github.com/secure-wsn/qcomposite/internal/channel"
 	"github.com/secure-wsn/qcomposite/internal/cmdutil"
-	"github.com/secure-wsn/qcomposite/internal/core"
 	"github.com/secure-wsn/qcomposite/internal/experiment"
 	"github.com/secure-wsn/qcomposite/internal/keys"
+	"github.com/secure-wsn/qcomposite/internal/theory"
 	"github.com/secure-wsn/qcomposite/internal/wsn"
 )
 
@@ -129,11 +129,11 @@ func run() error {
 
 	fmt.Println("\neq. (9) thresholds K* (exact | asymptotic; paper prints 35, 41, 52, 60, 67, 78):")
 	for _, c := range curves {
-		exact, err := core.ThresholdK(*n, *pool, c.q, c.p)
+		exact, err := theory.ThresholdRingSize(*n, *pool, c.q, c.p)
 		if err != nil {
 			return err
 		}
-		asym, err := core.ThresholdKAsymptotic(*n, *pool, c.q, c.p)
+		asym, err := theory.ThresholdRingSizeAsymptotic(*n, *pool, c.q, c.p)
 		if err != nil {
 			return err
 		}

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"github.com/secure-wsn/qcomposite/internal/channel"
-	"github.com/secure-wsn/qcomposite/internal/core"
 	"github.com/secure-wsn/qcomposite/internal/experiment"
 	"github.com/secure-wsn/qcomposite/internal/keys"
 	"github.com/secure-wsn/qcomposite/internal/theory"
@@ -93,8 +92,7 @@ func run() error {
 	// leading table column.
 	degOf := make(map[int]float64, len(rings))
 	for _, ring := range rings {
-		m := core.Model{N: *n, K: ring, P: *pool, Q: *q, ChannelOn: *pOn}
-		tProb, err := m.EdgeProbability()
+		tProb, err := theory.EdgeProb(*pool, ring, *q, *pOn)
 		if err != nil {
 			return err
 		}

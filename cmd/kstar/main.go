@@ -27,7 +27,6 @@ import (
 	"strings"
 
 	"github.com/secure-wsn/qcomposite/internal/channel"
-	"github.com/secure-wsn/qcomposite/internal/core"
 	"github.com/secure-wsn/qcomposite/internal/experiment"
 	"github.com/secure-wsn/qcomposite/internal/keys"
 	"github.com/secure-wsn/qcomposite/internal/montecarlo"
@@ -73,11 +72,11 @@ func run() error {
 		{"3", "1"}: 60, {"3", "0.5"}: 67, {"3", "0.2"}: 78,
 	}
 	thresholds := func(pt experiment.GridPoint) (exact, asym int, err error) {
-		exact, err = core.ThresholdK(*n, *pool, pt.Q, pt.P)
+		exact, err = theory.ThresholdRingSize(*n, *pool, pt.Q, pt.P)
 		if err != nil {
 			return 0, 0, fmt.Errorf("exact K*(q=%d, p=%g): %w", pt.Q, pt.P, err)
 		}
-		asym, err = core.ThresholdKAsymptotic(*n, *pool, pt.Q, pt.P)
+		asym, err = theory.ThresholdRingSizeAsymptotic(*n, *pool, pt.Q, pt.P)
 		if err != nil {
 			return 0, 0, fmt.Errorf("asymptotic K*(q=%d, p=%g): %w", pt.Q, pt.P, err)
 		}

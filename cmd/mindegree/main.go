@@ -28,11 +28,11 @@ import (
 
 	"github.com/secure-wsn/qcomposite/internal/channel"
 	"github.com/secure-wsn/qcomposite/internal/cmdutil"
-	"github.com/secure-wsn/qcomposite/internal/core"
 	"github.com/secure-wsn/qcomposite/internal/experiment"
 	"github.com/secure-wsn/qcomposite/internal/keys"
 	"github.com/secure-wsn/qcomposite/internal/montecarlo"
 	"github.com/secure-wsn/qcomposite/internal/rng"
+	"github.com/secure-wsn/qcomposite/internal/theory"
 	"github.com/secure-wsn/qcomposite/internal/wsn"
 )
 
@@ -155,8 +155,7 @@ func run() error {
 
 	// Limit overlay: one row per K, the shared eq. (7)/(76) limit.
 	for _, pt := range grid.Points() {
-		m := core.Model{N: *n, K: pt.K, P: *pool, Q: pt.Q, ChannelOn: pt.P}
-		want, err := m.TheoreticalMinDegProb(*k)
+		want, err := theory.KConnProbability(*n, *pool, pt.K, pt.Q, pt.P, *k)
 		if err != nil {
 			return err
 		}
@@ -168,8 +167,11 @@ func run() error {
 		})
 	}
 	alphaOf := func(ring int) (float64, error) {
-		m := core.Model{N: *n, K: ring, P: *pool, Q: *q, ChannelOn: *pOn}
-		return m.Alpha(*k)
+		tProb, err := theory.EdgeProb(*pool, ring, *q, *pOn)
+		if err != nil {
+			return 0, err
+		}
+		return theory.Alpha(*n, tProb, *k)
 	}
 	presented := experiment.PivotSweep(experiment.PivotSpec{
 		RowHeaders: []string{"K", "alpha"},

@@ -21,9 +21,9 @@ import (
 
 	"github.com/secure-wsn/qcomposite/internal/channel"
 	"github.com/secure-wsn/qcomposite/internal/cmdutil"
-	"github.com/secure-wsn/qcomposite/internal/core"
 	"github.com/secure-wsn/qcomposite/internal/experiment"
 	"github.com/secure-wsn/qcomposite/internal/keys"
+	"github.com/secure-wsn/qcomposite/internal/theory"
 	"github.com/secure-wsn/qcomposite/internal/wsn"
 )
 
@@ -92,8 +92,7 @@ func run() error {
 	// measurement curves, pivoted into one K-rowed table.
 	ms := experiment.KConnMeasurements(results, 1.96)
 	for _, pt := range grid.Points() {
-		m := core.Model{N: *n, K: pt.K, P: *pool, Q: pt.Q, ChannelOn: pt.P}
-		want, err := m.TheoreticalKConnProb(int(pt.X))
+		want, err := theory.KConnProbability(*n, *pool, pt.K, pt.Q, pt.P, int(pt.X))
 		if err != nil {
 			return err
 		}

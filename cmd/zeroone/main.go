@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"github.com/secure-wsn/qcomposite/internal/channel"
-	"github.com/secure-wsn/qcomposite/internal/core"
 	"github.com/secure-wsn/qcomposite/internal/experiment"
 	"github.com/secure-wsn/qcomposite/internal/keys"
 	"github.com/secure-wsn/qcomposite/internal/theory"
@@ -96,11 +95,14 @@ func run() error {
 		if d.ring < *q {
 			d.ring = *q
 		}
-		m := core.Model{N: n, K: d.ring, P: d.pool, Q: *q, ChannelOn: *pOn}
-		if d.realized, err = m.Alpha(*k); err != nil {
+		tProb, err := theory.EdgeProb(d.pool, d.ring, *q, *pOn)
+		if err != nil {
 			return d, err
 		}
-		if d.limit, err = m.TheoreticalKConnProb(*k); err != nil {
+		if d.realized, err = theory.Alpha(n, tProb, *k); err != nil {
+			return d, err
+		}
+		if d.limit, err = theory.KConnProbLimit(d.realized, *k); err != nil {
 			return d, err
 		}
 		return d, nil

@@ -1,9 +1,11 @@
-package core
+package qcomposite
 
 import (
 	"context"
 	"math"
 	"testing"
+
+	"github.com/secure-wsn/qcomposite/internal/rng"
 )
 
 // invalidModel fails Validate (ring above pool).
@@ -32,8 +34,8 @@ func TestErrorPropagationThroughFacade(t *testing.T) {
 	if _, err := invalidModel.PoissonDegreeCountMean(0); err == nil {
 		t.Error("PoissonDegreeCountMean on invalid model: want error")
 	}
-	if _, err := invalidModel.NewSampler(); err == nil {
-		t.Error("NewSampler on invalid model: want error")
+	if _, err := invalidModel.Sample(rng.New(1)); err == nil {
+		t.Error("Sample on invalid model: want error")
 	}
 	if _, err := invalidModel.EstimateKConnectivity(ctx, 1, EstimateConfig{Trials: 5, Seed: 1}); err == nil {
 		t.Error("EstimateKConnectivity on invalid model: want error")
@@ -43,6 +45,12 @@ func TestErrorPropagationThroughFacade(t *testing.T) {
 	}
 	if _, err := invalidModel.DegreeCountDistribution(ctx, 1, EstimateConfig{Trials: 5, Seed: 1}); err == nil {
 		t.Error("DegreeCountDistribution on invalid model: want error")
+	}
+	// Every graph has minimum degree ≥ −1, so a negative level must be
+	// rejected rather than estimated as P = 1.
+	valid := Model{N: 50, K: 10, P: 100, Q: 1, ChannelOn: 0.5}
+	if _, err := valid.EstimateMinDegreeAtLeast(ctx, -1, EstimateConfig{Trials: 5, Seed: 1}); err == nil {
+		t.Error("EstimateMinDegreeAtLeast with k = -1: want error")
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/secure-wsn/qcomposite/internal/core"
+	"github.com/secure-wsn/qcomposite"
 	"github.com/secure-wsn/qcomposite/internal/experiment"
 	"os"
 )
@@ -38,7 +38,7 @@ func main() {
 	t1 := experiment.NewTable("channel on-probability p", "min ring K", "keys of memory wasted vs p=1")
 	base := 0
 	for _, p := range []float64{1.0, 0.8, 0.6, 0.4, 0.2} {
-		ring, err := core.DesignK(n, pool, 2, p, 2, target)
+		ring, err := qcomposite.DesignK(n, pool, 2, p, 2, target)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -57,11 +57,11 @@ func main() {
 	fmt.Println("\nKey ring size needed for 99% 2-connectivity as q grows (p=0.5):")
 	t2 := experiment.NewTable("q", "min ring K", "edge probability t at that K")
 	for q := 1; q <= 4; q++ {
-		ring, err := core.DesignK(n, pool, q, 0.5, 2, target)
+		ring, err := qcomposite.DesignK(n, pool, q, 0.5, 2, target)
 		if err != nil {
 			log.Fatal(err)
 		}
-		m := core.Model{N: n, K: ring, P: pool, Q: q, ChannelOn: 0.5}
+		m := qcomposite.Model{N: n, K: ring, P: pool, Q: q, ChannelOn: 0.5}
 		tProb, err := m.EdgeProbability()
 		if err != nil {
 			log.Fatal(err)
@@ -77,11 +77,11 @@ func main() {
 	fmt.Println("\nMemory cost of robustness (q=2, p=0.5):")
 	t3 := experiment.NewTable("k (survives k-1 failures)", "min ring K", "theory P[k-conn]")
 	for k := 1; k <= 4; k++ {
-		ring, err := core.DesignK(n, pool, 2, 0.5, k, target)
+		ring, err := qcomposite.DesignK(n, pool, 2, 0.5, k, target)
 		if err != nil {
 			log.Fatal(err)
 		}
-		m := core.Model{N: n, K: ring, P: pool, Q: 2, ChannelOn: 0.5}
+		m := qcomposite.Model{N: n, K: ring, P: pool, Q: 2, ChannelOn: 0.5}
 		got, err := m.TheoreticalKConnProb(k)
 		if err != nil {
 			log.Fatal(err)

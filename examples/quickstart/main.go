@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/secure-wsn/qcomposite/internal/core"
+	"github.com/secure-wsn/qcomposite"
 	"github.com/secure-wsn/qcomposite/internal/rng"
 )
 
@@ -24,7 +24,7 @@ func main() {
 	// of 10000; two sensors can talk securely iff they share ≥ 2 keys AND
 	// their wireless channel is up, which happens with probability 0.5
 	// (lossy environment).
-	m := core.Model{N: 1000, K: 50, P: 10000, Q: 2, ChannelOn: 0.5}
+	m := qcomposite.Model{N: 1000, K: 50, P: 10000, Q: 2, ChannelOn: 0.5}
 	if err := m.Validate(); err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func main() {
 	}
 
 	// Check the k = 1 prediction empirically (Figure 1's estimator).
-	est, err := m.EstimateConnectivity(context.Background(), core.EstimateConfig{
+	est, err := m.EstimateConnectivity(context.Background(), qcomposite.EstimateConfig{
 		Trials: 200,
 		Seed:   7,
 	})
@@ -75,11 +75,11 @@ func main() {
 		g.N(), g.M(), g.MinDegree())
 
 	// Design rules: how many keys must each sensor hold?
-	kstar, err := core.ThresholdK(m.N, m.P, m.Q, m.ChannelOn)
+	kstar, err := qcomposite.ThresholdK(m.N, m.P, m.Q, m.ChannelOn)
 	if err != nil {
 		log.Fatal(err)
 	}
-	k99, err := core.DesignK(m.N, m.P, m.Q, m.ChannelOn, 2, 0.99)
+	k99, err := qcomposite.DesignK(m.N, m.P, m.Q, m.ChannelOn, 2, 0.99)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 	"log"
 	"os"
 
-	"github.com/secure-wsn/qcomposite/internal/core"
+	"github.com/secure-wsn/qcomposite"
 	"github.com/secure-wsn/qcomposite/internal/experiment"
 )
 
@@ -44,7 +44,7 @@ func main() {
 
 	ctx := context.Background()
 	for _, p := range []float64{0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0} {
-		m := core.Model{N: n, K: ring, P: pool, Q: q, ChannelOn: p}
+		m := qcomposite.Model{N: n, K: ring, P: pool, Q: q, ChannelOn: p}
 		tProb, err := m.EdgeProbability()
 		if err != nil {
 			log.Fatal(err)
@@ -57,7 +57,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg := core.EstimateConfig{Trials: 150, Seed: uint64(1000 * p)}
+		cfg := qcomposite.EstimateConfig{Trials: 150, Seed: uint64(1000 * p)}
 		e1, err := m.EstimateConnectivity(ctx, cfg)
 		if err != nil {
 			log.Fatal(err)

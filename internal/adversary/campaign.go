@@ -19,6 +19,7 @@ package adversary
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -89,6 +90,7 @@ type Timeline []Step
 // fail-targeted, jam, revoke).
 func ParseTimeline(spec string) (Timeline, error) {
 	var tl Timeline
+	total := 0
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -106,6 +108,10 @@ func ParseTimeline(spec string) (Timeline, error) {
 		if err != nil || count <= 0 {
 			return nil, fmt.Errorf("adversary: timeline step %q: count must be a positive integer", part)
 		}
+		if total > math.MaxInt-count {
+			return nil, fmt.Errorf("adversary: timeline step %q: total budget overflows int", part)
+		}
+		total += count
 		tl = append(tl, Step{Kind: kind, Count: count})
 	}
 	if len(tl) == 0 {

@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/secure-wsn/qcomposite/internal/rng"
@@ -25,11 +26,47 @@ func TestParseTimeline(t *testing.T) {
 	if tl.TotalBudget() != 31 {
 		t.Errorf("TotalBudget = %d", tl.TotalBudget())
 	}
-	for _, bad := range []string{"", "capture", "capture:0", "capture:-3", "capture:x", "steal:5", "capture:5:6"} {
+	for _, bad := range []string{"", "capture", "capture:0", "capture:-3", "capture:x", "steal:5", "capture:5:6",
+		"capture:9223372036854775807,fail:1"} {
 		if _, err := ParseTimeline(bad); err == nil {
 			t.Errorf("ParseTimeline(%q): want error", bad)
 		}
 	}
+	// An overflowing total budget names the step that overflowed it.
+	_, err = ParseTimeline("capture:9223372036854775807,fail:1")
+	if err == nil || !strings.Contains(err.Error(), `"fail:1"`) {
+		t.Errorf("overflowing budget: err = %v, want it to name step \"fail:1\"", err)
+	}
+}
+
+// FuzzParseTimeline checks the timeline parser on arbitrary specs: it
+// never panics, every accepted timeline round-trips through String, and
+// its total budget is non-negative.
+func FuzzParseTimeline(f *testing.F) {
+	for _, seed := range []string{
+		"capture:10, fail:5,capture-targeted:2,jam:3,revoke:10,fail-targeted:1",
+		"capture:16;capture:8,fail:8", "capture:16", "capture:8,fail:8", "capture:10,fail:10",
+		"capture:3", "capture:5", "capture:4,fail:3", "capture:0", "steal:5",
+		"meteor:10", "capture:9223372036854775807,fail:1", "",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		tl, err := ParseTimeline(spec)
+		if err != nil {
+			return
+		}
+		again, err := ParseTimeline(tl.String())
+		if err != nil {
+			t.Fatalf("ParseTimeline(%q) = %v, but its String %q fails: %v", spec, tl, tl.String(), err)
+		}
+		if !reflect.DeepEqual(again, tl) {
+			t.Fatalf("round trip of %q: %v != %v", spec, again, tl)
+		}
+		if b := tl.TotalBudget(); b < 0 {
+			t.Fatalf("ParseTimeline(%q): TotalBudget = %d", spec, b)
+		}
+	})
 }
 
 func TestTimelinePrefix(t *testing.T) {

@@ -29,36 +29,54 @@ type CoupledPair struct {
 // m_v-subset of its uniform K-ring. Conditioned on m_v ≤ K for all v (the
 // Coupled flag), both marginals are exact and the containment is pointwise.
 func SampleCoupled(r *rng.Rand, n, ring, pool, q int, x float64) (*CoupledPair, error) {
-	if x < 0 || x > 1 {
+	switch {
+	case x < 0 || x > 1:
 		return nil, fmt.Errorf("randgraph: coupling inclusion probability %v outside [0,1]", x)
+	case n < 0:
+		return nil, fmt.Errorf("randgraph: coupled sample: negative node count %d", n)
+	case q < 1:
+		return nil, fmt.Errorf("randgraph: coupled sample: key overlap requirement q=%d must be ≥ 1", q)
+	case ring < q:
+		return nil, fmt.Errorf("randgraph: coupled sample: ring size %d below overlap requirement q=%d", ring, q)
+	case pool < ring:
+		return nil, fmt.Errorf("randgraph: coupled sample: pool size %d below ring size %d", pool, ring)
 	}
-	s, err := NewQSampler(n, ring, pool, q)
+	subset, err := rng.NewSubsetSampler(pool)
 	if err != nil {
 		return nil, fmt.Errorf("randgraph: coupled sample: %w", err)
 	}
-	uniform, err := s.Sample(r)
+	// Uniform rings: n independent uniform K-subsets of the pool.
+	flat := make([]int32, 0, n*ring)
+	for v := 0; v < n; v++ {
+		if flat, err = subset.AppendSample(r, ring, flat); err != nil {
+			return nil, fmt.Errorf("randgraph: coupled sample: %w", err)
+		}
+	}
+	rings := make([][]int32, n)
+	for v := range rings {
+		rings[v] = flat[v*ring : (v+1)*ring]
+	}
+	uniform, err := qIntersectFromRings(n, pool, q, rings)
 	if err != nil {
 		return nil, err
 	}
 	coupled := true
-	subRings := make([][]int32, n)
-	for v := 0; v < n; v++ {
+	for v, full := range rings {
 		m := r.Binomial(pool, x)
 		if m > ring {
 			m = ring
 			coupled = false
 		}
-		full := s.KeyRing(v)
 		// A uniform m-subset of the node's uniform K-ring is a uniform
-		// m-subset of the pool: partial Fisher–Yates over a copy.
-		cp := append([]int32(nil), full...)
+		// m-subset of the pool: partial Fisher–Yates, in place now that the
+		// uniform graph is built.
 		for i := 0; i < m; i++ {
-			j := i + r.Intn(len(cp)-i)
-			cp[i], cp[j] = cp[j], cp[i]
+			j := i + r.Intn(len(full)-i)
+			full[i], full[j] = full[j], full[i]
 		}
-		subRings[v] = cp[:m]
+		rings[v] = full[:m]
 	}
-	binomial, err := qIntersectFromRings(n, pool, q, subRings)
+	binomial, err := qIntersectFromRings(n, pool, q, rings)
 	if err != nil {
 		return nil, err
 	}

@@ -13,12 +13,12 @@ import (
 	"testing"
 
 	"github.com/secure-wsn/qcomposite/internal/channel"
-	"github.com/secure-wsn/qcomposite/internal/core"
 	"github.com/secure-wsn/qcomposite/internal/experiment"
 	"github.com/secure-wsn/qcomposite/internal/keys"
 	"github.com/secure-wsn/qcomposite/internal/montecarlo"
 	"github.com/secure-wsn/qcomposite/internal/rng"
 	"github.com/secure-wsn/qcomposite/internal/sweepserve"
+	"github.com/secure-wsn/qcomposite/internal/theory"
 	"github.com/secure-wsn/qcomposite/internal/wsn"
 )
 
@@ -49,7 +49,7 @@ func TestDesignKindMatchesDesignerSweep(t *testing.T) {
 			if err != nil {
 				return wsn.Config{}, err
 			}
-			ring, err := core.DesignK(n, pool, pt.Q, pt.P, k, target)
+			ring, err := theory.DesignRingSize(n, pool, pt.Q, pt.P, k, target)
 			if err != nil {
 				return wsn.Config{}, err
 			}
@@ -86,7 +86,7 @@ func TestKStarKindMatchesKstarSweep(t *testing.T) {
 	want, err := experiment.SweepProportion(ctx, experiment.Grid{Qs: qs, Ps: ps},
 		experiment.SweepConfig{Trials: testTrials, Seed: testSeed},
 		func(pt experiment.GridPoint) (montecarlo.Trial, error) {
-			exact, err := core.ThresholdK(n, pool, pt.Q, pt.P)
+			exact, err := theory.ThresholdRingSize(n, pool, pt.Q, pt.P)
 			if err != nil {
 				return nil, err
 			}

@@ -21,11 +21,11 @@ import (
 
 	"github.com/secure-wsn/qcomposite/internal/adversary"
 	"github.com/secure-wsn/qcomposite/internal/channel"
-	"github.com/secure-wsn/qcomposite/internal/core"
 	"github.com/secure-wsn/qcomposite/internal/experiment"
 	"github.com/secure-wsn/qcomposite/internal/keys"
 	"github.com/secure-wsn/qcomposite/internal/montecarlo"
 	"github.com/secure-wsn/qcomposite/internal/rng"
+	"github.com/secure-wsn/qcomposite/internal/theory"
 	"github.com/secure-wsn/qcomposite/internal/wsn"
 )
 
@@ -48,7 +48,7 @@ const (
 	KindMinDegree = "mindegree"
 	// KindDesign is the design-rule endpoint: for each level k = 1..KMax it
 	// computes the smallest ring size achieving the target k-connectivity
-	// probability under Theorem 1 (core.DesignK) and validates it
+	// probability under Theorem 1 (theory.DesignRingSize) and validates it
 	// empirically — exactly cmd/designer's sweep.
 	KindDesign = "design"
 	// KindKStar validates the eq. (9) connectivity threshold K* of each
@@ -526,7 +526,7 @@ func (s *JobSpec) compileMinDegree() (*jobPlan, error) {
 
 // compileDesign lowers a design job: cmd/designer's validation sweep — for
 // each level k on the Xs axis (derived from KMax), deploy at the smallest
-// ring size core.DesignK says achieves the target, and measure
+// ring size theory.DesignRingSize says achieves the target, and measure
 // P[k-connected]. Bit-identical to designer's local SweepKConnectivity run.
 func (s *JobSpec) compileDesign() (*jobPlan, error) {
 	if s.Target <= 0 || s.Target >= 1 {
@@ -559,7 +559,7 @@ func (s *JobSpec) compileDesign() (*jobPlan, error) {
 			if err != nil {
 				return wsn.Config{}, err
 			}
-			ring, err := core.DesignK(s.Sensors, s.Pool, pt.Q, pt.P, k, s.Target)
+			ring, err := theory.DesignRingSize(s.Sensors, s.Pool, pt.Q, pt.P, k, s.Target)
 			if err != nil {
 				return wsn.Config{}, fmt.Errorf("design k=%d: %w", k, err)
 			}
@@ -604,7 +604,7 @@ func (s *JobSpec) compileKStar() (*jobPlan, error) {
 	}
 	grid := s.Grid.Grid()
 	for _, pt := range grid.Points() {
-		if _, err := core.ThresholdK(s.Sensors, s.Pool, pt.Q, pt.P); err != nil {
+		if _, err := theory.ThresholdRingSize(s.Sensors, s.Pool, pt.Q, pt.P); err != nil {
 			return nil, specErrf("spec", "grid point %v: %v", pt, err)
 		}
 	}
@@ -613,7 +613,7 @@ func (s *JobSpec) compileKStar() (*jobPlan, error) {
 		label: fmt.Sprintf("sweepserve/kstar n=%d pool=%d", s.Sensors, s.Pool),
 		grid:  grid,
 		trialBuild: func(pt experiment.GridPoint) (montecarlo.Trial, error) {
-			exact, err := core.ThresholdK(s.Sensors, s.Pool, pt.Q, pt.P)
+			exact, err := theory.ThresholdRingSize(s.Sensors, s.Pool, pt.Q, pt.P)
 			if err != nil {
 				return nil, err
 			}

@@ -1,8 +1,9 @@
-package core
+package qcomposite
 
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/secure-wsn/qcomposite/internal/graphalgo"
@@ -165,19 +166,41 @@ func TestEstimateMinDegreeDominatesKConnectivity(t *testing.T) {
 	}
 }
 
+// TestEstimateDeterminism pins every estimator to its seed alone: one
+// worker and eight workers (which borrow pooled Deployers in a different
+// interleaving) must agree bit for bit.
 func TestEstimateDeterminism(t *testing.T) {
 	m := Model{N: 200, K: 20, P: 2000, Q: 2, ChannelOn: 0.5}
 	ctx := context.Background()
-	a, err := m.EstimateConnectivity(ctx, EstimateConfig{Trials: 50, Workers: 1, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
+	cfgs := [2]EstimateConfig{{Trials: 50, Workers: 1, Seed: 7}, {Trials: 50, Workers: 8, Seed: 7}}
+	var conn, kconn, mindeg [2]stats.Proportion
+	var counts [2][]int
+	for i, cfg := range cfgs {
+		var err error
+		if conn[i], err = m.EstimateConnectivity(ctx, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if kconn[i], err = m.EstimateKConnectivity(ctx, 2, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if mindeg[i], err = m.EstimateMinDegreeAtLeast(ctx, 2, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if counts[i], err = m.DegreeCountDistribution(ctx, 1, cfg); err != nil {
+			t.Fatal(err)
+		}
 	}
-	b, err := m.EstimateConnectivity(ctx, EstimateConfig{Trials: 50, Workers: 8, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
+	if conn[0] != conn[1] {
+		t.Errorf("worker count changed the connectivity estimate: %v vs %v", conn[0], conn[1])
 	}
-	if a.Successes != b.Successes {
-		t.Errorf("worker count changed the estimate: %d vs %d", a.Successes, b.Successes)
+	if kconn[0] != kconn[1] {
+		t.Errorf("worker count changed the 2-connectivity estimate: %v vs %v", kconn[0], kconn[1])
+	}
+	if mindeg[0] != mindeg[1] {
+		t.Errorf("worker count changed the min-degree estimate: %v vs %v", mindeg[0], mindeg[1])
+	}
+	if !slices.Equal(counts[0], counts[1]) {
+		t.Errorf("worker count changed the degree counts:\n%v\n%v", counts[0], counts[1])
 	}
 }
 
@@ -191,11 +214,7 @@ func TestDegreeCountDistribution(t *testing.T) {
 		t.Fatalf("got %d counts", len(counts))
 	}
 	// Counts must be consistent with direct sampling at the same seeds.
-	sampler, err := m.NewSampler()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := sampler.SampleComposite(rng.NewStream(4, 0), m.ChannelOn)
+	g, err := m.Sample(rng.NewStream(4, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
