@@ -10,17 +10,19 @@
 //
 //	P[G(n, z_n) k-conn] − o(1) ≤ P[G_{n,q} k-conn] ≤ P[min degree ≥ k]
 //
-// The model side runs two seed-paired sweeps over the ring-size grid: a CSR
-// SweepProportion for k-connectivity (which needs the graph) and a streaming
-// experiment.SweepMinDegree for the upper bound (graph-free: the channel draw
-// feeds the degree accumulator directly). Because sweep seeds are derived
-// from the grid point and config — not from execution order — equal cfg and
-// grid make trial t of both sweeps deploy the IDENTICAL topology, so the
-// sample-by-sample ordering (k-connected ⇒ min degree ≥ k) still holds by
-// construction; the per-point success counts are checked at runtime. The
-// Erdős–Rényi lower bound is an independent SweepProportion on the same grid
-// (its own seed sub-stream, so the two estimates really are independent),
-// and everything pivots into one table via experiment.PivotSweep.
+// The model side runs two seed-paired sweeps over the ring-size grid, both
+// verdict-only: experiment.CrossSweep at the fixed level k for
+// k-connectivity (a CSR graph only for networks that span with every
+// degree ≥ k) and experiment.SweepMinDegree for the upper bound
+// (graph-free: the channel draw feeds the degree accumulator directly).
+// Because sweep seeds are derived from the grid point and config — not from
+// execution order — equal cfg and grid make trial t of both sweeps deploy
+// the IDENTICAL topology, so the sample-by-sample ordering (k-connected ⇒
+// min degree ≥ k) still holds by construction; the per-point success counts
+// are checked at runtime. The Erdős–Rényi lower bound is an independent
+// SweepProportion on the same grid (its own seed sub-stream, so the two
+// estimates really are independent), and everything pivots into one table
+// via experiment.PivotSweep.
 package main
 
 import (
@@ -67,6 +69,9 @@ func run() error {
 		csvPath  = flag.String("csv", "", "write table CSV to this path")
 	)
 	flag.Parse()
+	if *k < 1 {
+		return fmt.Errorf("connectivity level -k %d must be at least 1", *k)
+	}
 
 	fmt.Printf("Coupling lemmas in practice: n=%d, P=%d, q=%d, p=%g, k=%d\n\n",
 		*n, *pool, *q, *pOn, *k)
@@ -105,11 +110,11 @@ func run() error {
 	}
 
 	// (b) The k-connectivity sandwich. Seeds are parameter-derived, so running
-	// the CSR k-connectivity sweep and the streaming min-degree sweep with the
-	// same grid and cfg deploys the identical topology in trial t of both —
-	// the pairing the legacy one-deployment-two-statistics trial provided,
-	// now with the min-degree half graph-free. The ER lower bound is an
-	// independent sweep on the same grid and seeds.
+	// the k-connectivity sweep and the min-degree sweep with the same grid
+	// and cfg deploys the identical topology in trial t of both — the
+	// pairing the legacy one-deployment-two-statistics trial provided, now
+	// with both halves answered by verdict-only trials. The ER lower bound
+	// is an independent sweep on the same grid and seeds.
 	grid := experiment.Grid{Ks: rings, Qs: []int{*q}, Ps: []float64{*pOn}}
 	cfg := experiment.SweepConfig{Trials: *trials, Workers: *workers, PointWorkers: *pWorkers, Seed: *seed}
 	ctx := context.Background()
@@ -121,26 +126,7 @@ func run() error {
 		}
 		return wsn.Config{Sensors: *n, Scheme: scheme, Channel: channel.OnOff{P: pt.P}}, nil
 	}
-	kconn, err := experiment.SweepProportion(ctx, grid, cfg,
-		func(pt experiment.GridPoint) (montecarlo.Trial, error) {
-			deployCfg, err := build(pt)
-			if err != nil {
-				return nil, err
-			}
-			dp, err := wsn.NewDeployerPool(deployCfg)
-			if err != nil {
-				return nil, err
-			}
-			return func(trial int, r *rng.Rand) (bool, error) {
-				d := dp.Get()
-				defer dp.Put(d)
-				net, err := d.DeployRand(r)
-				if err != nil {
-					return false, err
-				}
-				return net.IsKConnected(*k)
-			}, nil
-		})
+	kconn, err := experiment.CrossSweep(ctx, grid, cfg, experiment.CrossSpec{K: *k, Build: build})
 	if err != nil {
 		return err
 	}

@@ -13,8 +13,9 @@
 // grid with per-point deterministic seeding. Connectivity is
 // union-find-answerable, so every trial runs on the streaming edge path:
 // rings are assigned, the channel draw is streamed edge by edge through the
-// ring intersector into a union-find, and the draw stops as soon as one
-// component remains — no CSR graph, edge list or link key is ever
+// ring intersector into a union-find and degree counters, and the draw
+// stops as soon as one component remains or a sensor the draw has passed
+// is still isolated — no CSR graph, edge list or link key is ever
 // materialized. Estimates are bit-identical to the previous CSR sweep.
 package main
 

@@ -8,10 +8,10 @@
 // connectivity must transition from 0 to 1 tracking the exp(−e^{−β}) limit,
 // where λ_min = (ln n + β)/n.
 //
-// The sweep runs over a (K₁ × μ) grid through experiment.Grid with
-// per-point deterministic seeding; each trial deploys a full class-aware
-// network (keys.Heterogeneous + channel.HeterOnOff) through a reusable
-// wsn.DeployerPool. The per-class on/off matrix defaults to uniform p; set
+// The sweep runs over a (K₁ × μ) grid through experiment.SweepConnectivity
+// with per-point deterministic seeding; each trial streams one class-aware
+// deployment (keys.Heterogeneous + channel.HeterOnOff) through a reusable
+// wsn.DeployerPool until its connectivity verdict is decided. The per-class on/off matrix defaults to uniform p; set
 // -p12/-p22 to exercise the heterogeneous channel model.
 //
 // With -kconn k ≥ 1 the tool switches to the heterogeneous k-connectivity
@@ -33,8 +33,6 @@ import (
 	"github.com/secure-wsn/qcomposite/internal/cmdutil"
 	"github.com/secure-wsn/qcomposite/internal/experiment"
 	"github.com/secure-wsn/qcomposite/internal/keys"
-	"github.com/secure-wsn/qcomposite/internal/montecarlo"
-	"github.com/secure-wsn/qcomposite/internal/rng"
 	"github.com/secure-wsn/qcomposite/internal/theory"
 	"github.com/secure-wsn/qcomposite/internal/wsn"
 )
@@ -136,29 +134,13 @@ func run() error {
 	ctx, stop := cmdutil.SignalContext()
 	defer stop()
 	start := time.Now()
-	results, err := experiment.SweepProportion(ctx, grid, cfg,
-		func(pt experiment.GridPoint) (montecarlo.Trial, error) {
+	results, err := experiment.SweepConnectivity(ctx, grid, cfg,
+		func(pt experiment.GridPoint) (wsn.Config, error) {
 			scheme, err := keys.NewHeterogeneous(*pool, pt.Q, classesFor(pt.X, pt.K))
 			if err != nil {
-				return nil, err
+				return wsn.Config{}, err
 			}
-			dp, err := wsn.NewDeployerPool(wsn.Config{
-				Sensors: *n,
-				Scheme:  scheme,
-				Channel: ch,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return func(trial int, r *rng.Rand) (bool, error) {
-				d := dp.Get()
-				defer dp.Put(d)
-				net, err := d.DeployRand(r)
-				if err != nil {
-					return false, err
-				}
-				return net.IsConnected()
-			}, nil
+			return wsn.Config{Sensors: *n, Scheme: scheme, Channel: ch}, nil
 		})
 	if err != nil {
 		return journal.Hint(err)

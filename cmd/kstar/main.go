@@ -11,9 +11,9 @@
 // published values (35, 41, 52, 60, 67, 78) track the asymptotic one (the
 // q = 2 row exactly, the q = 3 row within +1); see EXPERIMENTS.md.
 //
-// The simulation runs through experiment.SweepProportion over the (q, p)
-// grid — per-point parameter-derived seeds, trials on a reusable
-// wsn.DeployerPool — and the table is assembled by the shared
+// The simulation runs through experiment.SweepConnectivity over the (q, p)
+// grid — per-point parameter-derived seeds, verdict-only trials on a
+// reusable wsn.DeployerPool — and the table is assembled by the shared
 // Measurement/PivotSweep presenter.
 package main
 
@@ -29,8 +29,6 @@ import (
 	"github.com/secure-wsn/qcomposite/internal/channel"
 	"github.com/secure-wsn/qcomposite/internal/experiment"
 	"github.com/secure-wsn/qcomposite/internal/keys"
-	"github.com/secure-wsn/qcomposite/internal/montecarlo"
-	"github.com/secure-wsn/qcomposite/internal/rng"
 	"github.com/secure-wsn/qcomposite/internal/sweepserve"
 	"github.com/secure-wsn/qcomposite/internal/theory"
 	"github.com/secure-wsn/qcomposite/internal/wsn"
@@ -105,34 +103,18 @@ func run() error {
 			Grid:    sweepserve.GridSpec{Qs: qs, Ps: ps},
 		})
 	} else {
-		results, err = experiment.SweepProportion(context.Background(), grid,
+		results, err = experiment.SweepConnectivity(context.Background(), grid,
 			experiment.SweepConfig{Trials: *trials, Workers: *workers, PointWorkers: *pWorkers, Seed: *seed},
-			func(pt experiment.GridPoint) (montecarlo.Trial, error) {
+			func(pt experiment.GridPoint) (wsn.Config, error) {
 				exact, _, err := thresholds(pt)
 				if err != nil {
-					return nil, err
+					return wsn.Config{}, err
 				}
 				scheme, err := keys.NewQComposite(*pool, exact, pt.Q)
 				if err != nil {
-					return nil, err
+					return wsn.Config{}, err
 				}
-				dp, err := wsn.NewDeployerPool(wsn.Config{
-					Sensors: *n,
-					Scheme:  scheme,
-					Channel: channel.OnOff{P: pt.P},
-				})
-				if err != nil {
-					return nil, err
-				}
-				return func(trial int, r *rng.Rand) (bool, error) {
-					d := dp.Get()
-					defer dp.Put(d)
-					net, err := d.DeployRand(r)
-					if err != nil {
-						return false, err
-					}
-					return net.IsConnected()
-				}, nil
+				return wsn.Config{Sensors: *n, Scheme: scheme, Channel: channel.OnOff{P: pt.P}}, nil
 			})
 	}
 	if err != nil {

@@ -6,10 +6,10 @@
 //
 // The sweep runs through experiment.SweepKConnectivity over the (K × k)
 // grid — the Xs axis carries the connectivity levels — with per-point
-// deterministic seeding; each trial deploys a full network through a
+// deterministic seeding; each trial is a verdict-only deployment through a
 // reusable wsn.DeployerPool (zero steady-state allocation: channel sampling,
-// CSR construction and the k-connectivity test all run on deployer-owned
-// scratch). With -pointworkers > 0 the grid points themselves shard across
+// any CSR construction and the k-connectivity test all run on
+// deployer-owned scratch), stopped as soon as its verdict is decided. With -pointworkers > 0 the grid points themselves shard across
 // workers, bit-identically to the sequential run.
 package main
 

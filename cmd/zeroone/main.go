@@ -8,9 +8,10 @@
 // The sweep runs through experiment.CrossSweep over the (n × branch) grid
 // with per-point deterministic seeding; each trial deploys through a
 // reusable wsn.DeployerPool (zero steady-state allocation on the trial
-// loop). With -k=1 the sweep auto-selects the streaming edge path (union-find
-// over streamed channel edges, no CSR, early exit once connected); k ≥ 2
-// deploys full networks for the exact k-connectivity decision.
+// loop) as a verdict-only trial: the channel draw streams into union-find
+// and degree sinks and stops once the verdict is decided either way. Only
+// at k ≥ 2, and only for a network that spans with every degree ≥ k, is a
+// CSR graph built for the exact k-connectivity decision.
 package main
 
 import (

@@ -46,11 +46,14 @@ func TestErrorPropagationThroughFacade(t *testing.T) {
 	if _, err := invalidModel.DegreeCountDistribution(ctx, 1, EstimateConfig{Trials: 5, Seed: 1}); err == nil {
 		t.Error("DegreeCountDistribution on invalid model: want error")
 	}
-	// Every graph has minimum degree ≥ −1, so a negative level must be
-	// rejected rather than estimated as P = 1.
+	// Every graph has minimum degree ≥ −1 and is (−1)-connected, so a
+	// negative level must be rejected rather than estimated as P = 1.
 	valid := Model{N: 50, K: 10, P: 100, Q: 1, ChannelOn: 0.5}
 	if _, err := valid.EstimateMinDegreeAtLeast(ctx, -1, EstimateConfig{Trials: 5, Seed: 1}); err == nil {
 		t.Error("EstimateMinDegreeAtLeast with k = -1: want error")
+	}
+	if _, err := valid.EstimateKConnectivity(ctx, -1, EstimateConfig{Trials: 5, Seed: 1}); err == nil {
+		t.Error("EstimateKConnectivity with k = -1: want error")
 	}
 }
 

@@ -64,6 +64,20 @@ func Emit(m Model, r *rng.Rand, n int, labels []uint8, yield func(u, v int32) bo
 	return m.EmitEdges(r, n, yield)
 }
 
+// RowMajor reports whether m's draws yield every on pair once as (u, v)
+// with u < v and u nondecreasing across the draw. When a draw of such a
+// model yields its first edge with some u, every node below u has seen all
+// of its edges. OnOff (the triangle walk of randgraph.EmitErdosRenyi) and
+// AlwaysOn (a double loop) are row-major. Disk walks its cell grid and
+// HeterOnOff its class-pair blocks, so they are not.
+func RowMajor(m Model) bool {
+	switch m.(type) {
+	case OnOff, AlwaysOn:
+		return true
+	}
+	return false
+}
+
 // Sample draws one channel graph on n nodes: Emit collected into CSR by b.
 // A nil b means a fresh builder; a reused builder keeps repeated draws
 // allocation-free, and the returned graph then follows the builder's

@@ -221,3 +221,36 @@ func TestEmitEdgesValidation(t *testing.T) {
 		t.Error("label beyond class count: want error")
 	}
 }
+
+// TestRowMajorDraws checks the RowMajor contract on real draws: a model
+// reported row-major yields every pair once as (u, v) with u < v and u
+// nondecreasing, and the models whose walks are not row-major report false.
+func TestRowMajorDraws(t *testing.T) {
+	for _, m := range []Model{OnOff{}, OnOff{P: 0.01}, OnOff{P: 0.3}, OnOff{P: 1}, AlwaysOn{}} {
+		if !RowMajor(m) {
+			t.Fatalf("%s: RowMajor = false, want true", m.Name())
+		}
+		for _, n := range []int{0, 1, 2, 3, 60} {
+			for seed := uint64(0); seed < 3; seed++ {
+				seen := make(map[graph.Edge]bool)
+				lastU := int32(-1)
+				if err := Emit(m, rng.New(seed), n, nil, func(u, v int32) bool {
+					e := graph.Edge{U: u, V: v}
+					if u >= v || u < lastU || seen[e] {
+						t.Fatalf("%s n=%d seed=%d: edge (%d,%d) after row %d breaks row-major order", m.Name(), n, seed, u, v, lastU)
+					}
+					seen[e] = true
+					lastU = u
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for _, m := range []Model{Disk{Radius: 0.2}, Disk{Radius: 0.2, Torus: true}, UniformHeterOnOff(1, 0.5), UniformHeterOnOff(2, 0.5)} {
+		if RowMajor(m) {
+			t.Errorf("%s: RowMajor = true, want false", m.Name())
+		}
+	}
+}

@@ -12,10 +12,10 @@ package experiment
 // grid axis can never silently drive two model quantities at once: binding
 // the axis to both k and a radius (or binding a channel parameter while the
 // build callback also supplies a channel) is a validation error, not a
-// precedence rule. Every trial deploys a full network through a per-point
-// wsn.DeployerPool, so cross sweeps run on the zero-allocation trial loop,
-// shard bit-identically under SweepConfig.PointWorkers, and derive per-point
-// seeds from parameters like every other sweep.
+// precedence rule. Every trial runs one verdict-only deployment through a
+// per-point wsn.DeployerPool, so cross sweeps run on the zero-allocation
+// trial loop, shard bit-identically under SweepConfig.PointWorkers, and
+// derive per-point seeds from parameters like every other sweep.
 
 import (
 	"context"
@@ -33,7 +33,7 @@ type XBinding uint8
 const (
 	// BindK binds the Xs axis to the connectivity level k: values must be
 	// positive integers stored exactly (KLevels produces them) and each
-	// point tests wsn.Network.IsKConnected at its own level.
+	// point decides k-connectivity at its own level.
 	BindK XBinding = iota + 1
 	// BindDiskRadius binds the Xs axis to the disk-channel radius: each
 	// point deploys under channel.Disk{Radius: pt.X, Torus: spec.Torus}.
@@ -136,14 +136,6 @@ func (s CrossSpec) bindsChannel() bool {
 	return false
 }
 
-// PointDeployment resolves the wsn.Config and connectivity level of one grid
-// point under the spec's bindings. Exported so orchestration layers (the
-// sweep server) can reproduce CrossSweep's per-point deployment exactly
-// while owning the trial loop themselves.
-func (s CrossSpec) PointDeployment(pt GridPoint) (wsn.Config, int, error) {
-	return s.pointDeployment(pt)
-}
-
 // pointDeployment resolves the wsn.Config and connectivity level of one grid
 // point under the spec's bindings.
 func (s CrossSpec) pointDeployment(pt GridPoint) (wsn.Config, int, error) {
@@ -183,50 +175,37 @@ func (s CrossSpec) pointDeployment(pt GridPoint) (wsn.Config, int, error) {
 // sweep composes with PointWorkers sharding, parameter-derived seeds, and
 // the allocation-free trial loop like every SweepProportion workload.
 //
-// Points whose resolved level is k = 1 are union-find-answerable and
-// auto-select the streaming fast path (wsn.Deployer.DeployConnectivityRand:
-// no CSR, early exit on the connected plateau); k ≥ 2 points deploy full
-// networks and run the exact k-connectivity decision. The verdicts are
-// identical either way, so mixed-level sweeps (e.g. a BindK grid with
-// levels {1, 2, 3}) stay bit-for-bit reproducible.
+// Every point, whatever its level, runs the verdict-only trial
+// wsn.Deployer.KConnectedRand (see PointTrial): the channel draw streams
+// into union-find and degree sinks and stops once the verdict is decided,
+// and only a k ≥ 2 point whose network spans with every degree ≥ k builds
+// a CSR graph for the exact k-connectivity decision. The verdicts equal
+// DeployRand + IsKConnected at every level, so mixed-level sweeps (e.g. a
+// BindK grid with levels {1, 2, 3}) stay bit-for-bit reproducible.
 func CrossSweep(ctx context.Context, grid Grid, cfg SweepConfig, spec CrossSpec) ([]ProportionResult, error) {
 	if err := spec.Validate(grid); err != nil {
 		return nil, err
 	}
-	return SweepProportion(ctx, grid, cfg,
-		func(pt GridPoint) (montecarlo.Trial, error) {
-			deployCfg, k, err := spec.pointDeployment(pt)
-			if err != nil {
-				return nil, err
-			}
-			dp, err := wsn.NewDeployerPool(deployCfg)
-			if err != nil {
-				return nil, err
-			}
-			if k == 1 {
-				n := deployCfg.Sensors
-				return func(trial int, r *rng.Rand) (bool, error) {
-					d := dp.Get()
-					defer dp.Put(d)
-					st, err := d.DeployConnectivityRand(r)
-					if err != nil {
-						return false, err
-					}
-					// IsKConnected(1) is false for n ≤ 1 (a graph needs more
-					// than k vertices); ConnStats.Connected follows the
-					// IsConnected convention (n ≤ 1 connected). Preserve the
-					// k-connectivity convention exactly.
-					return st.Connected && n > 1, nil
-				}, nil
-			}
-			return func(trial int, r *rng.Rand) (bool, error) {
-				d := dp.Get()
-				defer dp.Put(d)
-				net, err := d.DeployRand(r)
-				if err != nil {
-					return false, err
-				}
-				return net.IsKConnected(k)
-			}, nil
-		})
+	return SweepProportion(ctx, grid, cfg, spec.PointTrial)
+}
+
+// PointTrial resolves one grid point's deployment and level under the
+// spec's bindings and returns its CrossSweep trial: KConnectedRand at the
+// point's level on a Deployer borrowed from a dedicated pool. Exported so
+// orchestration layers (the sweep server) reproduce CrossSweep exactly
+// while owning the trial loop themselves; validate the spec first.
+func (s CrossSpec) PointTrial(pt GridPoint) (montecarlo.Trial, error) {
+	deployCfg, k, err := s.pointDeployment(pt)
+	if err != nil {
+		return nil, err
+	}
+	dp, err := wsn.NewDeployerPool(deployCfg)
+	if err != nil {
+		return nil, err
+	}
+	return func(trial int, r *rng.Rand) (bool, error) {
+		d := dp.Get()
+		defer dp.Put(d)
+		return d.KConnectedRand(r, k)
+	}, nil
 }

@@ -5,9 +5,9 @@ package experiment
 // P[k-connected] over the same (K, q, p) grids as plain connectivity, with k
 // itself a sweep axis. SweepKConnectivity runs that shape on the deployment
 // pipeline: the Grid's Xs axis carries the connectivity levels, and every
-// trial deploys one full network through a per-point wsn.DeployerPool and
-// tests wsn.Network.IsKConnected — so the sweep composes with PointWorkers
-// sharding and the zero-allocation trial loop like every other sweep.
+// trial answers wsn.Deployer.KConnectedRand on a per-point
+// wsn.DeployerPool — so the sweep composes with PointWorkers sharding and
+// the zero-allocation trial loop like every other sweep.
 
 import (
 	"context"

@@ -1,15 +1,18 @@
 package experiment
 
 // The streaming fast path: sweep entry points whose per-point measurements
-// are union-find-answerable — connectivity, giant-component fraction,
-// isolated fraction, component count — run their trials through
-// wsn.Deployer.DeployConnectivityRand, which streams the channel draw
-// straight into a StreamUnionFind and never builds a CSR graph. Verdicts are
-// bit-identical to the CSR path (same parameter-derived seeds, same booleans
-// and sizes per trial), so these are drop-in replacements for the
-// SweepProportion/SweepMeanVec idioms the cmds used before; measurements that
-// need the graph itself (k ≥ 2, spectral, positions) keep deploying CSR
-// networks.
+// are answerable without a graph run their trials on wsn.Deployer's
+// streaming modes, which pass the channel draw through the ring intersector
+// straight into union-find and degree sinks. Verdict sweeps — connectivity,
+// min degree ≥ k, and k-connectivity through CrossSweep — run the
+// verdict-only trials (wsn.Deployer.KConnectedRand, MinDegreeAtLeastRand),
+// which stop each draw as soon as its answer is decided either way and build
+// a CSR graph only to confirm a k ≥ 2 "yes". The statistics sweep
+// (SweepConnStats) runs DeployConnectivityRand to the end of the draw or
+// the connected plateau. Every verdict and statistic is bit-identical to
+// the CSR path (same parameter-derived seeds, same booleans and sizes per
+// trial); measurements that need the graph itself (spectral, positions,
+// degree histograms) keep deploying CSR networks.
 
 import (
 	"context"
@@ -22,59 +25,71 @@ import (
 
 // SweepConnectivity estimates P[secure topology connected] at every grid
 // point on the streaming path: build returns the point's deployment (like
-// CrossSpec.Build), each trial streams one deployment into a union-find and
-// reports its Connected verdict. Seeding, sharding (PointWorkers) and result
-// order follow SweepProportion exactly, and the estimates are bit-identical
-// to a CSR IsConnected sweep with the same grid, config and build.
+// CrossSpec.Build), and each trial is one ConnectivityTrials verdict.
+// Seeding, sharding (PointWorkers) and result order follow SweepProportion
+// exactly, and the estimates are bit-identical to a CSR IsConnected sweep
+// with the same grid, config and build.
 func SweepConnectivity(ctx context.Context, grid Grid, cfg SweepConfig,
 	build func(pt GridPoint) (wsn.Config, error)) ([]ProportionResult, error) {
-	return SweepProportion(ctx, grid, cfg,
-		func(pt GridPoint) (montecarlo.Trial, error) {
-			dp, _, err := connectivityPool(pt, build)
-			if err != nil {
-				return nil, err
-			}
-			return func(trial int, r *rng.Rand) (bool, error) {
-				d := dp.Get()
-				defer dp.Put(d)
-				st, err := d.DeployConnectivityRand(r)
-				if err != nil {
-					return false, err
-				}
-				return st.Connected, nil
-			}, nil
-		})
+	return SweepProportion(ctx, grid, cfg, ConnectivityTrials(build))
+}
+
+// ConnectivityTrials returns SweepConnectivity's per-point trial builder,
+// for callers that run the trial loop themselves (the sweep server): each
+// point's deployment goes into a DeployerPool, and each trial answers
+// whether the secure topology is connected through KConnectedRand(r, 1).
+// n ≤ 1 counts as connected, the Network.IsConnected convention.
+func ConnectivityTrials(build func(pt GridPoint) (wsn.Config, error)) func(pt GridPoint) (montecarlo.Trial, error) {
+	return verdictTrials(build, func(d *wsn.Deployer, r *rng.Rand, n int) (bool, error) {
+		if n <= 1 {
+			return true, nil
+		}
+		return d.KConnectedRand(r, 1)
+	})
 }
 
 // SweepMinDegree estimates P[secure min degree ≥ k] at every grid point on
-// the streaming path: each trial streams one deployment through the degree
-// accumulator (no CSR graph at any n) and reports the MinDegreeAtLeastK
-// verdict. This is the min-degree half of the paper's zero–one law, whose
-// limit equals the k-connectivity limit (eq. (7) = (76)). Seeding, sharding
-// and result order follow SweepProportion exactly, and the estimates are
-// bit-identical to a CSR FullSecureTopology().MinDegree() >= k sweep with
-// the same grid, config and build. k must be non-negative.
+// the streaming path: each trial is one MinDegreeTrials verdict. This is
+// the min-degree half of the paper's zero–one law, whose limit equals the
+// k-connectivity limit (eq. (7) = (76)). Seeding, sharding and result order
+// follow SweepProportion exactly, and the estimates are bit-identical to a
+// CSR FullSecureTopology().MinDegree() >= k sweep with the same grid,
+// config and build, except that n = 0 counts as vacuously true. k must be
+// non-negative.
 func SweepMinDegree(ctx context.Context, grid Grid, cfg SweepConfig, k int,
 	build func(pt GridPoint) (wsn.Config, error)) ([]ProportionResult, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("experiment: min-degree sweep with negative k = %d", k)
 	}
-	return SweepProportion(ctx, grid, cfg,
-		func(pt GridPoint) (montecarlo.Trial, error) {
-			dp, _, err := connectivityPool(pt, build)
-			if err != nil {
-				return nil, err
-			}
-			return func(trial int, r *rng.Rand) (bool, error) {
-				d := dp.Get()
-				defer dp.Put(d)
-				st, err := d.DeployDegreeStatsRand(r, k)
-				if err != nil {
-					return false, err
-				}
-				return st.MinDegreeAtLeastK, nil
-			}, nil
-		})
+	return SweepProportion(ctx, grid, cfg, MinDegreeTrials(k, build))
+}
+
+// MinDegreeTrials returns SweepMinDegree's per-point trial builder: each
+// trial answers MinDegreeAtLeastRand(r, k) on a Deployer borrowed from the
+// point's DeployerPool (no CSR graph at any n). A negative k fails every
+// trial.
+func MinDegreeTrials(k int, build func(pt GridPoint) (wsn.Config, error)) func(pt GridPoint) (montecarlo.Trial, error) {
+	return verdictTrials(build, func(d *wsn.Deployer, r *rng.Rand, _ int) (bool, error) {
+		return d.MinDegreeAtLeastRand(r, k)
+	})
+}
+
+// verdictTrials builds each grid point's deployment into a DeployerPool and
+// returns trials that answer verdict on a borrowed Deployer; n is the
+// point's sensor count.
+func verdictTrials(build func(pt GridPoint) (wsn.Config, error),
+	verdict func(d *wsn.Deployer, r *rng.Rand, n int) (bool, error)) func(pt GridPoint) (montecarlo.Trial, error) {
+	return func(pt GridPoint) (montecarlo.Trial, error) {
+		dp, n, err := connectivityPool(pt, build)
+		if err != nil {
+			return nil, err
+		}
+		return func(trial int, r *rng.Rand) (bool, error) {
+			d := dp.Get()
+			defer dp.Put(d)
+			return verdict(d, r, n)
+		}, nil
+	}
 }
 
 // ConnStat selects one union-find-answerable statistic of a deployment for

@@ -70,6 +70,18 @@ func (s *StreamDegrees) Degree(v int32) int { return int(s.deg[v]) }
 // exact once it reaches 0 or the stream ends.
 func (s *StreamDegrees) BelowK() int { return s.belowK }
 
+// AnyBelowK reports whether some vertex in [lo, hi) has current degree
+// < k. A producer that knows those vertices will see no further edges uses
+// it as the early-exit signal of a "min degree ≥ k" verdict that is false.
+func (s *StreamDegrees) AnyBelowK(lo, hi int32) bool {
+	for _, d := range s.deg[lo:hi] {
+		if d < s.k {
+			return true
+		}
+	}
+	return false
+}
+
 // AllAtLeastK reports whether every vertex has reached degree k — the
 // min-degree ≥ k verdict, final as soon as it turns true (vacuously true
 // for n = 0 or k ≤ 0). Producers use it as an early-exit signal.

@@ -24,7 +24,6 @@ import (
 	"github.com/secure-wsn/qcomposite/internal/experiment"
 	"github.com/secure-wsn/qcomposite/internal/keys"
 	"github.com/secure-wsn/qcomposite/internal/montecarlo"
-	"github.com/secure-wsn/qcomposite/internal/rng"
 	"github.com/secure-wsn/qcomposite/internal/theory"
 	"github.com/secure-wsn/qcomposite/internal/wsn"
 )
@@ -351,7 +350,7 @@ func (s *JobSpec) compile() (*jobPlan, error) {
 	panic("unreachable")
 }
 
-// compileConnectivity lowers a connectivity job: the streaming trial of
+// compileConnectivity lowers a connectivity job: the verdict trial of
 // experiment.SweepConnectivity, point for point.
 func (s *JobSpec) compileConnectivity() (*jobPlan, error) {
 	grid := s.Grid.Grid()
@@ -362,26 +361,8 @@ func (s *JobSpec) compileConnectivity() (*jobPlan, error) {
 		kind: experiment.KindProportion,
 		label: fmt.Sprintf("sweepserve/connectivity n=%d pool=%d scheme=%s channel=%s",
 			s.Sensors, s.Pool, s.schemeLabel(), s.channelLabel()),
-		grid: grid,
-		trialBuild: func(pt experiment.GridPoint) (montecarlo.Trial, error) {
-			cfg, err := s.configFor(pt)
-			if err != nil {
-				return nil, err
-			}
-			dp, err := wsn.NewDeployerPool(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return func(trial int, r *rng.Rand) (bool, error) {
-				d := dp.Get()
-				defer dp.Put(d)
-				st, err := d.DeployConnectivityRand(r)
-				if err != nil {
-					return false, err
-				}
-				return st.Connected, nil
-			}, nil
-		},
+		grid:       grid,
+		trialBuild: experiment.ConnectivityTrials(s.configFor),
 	}, nil
 }
 
@@ -418,9 +399,10 @@ func (s *JobSpec) crossSpec() (experiment.CrossSpec, *SpecError) {
 	return spec, nil
 }
 
-// compileCross lowers kconn and cross jobs: the CrossSweep trial —
-// streaming union-find at k = 1, full deployment + exact k-connectivity
-// decision at k ≥ 2 — point for point.
+// compileCross lowers kconn and cross jobs: the CrossSweep trial
+// (CrossSpec.PointTrial), point for point. The server funnels every
+// proportion job through a trialBuild so the manager's WrapTrialBuild hook
+// (fault injection in the integration suite) sees them all.
 func (s *JobSpec) compileCross() (*jobPlan, error) {
 	grid := s.Grid.Grid()
 	spec, serr := s.crossSpec()
@@ -443,50 +425,11 @@ func (s *JobSpec) compileCross() (*jobPlan, error) {
 		label: fmt.Sprintf("sweepserve/%s n=%d pool=%d scheme=%s channel=%s binding=%s torus=%t k=%d",
 			s.Kind, s.Sensors, s.Pool, s.schemeLabel(), s.channelLabel(), s.Binding, s.Torus, s.K),
 		grid:       grid,
-		trialBuild: crossTrialBuild(spec, s.Sensors),
+		trialBuild: spec.PointTrial,
 	}, nil
 }
 
-// crossTrialBuild is the per-point trial of experiment.CrossSweep: resolve
-// the bound deployment and level, then stream (k = 1) or deploy + exact
-// decision (k ≥ 2). Equivalence with CrossSweep is pinned by tests — the
-// server funnels every proportion job through a trialBuild so the manager's
-// WrapTrialBuild hook (fault injection in the integration suite) sees them
-// all.
-func crossTrialBuild(spec experiment.CrossSpec, sensors int) func(pt experiment.GridPoint) (montecarlo.Trial, error) {
-	return func(pt experiment.GridPoint) (montecarlo.Trial, error) {
-		deployCfg, k, err := spec.PointDeployment(pt)
-		if err != nil {
-			return nil, err
-		}
-		dp, err := wsn.NewDeployerPool(deployCfg)
-		if err != nil {
-			return nil, err
-		}
-		if k == 1 {
-			return func(trial int, r *rng.Rand) (bool, error) {
-				d := dp.Get()
-				defer dp.Put(d)
-				st, err := d.DeployConnectivityRand(r)
-				if err != nil {
-					return false, err
-				}
-				return st.Connected && sensors > 1, nil
-			}, nil
-		}
-		return func(trial int, r *rng.Rand) (bool, error) {
-			d := dp.Get()
-			defer dp.Put(d)
-			net, err := d.DeployRand(r)
-			if err != nil {
-				return false, err
-			}
-			return net.IsKConnected(k)
-		}, nil
-	}
-}
-
-// compileMinDegree lowers a min-degree job: the streaming degree trial of
+// compileMinDegree lowers a min-degree job: the verdict trial of
 // experiment.SweepMinDegree, point for point.
 func (s *JobSpec) compileMinDegree() (*jobPlan, error) {
 	if s.K < 0 {
@@ -501,26 +444,8 @@ func (s *JobSpec) compileMinDegree() (*jobPlan, error) {
 		kind: experiment.KindProportion,
 		label: fmt.Sprintf("sweepserve/mindegree n=%d pool=%d scheme=%s channel=%s k=%d",
 			s.Sensors, s.Pool, s.schemeLabel(), s.channelLabel(), k),
-		grid: grid,
-		trialBuild: func(pt experiment.GridPoint) (montecarlo.Trial, error) {
-			cfg, err := s.configFor(pt)
-			if err != nil {
-				return nil, err
-			}
-			dp, err := wsn.NewDeployerPool(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return func(trial int, r *rng.Rand) (bool, error) {
-				d := dp.Get()
-				defer dp.Put(d)
-				st, err := d.DeployDegreeStatsRand(r, k)
-				if err != nil {
-					return false, err
-				}
-				return st.MinDegreeAtLeastK, nil
-			}, nil
-		},
+		grid:       grid,
+		trialBuild: experiment.MinDegreeTrials(k, s.configFor),
 	}, nil
 }
 
@@ -581,14 +506,14 @@ func (s *JobSpec) compileDesign() (*jobPlan, error) {
 		label: fmt.Sprintf("sweepserve/design n=%d pool=%d target=%g kmax=%d",
 			s.Sensors, s.Pool, s.Target, s.KMax),
 		grid:       grid,
-		trialBuild: crossTrialBuild(spec, s.Sensors),
+		trialBuild: spec.PointTrial,
 	}, nil
 }
 
 // compileKStar lowers a kstar job: cmd/kstar's validation sweep — deploy
 // each (q, p) point at its exact eq. (9) threshold K* and measure
-// P[connected] on full deployments. Bit-identical to kstar's local
-// SweepProportion run.
+// P[connected] with the connectivity verdict. Bit-identical to kstar's
+// local SweepConnectivity run.
 func (s *JobSpec) compileKStar() (*jobPlan, error) {
 	if len(s.Grid.Qs) == 0 || len(s.Grid.Ps) == 0 {
 		return nil, specErrf("grid.qs", "kstar jobs need the overlap (Qs) and channel (Ps) axes")
@@ -612,33 +537,17 @@ func (s *JobSpec) compileKStar() (*jobPlan, error) {
 		kind:  experiment.KindProportion,
 		label: fmt.Sprintf("sweepserve/kstar n=%d pool=%d", s.Sensors, s.Pool),
 		grid:  grid,
-		trialBuild: func(pt experiment.GridPoint) (montecarlo.Trial, error) {
+		trialBuild: experiment.ConnectivityTrials(func(pt experiment.GridPoint) (wsn.Config, error) {
 			exact, err := theory.ThresholdRingSize(s.Sensors, s.Pool, pt.Q, pt.P)
 			if err != nil {
-				return nil, err
+				return wsn.Config{}, err
 			}
 			scheme, err := keys.NewQComposite(s.Pool, exact, pt.Q)
 			if err != nil {
-				return nil, err
+				return wsn.Config{}, err
 			}
-			dp, err := wsn.NewDeployerPool(wsn.Config{
-				Sensors: s.Sensors,
-				Scheme:  scheme,
-				Channel: channel.OnOff{P: pt.P},
-			})
-			if err != nil {
-				return nil, err
-			}
-			return func(trial int, r *rng.Rand) (bool, error) {
-				d := dp.Get()
-				defer dp.Put(d)
-				net, err := d.DeployRand(r)
-				if err != nil {
-					return false, err
-				}
-				return net.IsConnected()
-			}, nil
-		},
+			return wsn.Config{Sensors: s.Sensors, Scheme: scheme, Channel: channel.OnOff{P: pt.P}}, nil
+		}),
 	}, nil
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"github.com/secure-wsn/qcomposite/internal/channel"
 	"github.com/secure-wsn/qcomposite/internal/keys"
+	"github.com/secure-wsn/qcomposite/internal/rng"
 )
 
 // TestConnectivityTrialAllocBudget is the alloc-budget regression gate on
@@ -16,7 +17,9 @@ import (
 // (DeployConnectivity, whose persistent yield closure keeps the
 // channel.Model interface crossing allocation-free), and on the streaming
 // degree path (DeployDegreeStats, same closure discipline with the degree
-// accumulator riding beside the union-find).
+// accumulator riding beside the union-find), and on the verdict-only trials
+// (KConnectedRand at k = 1 and k = 2, whose prefix check builds a CSR graph
+// through the reused builder, and MinDegreeAtLeastRand).
 func TestConnectivityTrialAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate needs the full n=1000 deployment")
@@ -30,6 +33,16 @@ func TestConnectivityTrialAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := uint64(0)
+	var r rng.Rand
+	verdict := func(v func(*rng.Rand, int) (bool, error), k int) func() {
+		return func() {
+			seed++
+			r.Reseed(seed)
+			if _, err := v(&r, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	trials := map[string]func(){
 		"csr": func() {
 			seed++
@@ -53,6 +66,9 @@ func TestConnectivityTrialAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
+		"verdict-kconn-1":   verdict(d.KConnectedRand, 1),
+		"verdict-kconn-2":   verdict(d.KConnectedRand, 2),
+		"verdict-mindegree": verdict(d.MinDegreeAtLeastRand, 2),
 	}
 	for name, trial := range trials {
 		t.Run(name, func(t *testing.T) {

@@ -19,10 +19,13 @@ import (
 // only until the next Deploy/DeployRand call (the storage is double-buffered,
 // so the previous network is not corrupted *while* the next deployment is
 // being built, but callers must not rely on more than one network at a
-// time). Callers that need a long-lived network should use the package-level
-// Deploy, which dedicates a Deployer to the one network. A Deployer is not
-// safe for concurrent use — use a DeployerPool to share one configuration
-// across Monte Carlo workers.
+// time). Any other call on the Deployer — the streaming modes and the
+// verdict-only trials KConnectedRand and MinDegreeAtLeastRand, which may
+// build a CSR graph of their own — ends the lifetime of every Network
+// deployed before it. Callers that need a long-lived network should use
+// the package-level Deploy, which dedicates a Deployer to the one network.
+// A Deployer is not safe for concurrent use — use a DeployerPool to share
+// one configuration across Monte Carlo workers.
 //
 // Every deployment mode runs one pipeline: assign the key rings, reset a
 // keys.Intersector on them, and stream the channel draw edge by edge
@@ -77,6 +80,11 @@ type Deployer struct {
 	// persistent yield closure (early exit needs BOTH sinks done).
 	sd       graphalgo.StreamDegrees
 	degYield func(u, v int32) bool
+
+	// Verdict-only trials (KConnectedRand, MinDegreeAtLeastRand): one
+	// persistent yield closure over the sinks above, steered by this state.
+	verdictYield func(u, v int32) bool
+	vt           verdictTrial
 }
 
 // NewDeployer validates the configuration (including the channel model's

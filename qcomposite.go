@@ -202,23 +202,16 @@ func (m Model) estimate(ctx context.Context, cfg EstimateConfig,
 
 // EstimateKConnectivity estimates P[G_{n,q} is k-connected] by sampling
 // cfg.Trials topologies (the empirical quantity of the paper's Figure 1,
-// generalised to any k). k = 1 runs the graph-free streamed pass; larger k
-// deploys the CSR topology and runs the exact k-connectivity decision.
+// generalised to any k). Each trial is one verdict-only deployment
+// (wsn.Deployer.KConnectedRand): the channel draw stops as soon as the
+// verdict is decided, and a CSR graph is built only to confirm a k ≥ 2
+// "yes". k must be non-negative; k = 0 is certain.
 func (m Model) EstimateKConnectivity(ctx context.Context, k int, cfg EstimateConfig) (stats.Proportion, error) {
-	if k == 1 {
-		return m.estimate(ctx, cfg, func(d *wsn.Deployer, r *rng.Rand) (bool, error) {
-			st, err := d.DeployConnectivityRand(r)
-			// A graph needs more than k vertices to be k-connected, while
-			// ConnStats counts n ≤ 1 as connected.
-			return st.Connected && m.N > 1, err
-		})
+	if k < 0 {
+		return stats.Proportion{}, fmt.Errorf("qcomposite: negative connectivity level %d", k)
 	}
 	return m.estimate(ctx, cfg, func(d *wsn.Deployer, r *rng.Rand) (bool, error) {
-		net, err := d.DeployRand(r)
-		if err != nil {
-			return false, err
-		}
-		return net.IsKConnected(k)
+		return d.KConnectedRand(r, k)
 	})
 }
 
@@ -236,8 +229,7 @@ func (m Model) EstimateMinDegreeAtLeast(ctx context.Context, k int, cfg Estimate
 		return stats.Proportion{}, fmt.Errorf("qcomposite: negative degree level %d", k)
 	}
 	return m.estimate(ctx, cfg, func(d *wsn.Deployer, r *rng.Rand) (bool, error) {
-		st, err := d.DeployDegreeStatsRand(r, k)
-		return st.MinDegreeAtLeastK, err
+		return d.MinDegreeAtLeastRand(r, k)
 	})
 }
 
