@@ -55,8 +55,8 @@ type ClassModel interface {
 // Emit streams one channel draw on n nodes to yield: class-aware models
 // receive the per-node class labels (nil means every node is class 0),
 // every other model ignores them. It is the one place that decides which
-// models see labels, so the CSR (Sample) and graph-free (wsn streaming)
-// paths draw identically.
+// models see labels, so the CSR (Sample) and row (RowDraw, which draws
+// every class-aware model through Emit) paths draw identically.
 func Emit(m Model, r *rng.Rand, n int, labels []uint8, yield func(u, v int32) bool) error {
 	if cm, ok := m.(ClassModel); ok {
 		return cm.EmitClassEdges(r, n, labels, yield)
@@ -67,15 +67,92 @@ func Emit(m Model, r *rng.Rand, n int, labels []uint8, yield func(u, v int32) bo
 // RowMajor reports whether m's draws yield every on pair once as (u, v)
 // with u < v and u nondecreasing across the draw. When a draw of such a
 // model yields its first edge with some u, every node below u has seen all
-// of its edges. OnOff (the triangle walk of randgraph.EmitErdosRenyi) and
-// AlwaysOn (a double loop) are row-major. Disk walks its cell grid and
-// HeterOnOff its class-pair blocks, so they are not.
+// of its edges. OnOff (the triangle walk of randgraph.Rows.ErdosRenyi),
+// AlwaysOn (the same walk at p = 1), Disk (the cell-grid walk runs over u
+// ascending and yields only in-range v > u) and a single-class HeterOnOff
+// (one triangle walk over all nodes) are row-major. A multi-class
+// HeterOnOff walks its class-pair blocks one after another, so it is not.
 func RowMajor(m Model) bool {
-	switch m.(type) {
-	case OnOff, AlwaysOn:
+	switch m := m.(type) {
+	case OnOff, AlwaysOn, Disk:
 		return true
+	case HeterOnOff:
+		return len(m.P) == 1
 	}
 	return false
+}
+
+// RowDraw draws channel models row by row: a row is one node u and its
+// channel neighbours, the edges (u, v) a draw yields consecutively. OnOff
+// and AlwaysOn draw rows natively — each node's neighbours v > u in
+// ascending order, the walk handing out whole rows. Every other model is
+// drawn through Emit, its consecutive edges sharing u grouped into one
+// row; the built-in walks already yield such runs (Disk per node,
+// HeterOnOff per node within a class-pair block). A RowDraw keeps the
+// buffers and skip kernel of its draws, so repeated draws allocate nothing
+// in steady state. Not safe for concurrent use.
+type RowDraw struct {
+	rows randgraph.Rows
+	src  rng.GeometricSource
+
+	// The grouping adapter for edge-drawn models: the row being collected,
+	// its node, the consumer and whether it stopped the draw, and the
+	// persistent edge callback handed to Emit.
+	row     []int32
+	u       int32
+	yield   func(u int32, vs []int32) bool
+	stopped bool
+	edge    func(u, v int32) bool
+}
+
+// Emit streams one draw of m on n nodes to yield row by row: concatenated,
+// the rows are exactly the edges channel.Emit(m, r, n, labels, ·) yields,
+// in the same order, and the draw consumes randomness exactly as Emit
+// does. vs is valid only during the call and must not be modified; yield
+// returning false stops the draw under the EmitEdges contract. Class
+// labels reach class-aware models as in Emit.
+func (d *RowDraw) Emit(m Model, r *rng.Rand, n int, labels []uint8, yield func(u int32, vs []int32) bool) error {
+	switch m := m.(type) {
+	case OnOff:
+		if err := m.Validate(); err != nil {
+			return err
+		}
+		d.src.Reset(r)
+		if err := d.rows.ErdosRenyi(&d.src, n, m.P, yield); err != nil {
+			return fmt.Errorf("channel: on/off: %w", err)
+		}
+		return nil
+	case AlwaysOn:
+		if n < 0 {
+			return fmt.Errorf("channel: always-on: negative node count %d", n)
+		}
+		return d.rows.ErdosRenyi(nil, n, 1, yield)
+	}
+	if d.edge == nil {
+		d.edge = d.groupEdge
+	}
+	d.row, d.yield, d.stopped = d.row[:0], yield, false
+	err := Emit(m, r, n, labels, d.edge)
+	if err == nil && !d.stopped && len(d.row) > 0 {
+		yield(d.u, d.row)
+	}
+	d.yield = nil
+	return err
+}
+
+// groupEdge collects the edges of an edge-drawn model into rows, passing
+// the collected row on when an edge with another first endpoint arrives.
+func (d *RowDraw) groupEdge(u, v int32) bool {
+	if u != d.u && len(d.row) > 0 {
+		if !d.yield(d.u, d.row) {
+			d.stopped = true
+			return false
+		}
+		d.row = d.row[:0]
+	}
+	d.u = u
+	d.row = append(d.row, v)
+	return true
 }
 
 // Sample draws one channel graph on n nodes: Emit collected into CSR by b.
@@ -114,7 +191,7 @@ func (m OnOff) Validate() error {
 }
 
 // EmitEdges implements Model: one G(n, p) draw streamed with geometric
-// skipping.
+// skipping — the row draw of RowDraw, edge by edge.
 func (m OnOff) EmitEdges(r *rng.Rand, n int, yield func(u, v int32) bool) error {
 	if err := m.Validate(); err != nil {
 		return err
@@ -140,19 +217,13 @@ func (AlwaysOn) Name() string { return "always-on" }
 // Validate implements Model: AlwaysOn has no parameters.
 func (AlwaysOn) Validate() error { return nil }
 
-// EmitEdges implements Model: every pair, no randomness.
+// EmitEdges implements Model: every pair, no randomness — the G(n, 1)
+// row draw, edge by edge.
 func (AlwaysOn) EmitEdges(_ *rng.Rand, n int, yield func(u, v int32) bool) error {
 	if n < 0 {
 		return fmt.Errorf("channel: always-on: negative node count %d", n)
 	}
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if !yield(int32(u), int32(v)) {
-				return nil
-			}
-		}
-	}
-	return nil
+	return randgraph.EmitErdosRenyi(nil, n, 1, yield)
 }
 
 // Disk is the disk model: sensors are placed uniformly at random on the unit

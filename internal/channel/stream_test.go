@@ -224,33 +224,167 @@ func TestEmitEdgesValidation(t *testing.T) {
 
 // TestRowMajorDraws checks the RowMajor contract on real draws: a model
 // reported row-major yields every pair once as (u, v) with u < v and u
-// nondecreasing, and the models whose walks are not row-major report false.
+// nondecreasing, and a labelled two-class HeterOnOff, whose class-pair
+// blocks revisit low nodes, reports false and does break the order.
 func TestRowMajorDraws(t *testing.T) {
-	for _, m := range []Model{OnOff{}, OnOff{P: 0.01}, OnOff{P: 0.3}, OnOff{P: 1}, AlwaysOn{}} {
+	rowMajor := func(m Model, seed uint64, n int, labels []uint8) (ok bool) {
+		seen := make(map[graph.Edge]bool)
+		lastU := int32(-1)
+		ok = true
+		if err := Emit(m, rng.New(seed), n, labels, func(u, v int32) bool {
+			e := graph.Edge{U: u, V: v}
+			if u >= v || u < lastU || seen[e] {
+				ok = false
+				return false
+			}
+			seen[e] = true
+			lastU = u
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return ok
+	}
+	for _, m := range []Model{
+		OnOff{}, OnOff{P: 0.01}, OnOff{P: 0.3}, OnOff{P: 1}, AlwaysOn{},
+		Disk{Radius: 0.2}, Disk{Radius: 0.2, Torus: true}, Disk{Radius: 0.6, Torus: true},
+		UniformHeterOnOff(1, 0.5),
+	} {
 		if !RowMajor(m) {
 			t.Fatalf("%s: RowMajor = false, want true", m.Name())
 		}
 		for _, n := range []int{0, 1, 2, 3, 60} {
 			for seed := uint64(0); seed < 3; seed++ {
-				seen := make(map[graph.Edge]bool)
-				lastU := int32(-1)
-				if err := Emit(m, rng.New(seed), n, nil, func(u, v int32) bool {
-					e := graph.Edge{U: u, V: v}
-					if u >= v || u < lastU || seen[e] {
-						t.Fatalf("%s n=%d seed=%d: edge (%d,%d) after row %d breaks row-major order", m.Name(), n, seed, u, v, lastU)
-					}
-					seen[e] = true
-					lastU = u
-					return true
-				}); err != nil {
-					t.Fatal(err)
+				if !rowMajor(m, seed, n, nil) {
+					t.Fatalf("%s n=%d seed=%d: draw breaks row-major order", m.Name(), n, seed)
 				}
 			}
 		}
 	}
-	for _, m := range []Model{Disk{Radius: 0.2}, Disk{Radius: 0.2, Torus: true}, UniformHeterOnOff(1, 0.5), UniformHeterOnOff(2, 0.5)} {
-		if RowMajor(m) {
-			t.Errorf("%s: RowMajor = true, want false", m.Name())
+	hetero := UniformHeterOnOff(2, 0.5)
+	if RowMajor(hetero) {
+		t.Errorf("%s: RowMajor = true, want false", hetero.Name())
+	}
+	labels := make([]uint8, 60)
+	for i := range labels {
+		labels[i] = uint8(i % 2)
+	}
+	if rowMajor(hetero, 1, len(labels), labels) {
+		t.Errorf("%s: labelled draw is row-major, want the class blocks to break the order", hetero.Name())
+	}
+}
+
+// checkRowsMatchEmit draws m once edge by edge through Emit and once row by
+// row through a RowDraw from the same seed, and fails unless the rows,
+// concatenated, are exactly the edge sequence and both draws leave the
+// generator at the same position. It returns the number of edges.
+func checkRowsMatchEmit(t *testing.T, rd *RowDraw, m Model, n int, labels []uint8, seed uint64) int {
+	t.Helper()
+	rEdge, rRow := rng.New(seed), rng.New(seed)
+	want := emittedEdges(t, func(yield func(u, v int32) bool) error {
+		return Emit(m, rEdge, n, labels, yield)
+	})
+	var got []graph.Edge
+	if err := rd.Emit(m, rRow, n, labels, func(u int32, vs []int32) bool {
+		if len(vs) == 0 {
+			t.Fatalf("%s n=%d seed=%d: empty row %d", m.Name(), n, seed, u)
+		}
+		for _, v := range vs {
+			got = append(got, graph.Edge{U: u, V: v})
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s n=%d seed=%d: rows give %d edges %v, Emit %d edges %v", m.Name(), n, seed, len(got), got, len(want), want)
+	}
+	if *rRow != *rEdge {
+		t.Fatalf("%s n=%d seed=%d: row draw leaves the generator elsewhere than Emit", m.Name(), n, seed)
+	}
+	return len(want)
+}
+
+// alternatingLabels puts node i in class i mod 2.
+func alternatingLabels(n int) []uint8 {
+	labels := make([]uint8, n)
+	for i := range labels {
+		labels[i] = uint8(i % 2)
+	}
+	return labels
+}
+
+// TestRowDrawMatchesEmit pins the row draw to the edge draw for every
+// model: native rows (OnOff across p, AlwaysOn) and grouped ones (both
+// disk variants, a labelled two-class HeterOnOff), one RowDraw serving
+// every draw so reused buffers are covered too.
+func TestRowDrawMatchesEmit(t *testing.T) {
+	var rd RowDraw
+	edges := 0
+	for _, m := range []Model{
+		OnOff{}, OnOff{P: 1e-9}, OnOff{P: 0.2}, OnOff{P: 0.5}, OnOff{P: 1}, AlwaysOn{},
+		Disk{Radius: 0.2}, Disk{Radius: 0.2, Torus: true},
+		HeterOnOff{P: [][]float64{{0.5, 0.1}, {0.1, 0.3}}},
+	} {
+		for _, n := range []int{0, 1, 2, 3, 60} {
+			var labels []uint8
+			if _, ok := m.(ClassModel); ok {
+				labels = alternatingLabels(n)
+			}
+			for seed := uint64(0); seed < 3; seed++ {
+				edges += checkRowsMatchEmit(t, &rd, m, n, labels, seed)
+			}
 		}
 	}
+	if edges == 0 {
+		t.Fatal("no draw yielded an edge")
+	}
+}
+
+// TestRowDrawEarlyExit checks that a row consumer returning false ends the
+// draw: no further row arrives, on native and grouped models alike.
+func TestRowDrawEarlyExit(t *testing.T) {
+	var rd RowDraw
+	for _, m := range []Model{OnOff{P: 0.3}, AlwaysOn{}, Disk{Radius: 0.3}} {
+		rows := 0
+		if err := rd.Emit(m, rng.New(4), 60, nil, func(u int32, vs []int32) bool {
+			rows++
+			return rows < 3
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if rows != 3 {
+			t.Errorf("%s: %d rows after the consumer stopped at the third", m.Name(), rows)
+		}
+	}
+}
+
+// FuzzRowDrawMatchesEmit is TestRowDrawMatchesEmit over arbitrary sizes,
+// seeds and model parameters.
+func FuzzRowDrawMatchesEmit(f *testing.F) {
+	f.Add(uint64(1), uint8(60), uint8(0), uint8(80))
+	f.Add(uint64(2), uint8(9), uint8(1), uint8(0))
+	f.Add(uint64(3), uint8(120), uint8(2), uint8(40))
+	f.Add(uint64(4), uint8(33), uint8(3), uint8(200))
+	f.Add(uint64(5), uint8(70), uint8(4), uint8(128))
+	f.Fuzz(func(t *testing.T, seed uint64, n, model, param uint8) {
+		x := float64(param) / 255
+		var m Model
+		var labels []uint8
+		switch model % 5 {
+		case 0:
+			m = OnOff{P: x}
+		case 1:
+			m = AlwaysOn{}
+		case 2:
+			m = Disk{Radius: x}
+		case 3:
+			m = Disk{Radius: x, Torus: true}
+		default:
+			m = HeterOnOff{P: [][]float64{{x, x / 3}, {x / 3, 1 - x}}}
+			labels = alternatingLabels(int(n))
+		}
+		var rd RowDraw
+		checkRowsMatchEmit(t, &rd, m, int(n), labels, seed)
+	})
 }

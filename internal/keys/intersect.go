@@ -27,22 +27,31 @@ const denseRingFactor = 128
 //     its side. Every later query on that side with u (or v) as the row's
 //     owner is one counter read.
 //
-// A sensor claims the row on the query that brings a run of consecutive
-// queries sharing it (as first or as second argument) to the break-even
-// count Reset derives from the rings: a half row costs about
-// Σ_{k∈ring(u)} h_k/2 ≈ K̄·ΣK/(2P) counter increments for holder counts
-// h_k, a direct query costs stride words (dense) or 2·K̄ IDs (merge), and a
-// run starts at two queries. Emitters that walk u in order — the on/off
-// skip samplers, CSR ForEachEdge, heterogeneous class blocks — only ask
-// about pairs (u, w) with w > u, so they count upper halves alone and, when
-// rings are sparse, claim a row on the second query of a sensor; shuffled
-// queries and the dense plateau (break-even in the hundreds) almost never
-// do. There is no setting: the choice depends only on the rings and the
-// order of the queries.
+// Queries reach the Intersector in two ways. A streaming deployment hands
+// it rows: BeginRow announces sensor u with the number of channel
+// neighbours about to be queried, and RowHasAtLeast answers each (u, v).
+// The row's length decides on arrival whether counting u's row pays: a
+// half row costs about Σ_{k∈ring(u)} h_k/2 ≈ K̄·ΣK/(2P) counter increments
+// for holder counts h_k, a direct query costs stride words (dense) or 2·K̄
+// IDs (merge), and Reset derives the break-even query count from the
+// rings (at least two). A row that reaches it is counted before its first
+// query; a shorter one is answered directly, so no row starts with a merge
+// or a bitmap AND only to be counted later. Sparse rings (Figure 1) count
+// most rows; the dense plateau, with a break-even in the hundreds, counts
+// only the longest.
 //
-// HasAtLeast is split so that its hot case — u owns the row, its upper half
-// is counted and v > u — is an inlinable counter read at the call site;
-// every other query takes the out-of-line path.
+// Per-edge callers use HasAtLeast and SharedCount, for which a sensor
+// claims the row on the query that brings a run of consecutive queries
+// sharing it (as first or as second argument) to the break-even count. An
+// edge stream that walks u in order — CSR ForEachEdge, say — only asks
+// about pairs (u, w) with w > u, so it counts upper halves alone and, when
+// rings are sparse, claims a row on the second query of a sensor; shuffled
+// queries almost never do. There is no setting: the choice depends only on
+// the rings and the order or shape of the queries.
+//
+// HasAtLeast and RowHasAtLeast are split so that their hot case — u owns
+// the row, its upper half is counted and v > u — is an inlinable counter
+// read at the call site; every other query takes the out-of-line path.
 //
 // All three strategies compute the exact integer |ring(u) ∩ ring(v)| from
 // the same rings, and none draws randomness, so every answer is identical
@@ -71,6 +80,8 @@ type Intersector struct {
 	indexed   bool    // keyOff/holders describe the current rings
 	keyOff    []int32 // holders[keyOff[k]:keyOff[k+1]] hold key k
 	holders   []int32 // sensors holding each key, grouped by key
+	ringOff   []int32 // ring v's keys are index slots ringOff[v]…
+	slotAt    []int32 // where each slot's sensor sits in its key's holders
 	rowU      int32   // sensor owning the current row, or -1
 	hiU       int32   // rowU once its upper half (w > rowU) is counted, or -1
 	loU       int32   // rowU once its lower half (w < rowU) is counted, or -1
@@ -178,6 +189,13 @@ func (x *Intersector) extendRun(u, v int32) bool {
 	if x.lenRun < x.breakEven {
 		return false
 	}
+	x.claimRow(x.runU)
+	return true
+}
+
+// claimRow makes u the owner of an empty row, building the key index and
+// the row counters on first use.
+func (x *Intersector) claimRow(u int32) {
 	if !x.indexed {
 		x.buildIndex()
 	}
@@ -186,8 +204,7 @@ func (x *Intersector) extendRun(u, v int32) bool {
 		x.rowCnt = make([]int32, n)
 		x.touched = make([]int32, 0, n)
 	}
-	x.rowU = x.runU
-	return true
+	x.rowU = u
 }
 
 // clearRow zeroes the current row's counters and drops its owner.
@@ -218,20 +235,19 @@ func (x *Intersector) rowCount(w int32) int {
 
 // countHalf counts |ring(rowU) ∩ ring(w)| for every sensor w above rowU
 // (upper) or below it by walking the holder lists of rowU's keys. A holder
-// list is ascending and holds rowU itself, which splits it into the halves.
+// list is ascending and holds rowU itself, at the place slotAt records,
+// which splits it into the halves.
 func (x *Intersector) countHalf(upper bool) {
 	u := x.rowU
 	cnt, touched := x.rowCnt, x.touched
-	for _, k := range x.rings[u].ids {
-		hs := x.holders[x.keyOff[k]:x.keyOff[k+1]]
-		i := 0
-		for hs[i] != u {
-			i++
-		}
+	ids := x.rings[u].ids
+	at := x.slotAt[x.ringOff[u]:][:len(ids)]
+	for j, k := range ids {
+		var hs []int32
 		if upper {
-			hs = hs[i+1:]
+			hs = x.holders[at[j]+1 : x.keyOff[k+1]]
 		} else {
-			hs = hs[:i]
+			hs = x.holders[x.keyOff[k]:at[j]]
 		}
 		for _, w := range hs {
 			if cnt[w] == 0 {
@@ -244,8 +260,10 @@ func (x *Intersector) countHalf(upper bool) {
 }
 
 // buildIndex inverts the rings into the key→holders index by counting
-// sort; holder lists come out in ascending sensor order. Reset has checked
-// that every ID lies in the pool.
+// sort; holder lists come out in ascending sensor order. It records where
+// each ring slot's sensor landed, so a row finds its own place in every
+// holder list without a search. Reset has checked that every ID lies in
+// the pool.
 func (x *Intersector) buildIndex() {
 	if len(x.keyOff) < x.pool+1 {
 		x.keyOff = make([]int32, x.pool+1)
@@ -264,14 +282,23 @@ func (x *Intersector) buildIndex() {
 	}
 	if cap(x.holders) < total {
 		x.holders = make([]int32, total)
+		x.slotAt = make([]int32, total)
 	}
-	x.holders = x.holders[:total]
+	x.holders, x.slotAt = x.holders[:total], x.slotAt[:total]
+	if cap(x.ringOff) < len(x.rings) {
+		x.ringOff = make([]int32, len(x.rings))
+	}
+	x.ringOff = x.ringOff[:len(x.rings)]
 	// off[k] serves as key k's fill cursor, ending at the start of key k+1;
 	// shifting by one slot restores the start offsets.
+	slot := int32(0)
 	for v, r := range x.rings {
+		x.ringOff[v] = slot
 		for _, k := range r.ids {
+			x.slotAt[slot] = off[k]
 			x.holders[off[k]] = int32(v)
 			off[k]++
+			slot++
 		}
 	}
 	copy(off[1:], off[:x.pool])
@@ -321,6 +348,12 @@ func (x *Intersector) hasAtLeast(u, v int32, q int) bool {
 	if x.rowU == u || x.rowU == v || x.extendRun(u, v) {
 		return x.rowCount(x.rowOther(u, v)) >= q
 	}
+	return x.directAtLeast(u, v, q)
+}
+
+// directAtLeast answers a query without the row: the dense bitmap or the
+// sorted merge, each stopping once q shared keys are found.
+func (x *Intersector) directAtLeast(u, v int32, q int) bool {
 	if x.dense {
 		a, b := x.row(u), x.row(v)
 		c := 0
@@ -333,6 +366,43 @@ func (x *Intersector) hasAtLeast(u, v int32, q int) bool {
 		return false
 	}
 	return x.rings[u].SharedAtLeast(x.rings[v], q)
+}
+
+// BeginRow announces a row: the queries (u, v) that RowHasAtLeast is about
+// to answer for length channel neighbours v of u, the unit a streaming
+// deployment draws (channel.RowDraw). The row's length decides on arrival
+// what the run detection of HasAtLeast decides only on a run's
+// breakEven-th query: a row of at least breakEven queries makes u the
+// owner of the counted row before its first query, and a shorter row's
+// queries go straight to the bitmap or the merge. A row whose u already
+// owns the counted row keeps it.
+func (x *Intersector) BeginRow(u int32, length int) {
+	if length >= x.breakEven && x.rowU != u {
+		x.claimRow(u)
+	}
+}
+
+// RowHasAtLeast reports whether rings u and v share at least q keys, for a
+// query of the row BeginRow announced. Like HasAtLeast its common case —
+// u owns the row, its upper half is counted and v > u — is an inlinable
+// counter read; every other query reads the row if u or v owns it, or
+// else intersects directly, without the run detection of HasAtLeast.
+func (x *Intersector) RowHasAtLeast(u, v int32, q int) bool {
+	if u == x.hiU && v > u {
+		return int(x.rowCnt[v]) >= q
+	}
+	return x.rowHasAtLeast(u, v, q)
+}
+
+// rowHasAtLeast is RowHasAtLeast's out-of-line path.
+func (x *Intersector) rowHasAtLeast(u, v int32, q int) bool {
+	if q <= 0 {
+		return true
+	}
+	if x.rowU == u || x.rowU == v {
+		return x.rowCount(x.rowOther(u, v)) >= q
+	}
+	return x.directAtLeast(u, v, q)
 }
 
 // AppendShared appends the sorted shared keys of rings u and v to dst and

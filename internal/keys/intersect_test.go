@@ -401,6 +401,91 @@ func TestIntersectorRowsMatchMerge(t *testing.T) {
 	}
 }
 
+// checkRows groups consecutive queries sharing their first argument into
+// rows and answers each row through BeginRow and RowHasAtLeast (q cycling
+// through 0..3), checking every answer against the sorted merge. A row of
+// at least breakEven queries must own the counted row before its first
+// query; a shorter one must not claim a row. After each row, one
+// HasAtLeast query on a random pair checks that per-edge queries
+// interleave with rows. It returns the number of counted rows.
+func checkRows(t *testing.T, name string, r *rng.Rand, ix *Intersector, rings []Ring, queries []pair) (counted int) {
+	t.Helper()
+	for i := 0; i < len(queries); {
+		u, j := queries[i].u, i
+		for j < len(queries) && queries[j].u == u {
+			j++
+		}
+		before := ix.rowU
+		ix.BeginRow(u, j-i)
+		switch {
+		case j-i >= ix.breakEven:
+			if ix.rowU != u {
+				t.Fatalf("%s: row %d of %d queries (break-even %d) not claimed on arrival", name, u, j-i, ix.breakEven)
+			}
+			counted++
+		case ix.rowU != before:
+			t.Fatalf("%s: row %d of %d queries (break-even %d) claimed a row", name, u, j-i, ix.breakEven)
+		}
+		for k, p := range queries[i:j] {
+			q := (i + k) % 4
+			want := rings[p.u].SharedCount(rings[p.v])
+			if got := ix.RowHasAtLeast(p.u, p.v, q); got != (want >= q) {
+				t.Fatalf("%s: RowHasAtLeast(%d,%d,%d) = %v with %d shared", name, p.u, p.v, q, got, want)
+			}
+		}
+		a, b := int32(r.Intn(len(rings))), int32(r.Intn(len(rings)))
+		checkQuery(t, name, ix, rings, 0, pair{a, b})
+		i = j
+	}
+	return counted
+}
+
+// TestIntersectorRowQueries pins the row API to the sorted merge: u-major
+// rows (on/off draws), rows that revisit a sensor and reach below it
+// (heterogeneous class blocks), sparse rings that count most rows and
+// dense rings whose break-even leaves short rows to the bitmap.
+func TestIntersectorRowQueries(t *testing.T) {
+	r := rng.New(47)
+	const pool, n = 10000, 300
+	ix, err := NewIntersector(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rings := randomRings(t, r, pool, 40, n)
+	if err := ix.Reset(rings); err != nil {
+		t.Fatal(err)
+	}
+	if counted := checkRows(t, "u-major", r, ix, rings, uMajorPairs(r, n, 0.3)); counted < n/2 {
+		t.Errorf("u-major: %d counted rows over %d sensors, want most", counted, n)
+	}
+
+	het, err := NewHeterogeneous(pool, 2, []Class{{Mu: 0.6, RingSize: 20}, {Mu: 0.4, RingSize: 120}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hasg, err := het.Assign(r, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Reset(hasg.Rings); err != nil {
+		t.Fatal(err)
+	}
+	if counted := checkRows(t, "class blocks", r, ix, hasg.Rings, classBlockPairs(r, hasg.Labels, 2, 0.5)); counted == 0 {
+		t.Error("class blocks: no row counted")
+	}
+
+	dense, err := NewIntersector(600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rings = randomRings(t, r, 600, 30, n)
+	if err := dense.Reset(rings); err != nil || !dense.Dense() {
+		t.Fatalf("K = 30, P = 600: Reset %v, Dense() = %v; want the dense strategy", err, dense.Dense())
+	}
+	checkRows(t, "dense", r, dense, rings, uMajorPairs(r, n, 0.05))
+	checkRows(t, "dense-complete", r, dense, rings, uMajorPairs(r, n, 1))
+}
+
 // halfUse records, for one row owner, whether it was claimed by a query
 // naming it as first argument, which halves later queries read, and how
 // many times each half was counted.

@@ -179,3 +179,92 @@ func TestStreamValidation(t *testing.T) {
 		}
 	}
 }
+
+// nextWalk is the reference G(n, p) draw for p in (0, 1): the triangle
+// walk taking one GeometricSource.Next per skip, edge by edge, with the
+// overflow-free skip cap of the row walk.
+func nextWalk(src *rng.GeometricSource, n int, p float64, yield func(u, v int32) bool) {
+	src.SetP(p)
+	maxSkip := n * (n - 1) / 2
+	u, v := 0, 0
+	for {
+		v += min(src.Next(), maxSkip) + 1
+		for v >= n {
+			overflow := v - n
+			u++
+			v = u + 1 + overflow
+			if u >= n-1 {
+				break
+			}
+		}
+		if u >= n-1 || v >= n || !yield(int32(u), int32(v)) {
+			return
+		}
+	}
+}
+
+// TestRowsMatchNextWalk pins the row walk, which reads its skips a buffer
+// at a time through Fill, to the reference walk through Next: the same
+// edges in the same order, rows in ascending u with ascending neighbours,
+// and the generator at the same position after a complete draw and after
+// a stop at every row.
+func TestRowsMatchNextWalk(t *testing.T) {
+	var rs Rows
+	for _, n := range []int{2, 3, 17, 200} {
+		for _, p := range []float64{1e-9, 0.01, 0.2, 0.5, 0.97} {
+			for seed := uint64(0); seed < 3; seed++ {
+				rRef := rng.New(seed)
+				var want []graph.Edge
+				nextWalk(source(rRef), n, p, func(u, v int32) bool {
+					want = append(want, graph.Edge{U: u, V: v})
+					return true
+				})
+				rRow := rng.New(seed)
+				var got []graph.Edge
+				rows := 0
+				if err := rs.ErdosRenyi(source(rRow), n, p, func(u int32, vs []int32) bool {
+					if len(vs) == 0 || (len(got) > 0 && u <= got[len(got)-1].U) {
+						t.Fatalf("n=%d p=%g seed=%d: row %d of %d neighbours out of order", n, p, seed, u, len(vs))
+					}
+					for i, v := range vs {
+						if v <= u || (i > 0 && v <= vs[i-1]) {
+							t.Fatalf("n=%d p=%g seed=%d: row %d neighbours %v not ascending above it", n, p, seed, u, vs)
+						}
+						got = append(got, graph.Edge{U: u, V: v})
+					}
+					rows++
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+				requireSameEdges(t, want, got)
+				if *rRow != *rRef {
+					t.Fatalf("n=%d p=%g seed=%d: generator position differs from the Next walk", n, p, seed)
+				}
+				// Stop after each row: the reference stops at the first
+				// edge of the next row, after the same number of skips.
+				for stop := 1; stop < rows; stop++ {
+					rRow, rRef := rng.New(seed), rng.New(seed)
+					seen := 0
+					if err := rs.ErdosRenyi(source(rRow), n, p, func(int32, []int32) bool {
+						seen++
+						return seen < stop
+					}); err != nil {
+						t.Fatal(err)
+					}
+					rowsLeft, lastU := stop, int32(-1)
+					nextWalk(source(rRef), n, p, func(u, v int32) bool {
+						if u != lastU {
+							lastU = u
+							rowsLeft--
+						}
+						return rowsLeft >= 0
+					})
+					if *rRow != *rRef {
+						t.Fatalf("n=%d p=%g seed=%d: generator position after a stop at row %d differs from the Next walk", n, p, seed, stop)
+					}
+				}
+			}
+		}
+	}
+}

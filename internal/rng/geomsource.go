@@ -96,9 +96,11 @@ const fastSkipLimit = 1 << 52
 // uniform actually used. A generator lent to a source is therefore
 // committed until the caller is done sampling; draws made on it afterwards
 // are still independent uniforms, just not the ones the pre-kernel code
-// would have seen. The montecarlo engine reseeds per trial and deployments
-// consume channel randomness last, so no in-tree fixed-seed expectation
-// observes the position.
+// would have seen. That position is part of the fixed-seed results: the
+// adversary campaigns (experiment's campaign sweep, cmd/resilience) keep
+// drawing from a trial's generator after a full wsn.Deployer.DeployRand,
+// so a change to when a draw refills changes their output. Next and Fill
+// refill at the same points for the same draws.
 //
 // Quotients exceeding MaxInt (tiny p) saturate to MaxInt, like
 // (*Rand).Geometric. The zero value is unusable: call Reset, then SetP,
@@ -143,6 +145,45 @@ func (g *GeometricSource) Next() int {
 			return k
 		}
 	}
+	return g.exact(i)
+}
+
+// Fill writes the next draws into dst and returns how many it wrote: all
+// of dst, or the draws left in the buffer when fewer remain. The draws are
+// exactly those repeated Next calls would return, and the source and its
+// generator end where those calls would leave them. An empty buffer is
+// refilled only when dst asks for at least one draw, so a caller that
+// calls Fill again only once it needs another draw moves the generator
+// exactly as a caller of Next does. Fill converts the buffered uniforms in
+// one loop; a caller that stops partway through dst has still consumed
+// all of it.
+func (g *GeometricSource) Fill(dst []int) int {
+	if len(dst) == 0 {
+		return 0
+	}
+	if g.pos == geometricBatch {
+		g.refill()
+	}
+	i0 := g.pos
+	dst = dst[:min(len(dst), geometricBatch-i0)]
+	invLnq, guard := g.invLnq, g.guard
+	for j := range dst {
+		if t := g.logs[i0+j] * invLnq; t < fastSkipLimit {
+			k := int(t)
+			if f := t - float64(k); f > guard && f < 1-guard {
+				dst[j] = k
+				continue
+			}
+		}
+		dst[j] = g.exact(i0 + j)
+	}
+	g.pos += len(dst)
+	return len(dst)
+}
+
+// exact is the guarded skip of buffered uniform i computed as
+// floor(log(1−u)/log1p(−p)), saturating at MaxInt.
+func (g *GeometricSource) exact(i int) int {
 	q := math.Floor(math.Log(g.xs[i]) / g.lnq)
 	if q >= maxIntFloat {
 		return math.MaxInt

@@ -102,6 +102,34 @@ func FuzzGeometricSourceExact(f *testing.F) {
 				t.Fatalf("p=%v seed=%d draw %d: kernel %d, scalar %d", p, seed, d, got, want)
 			}
 		}
+
+		// Fill, in chunks from one draw to more than a batch, must return
+		// the draws Next returns and leave the source and its generator
+		// where Next leaves them; an empty Fill must not refill.
+		rNext, rFill := New(seed), New(seed)
+		var next, fill GeometricSource
+		next.Reset(rNext)
+		next.SetP(p)
+		fill.Reset(rFill)
+		fill.SetP(p)
+		buf := make([]int, geometricBatch+1)
+		chunk := int(seed%uint64(len(buf))) + 1
+		for d := 0; d < 3*geometricBatch; {
+			m := fill.Fill(buf[:min(chunk, 3*geometricBatch-d)])
+			for j, got := range buf[:m] {
+				if want := next.Next(); got != want {
+					t.Fatalf("p=%v seed=%d draw %d: Fill %d, Next %d", p, seed, d+j, got, want)
+				}
+			}
+			d += m
+			chunk = chunk%len(buf) + 1
+		}
+		if fill.Fill(nil) != 0 || *rFill != *rNext {
+			t.Fatalf("p=%v seed=%d: Fill leaves the generator elsewhere than Next", p, seed)
+		}
+		if got, want := fill.Next(), next.Next(); got != want || *rFill != *rNext {
+			t.Fatalf("p=%v seed=%d: the draw after Fill is %d, after Next %d", p, seed, got, want)
+		}
 	})
 }
 

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Rand is a xoshiro256++ pseudo-random number generator. It is NOT safe for
@@ -336,20 +337,38 @@ func (s *SubsetSampler) AppendSortedSample(r *Rand, k int, dst []int32) ([]int32
 		return nil, fmt.Errorf("rng: subset size %d out of range [0, %d]", k, n)
 	}
 	swapped := s.swappedBuf(k)
-	words, summary := s.words, s.summary
+	perm, words, summary := s.perm, s.words, s.summary
+	// Step a local copy of the generator so its state stays in registers;
+	// the bounded draw is uint64n written out, since a call would pin the
+	// copy to memory.
+	g := *r
 	for i := range swapped {
-		j := i + int(r.uint64n(uint64(n-i)))
-		x := s.perm[j]
-		s.perm[j] = s.perm[i]
-		s.perm[i] = x
+		bound := uint64(n - i)
+		hi, lo := bits.Mul64(g.Uint64(), bound)
+		if lo < bound {
+			threshold := -bound % bound
+			for lo < threshold {
+				hi, lo = bits.Mul64(g.Uint64(), bound)
+			}
+		}
+		j := i + int(hi)
+		x := perm[j]
+		perm[j] = perm[i]
+		perm[i] = x
 		swapped[i] = int32(j)
 		u := uint32(x)
 		words[u>>6] |= 1 << (u & 63)
 		summary[u>>12] |= 1 << ((u >> 6) & 63)
 	}
+	*r = g
 	s.rollback(swapped)
-	// Read the marks back in ascending order, zeroing each word as it is
-	// read so the bitmaps are clean for the next draw.
+	// Read the marks back in ascending order into the k reserved slots,
+	// zeroing each word as it is read so the bitmaps are clean for the next
+	// draw.
+	start := len(dst)
+	dst = slices.Grow(dst, k)[:start+k]
+	out := dst[start:]
+	o := 0
 	for si, sum := range summary {
 		if sum == 0 {
 			continue
@@ -362,7 +381,8 @@ func (s *SubsetSampler) AppendSortedSample(r *Rand, k int, dst []int32) ([]int32
 			words[w] = 0
 			base := int32(w << 6)
 			for word != 0 {
-				dst = append(dst, base|int32(bits.TrailingZeros64(word)))
+				out[o] = base | int32(bits.TrailingZeros64(word))
+				o++
 				word &= word - 1
 			}
 		}

@@ -9,17 +9,19 @@ import (
 )
 
 // TestConnectivityTrialAllocBudget is the alloc-budget regression gate on
-// the connectivity trial loops (the BenchmarkDeployPipeline hot paths):
-// after warm-up, a reused Deployer must answer connectivity with ZERO
-// allocations per trial — on the CSR path (deploy + IsConnected; rng.Reseed
-// removed its last allocation, the per-Deploy generator; the seed state ran
-// it at ≈ 2,020 allocs per trial), on the streaming path
-// (DeployConnectivity, whose persistent yield closure keeps the
-// channel.Model interface crossing allocation-free), and on the streaming
-// degree path (DeployDegreeStats, same closure discipline with the degree
-// accumulator riding beside the union-find), and on the verdict-only trials
-// (KConnectedRand at k = 1 and k = 2, whose prefix check builds a CSR graph
-// through the reused builder, and MinDegreeAtLeastRand).
+// the trial loops (the BenchmarkDeployPipeline hot paths): after warm-up, a
+// reused Deployer must run every deployment mode with ZERO allocations per
+// trial — the CSR path (deploy + IsConnected; rng.Reseed removed its last
+// allocation, the per-Deploy generator; the seed state ran it at ≈ 2,020
+// allocs per trial), the streaming path (DeployConnectivity), the
+// streaming degree path (DeployDegreeStats, the degree accumulator riding
+// beside the union-find) and the verdict-only trials (KConnectedRand at
+// k = 1 and k = 2, whose prefix check builds a CSR graph through the reused
+// builder, and MinDegreeAtLeastRand). Each mode's persistent row consumer
+// keeps the channel.RowDraw crossing allocation-free. Every mode runs on
+// each way a row is drawn: the native on/off and full-visibility rows and
+// the grouped rows of a disk and a labelled two-class heterogeneous
+// channel.
 func TestConnectivityTrialAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate needs the full n=1000 deployment")
@@ -28,10 +30,36 @@ func TestConnectivityTrialAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDeployer(Config{Sensors: 1000, Scheme: scheme, Channel: channel.OnOff{P: 0.5}})
+	hetero, err := keys.NewHeterogeneous(10000, 2, []keys.Class{{Mu: 0.5, RingSize: 41}, {Mu: 0.5, RingSize: 60}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The on/off arms keep the bare mode names; the others are prefixed
+	// with their channel. The disk and heterogeneous draws keep their
+	// scratch in a sync.Pool, which the race detector empties at random,
+	// so those arms run without it only.
+	for prefix, cfg := range map[string]Config{
+		"":           {Sensors: 1000, Scheme: scheme, Channel: channel.OnOff{P: 0.5}},
+		"always-on/": {Sensors: 500, Scheme: scheme, Channel: channel.AlwaysOn{}},
+		"disk/":      {Sensors: 500, Scheme: scheme, Channel: channel.Disk{Radius: 0.2}},
+		"hetero/":    {Sensors: 500, Scheme: hetero, Channel: channel.UniformHeterOnOff(2, 0.5)},
+	} {
+		if raceEnabled && (prefix == "disk/" || prefix == "hetero/") {
+			continue
+		}
+		d, err := NewDeployer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireTrialsAllocFree(t, prefix, d)
+	}
+}
+
+// requireTrialsAllocFree runs every deployment mode on d, each as the
+// subtest prefix+mode, and fails unless each allocates nothing per trial
+// after warm-up.
+func requireTrialsAllocFree(t *testing.T, prefix string, d *Deployer) {
+	t.Helper()
 	seed := uint64(0)
 	var r rng.Rand
 	verdict := func(v func(*rng.Rand, int) (bool, error), k int) func() {
@@ -71,13 +99,13 @@ func TestConnectivityTrialAllocBudget(t *testing.T) {
 		"verdict-mindegree": verdict(d.MinDegreeAtLeastRand, 2),
 	}
 	for name, trial := range trials {
-		t.Run(name, func(t *testing.T) {
+		t.Run(prefix+name, func(t *testing.T) {
 			// Warm up so every amortized buffer has grown to its working size.
 			for i := 0; i < 8; i++ {
 				trial()
 			}
 			if avg := testing.AllocsPerRun(20, trial); avg != 0 {
-				t.Errorf("%s connectivity trial allocates %.1f allocs/run, want 0", name, avg)
+				t.Errorf("%s%s trial allocates %.1f allocs/run, want 0", prefix, name, avg)
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"github.com/secure-wsn/qcomposite/internal/channel"
 	"github.com/secure-wsn/qcomposite/internal/graph"
 	"github.com/secure-wsn/qcomposite/internal/graphalgo"
 	"github.com/secure-wsn/qcomposite/internal/keys"
@@ -28,10 +29,14 @@ import (
 // one configuration across Monte Carlo workers.
 //
 // Every deployment mode runs one pipeline: assign the key rings, reset a
-// keys.Intersector on them, and stream the channel draw edge by edge
-// through the exact predicate |ring(u) ∩ ring(v)| ≥ q into the mode's
-// sinks — a secure edge list for Deploy, a union-find and degree
-// counters for the graph-free ones. The channel graph itself is never
+// keys.Intersector on them, and stream the channel draw row by row — a
+// sensor u with its channel neighbours (channel.RowDraw) — through the
+// exact predicate |ring(u) ∩ ring(v)| ≥ q into the mode's sinks: a secure
+// edge list for Deploy, a union-find and degree counters for the
+// graph-free ones. Each mode has one persistent row consumer; it announces
+// the row to the intersector (which counts u's row up front when the row
+// is long enough to pay for it) and reads each neighbour's answer, in the
+// common case an inlined counter read. The channel graph itself is never
 // built during a deployment; a Network keeps the generator state the draw
 // started from and re-emits it into CSR only if asked for it
 // (ChannelTopology, Snapshot, SimulateDiscovery). Ring sizes may differ
@@ -60,31 +65,32 @@ type Deployer struct {
 	nets   [2]Network
 	netIdx int
 
-	// The pipeline's shared state: the generator position the channel draw
-	// starts from (kept by the Network for lazy re-emission), the overlap
-	// requirement, and the CSR mode's persistent yield closure, which
-	// collects secure edges into edges.
+	// The pipeline's shared state: the row draw of the channel, the
+	// generator position the draw starts from (kept by the Network for lazy
+	// re-emission), the overlap requirement, and the CSR mode's row
+	// consumer, which collects secure edges into edges. Every mode's row
+	// consumer is bound once, in newDeployer.
+	rows     channel.RowDraw
 	chanRand rng.Rand
 	streamQ  int
-	csrYield func(u, v int32) bool
+	csrRow   func(u int32, vs []int32) bool
 
 	// Streaming connectivity-only mode (DeployConnectivity): the union-find
-	// sink and its persistent yield closure. The closure is created once and
-	// reused because it crosses the channel.Model interface boundary,
-	// where a per-call closure would escape and allocate every trial.
-	suf         graphalgo.StreamUnionFind
-	streamYield func(u, v int32) bool
+	// sink and its row consumer.
+	suf     graphalgo.StreamUnionFind
+	connRow func(u int32, vs []int32) bool
 
 	// Streaming degree mode (DeployDegreeStats): the degree accumulator
-	// running beside the union-find in the same edge pass, with its own
-	// persistent yield closure (early exit needs BOTH sinks done).
-	sd       graphalgo.StreamDegrees
-	degYield func(u, v int32) bool
+	// running beside the union-find in the same pass, with its own row
+	// consumer (early exit needs BOTH sinks done); one consumer serves every
+	// k because the accumulator holds the current target.
+	sd     graphalgo.StreamDegrees
+	degRow func(u int32, vs []int32) bool
 
-	// Verdict-only trials (KConnectedRand, MinDegreeAtLeastRand): one
-	// persistent yield closure over the sinks above, steered by this state.
-	verdictYield func(u, v int32) bool
-	vt           verdictTrial
+	// Verdict-only trials (KConnectedRand, MinDegreeAtLeastRand): one row
+	// consumer over the sinks above, steered by this state.
+	verdictRow func(u int32, vs []int32) bool
+	vt         verdictTrial
 }
 
 // NewDeployer validates the configuration (including the channel model's
@@ -100,11 +106,16 @@ func NewDeployer(cfg Config) (*Deployer, error) {
 
 // newDeployer constructs a Deployer for an already-validated configuration.
 func newDeployer(cfg Config) *Deployer {
-	return &Deployer{
+	d := &Deployer{
 		cfg:    cfg,
 		secBld: graph.NewBuilder(),
 		algo:   graphalgo.NewWorkspace(),
 	}
+	// The row consumers cross the channel.RowDraw boundary, where a method
+	// value made per call would be heap-allocated every trial; binding each
+	// once keeps the trials allocation-free.
+	d.csrRow, d.connRow, d.degRow, d.verdictRow = d.csrSink, d.connSink, d.degSink, d.verdictSink
+	return d
 }
 
 // Config returns the deployment configuration (Seed field as passed to
@@ -129,17 +140,7 @@ func (d *Deployer) DeployRand(r *rng.Rand) (*Network, error) {
 
 func (d *Deployer) deploy(cfg Config, r *rng.Rand) (*Network, error) {
 	d.edges = d.edges[:0]
-	if d.csrYield == nil {
-		// Persistent for the same reason as streamYield: a per-call closure
-		// would escape through the channel.Model interface.
-		d.csrYield = func(u, v int32) bool {
-			if d.ix.HasAtLeast(u, v, d.streamQ) {
-				d.edges = append(d.edges, graph.Edge{U: u, V: v})
-			}
-			return true
-		}
-	}
-	asg, err := d.streamSecureEdges(r, d.csrYield)
+	asg, err := d.streamSecureEdges(r, d.csrRow)
 	if err != nil {
 		return nil, fmt.Errorf("wsn: deploy: %w", err)
 	}
@@ -154,6 +155,19 @@ func (d *Deployer) deploy(cfg Config, r *rng.Rand) (*Network, error) {
 	d.netIdx ^= 1
 	net.reset(cfg, asg.Rings, asg.Labels, &d.chanRand, secure, d.algo)
 	return net, nil
+}
+
+// csrSink is the CSR mode's row consumer: it collects the secure edges.
+func (d *Deployer) csrSink(u int32, vs []int32) bool {
+	ix, q, edges := d.ix, d.streamQ, d.edges
+	ix.BeginRow(u, len(vs))
+	for _, v := range vs {
+		if ix.RowHasAtLeast(u, v, q) {
+			edges = append(edges, graph.Edge{U: u, V: v})
+		}
+	}
+	d.edges = edges
+	return true
 }
 
 // DeployerPool shares one deployment configuration across concurrent Monte

@@ -99,3 +99,48 @@ func TestDeployTopologiesPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestDeployRandGeneratorPinned pins where a complete DeployRand leaves its
+// generator, folded over sizes and seeds per channel model: the adversary
+// campaigns (experiment's campaign sweep, cmd/resilience) keep drawing from
+// a trial's generator after DeployRand, so their results depend on that
+// position, including at the sizes where the channel draw ends inside its
+// first skip batch or draws no randomness at all. The hashes were recorded
+// while the on/off walk still drew its skips one GeometricSource.Next at a
+// time.
+func TestDeployRandGeneratorPinned(t *testing.T) {
+	scheme, err := keys.NewQComposite(1000, 12, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		ch   channel.Model
+		want uint64
+	}{
+		{channel.OnOff{P: 1e-9}, 0x790ff928a4968ea0},
+		{channel.OnOff{P: 0.05}, 0x5a08eed3ded9aee4},
+		{channel.OnOff{P: 0.5}, 0x617e468d6bf9a23d},
+		{channel.OnOff{P: 1}, 0x4939274a3b8cb42f},
+		{channel.AlwaysOn{}, 0x4939274a3b8cb42f},
+		{channel.Disk{Radius: 0.2}, 0xf0fc2e237f7ada01},
+		{channel.UniformHeterOnOff(1, 0.3), 0x905b6d91950a7cf0},
+	} {
+		h := uint64(0)
+		for _, n := range []int{0, 2, 3, 40, 150} {
+			d, err := NewDeployer(Config{Sensors: n, Scheme: scheme, Channel: tc.ch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := uint64(1); seed <= 4; seed++ {
+				r := rng.New(seed)
+				if _, err := d.DeployRand(r); err != nil {
+					t.Fatal(err)
+				}
+				h = hashMix(h, r.Uint64())
+			}
+		}
+		if h != tc.want {
+			t.Errorf("%s: generator hash %#x, want %#x", tc.ch.Name(), h, tc.want)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package wsn
 import (
 	"fmt"
 
-	"github.com/secure-wsn/qcomposite/internal/channel"
 	"github.com/secure-wsn/qcomposite/internal/keys"
 	"github.com/secure-wsn/qcomposite/internal/rng"
 )
@@ -28,7 +27,7 @@ type ConnStats struct {
 
 // DeployConnectivity runs a deployment in connectivity-only mode from the
 // given seed: key rings are assigned exactly as Deploy, but the channel draw
-// is streamed edge by edge through the ring intersector into a union-find —
+// is streamed row by row through the ring intersector into a union-find —
 // no channel CSR, no secure CSR, no edge list, no link keys — so memory
 // stays O(n + ΣK) however dense the channel is. The emitter is stopped as
 // soon as one component remains (the verdict of every further edge is
@@ -55,22 +54,26 @@ func (d *Deployer) DeployConnectivityRand(r *rng.Rand) (ConnStats, error) {
 
 func (d *Deployer) deployConnectivity(r *rng.Rand) (ConnStats, error) {
 	d.suf.Reset(d.cfg.Sensors)
-	if d.streamYield == nil {
-		// One persistent closure: yield crosses the channel.Model interface
-		// boundary, where escape analysis would heap-allocate a fresh
-		// closure per call; capturing only the receiver keeps the trial
-		// loop at zero allocations.
-		d.streamYield = func(u, v int32) bool {
-			if d.ix.HasAtLeast(u, v, d.streamQ) {
-				d.suf.Add(u, v)
-			}
-			return !d.suf.Done()
-		}
-	}
-	if _, err := d.streamSecureEdges(r, d.streamYield); err != nil {
+	if _, err := d.streamSecureEdges(r, d.connRow); err != nil {
 		return ConnStats{}, fmt.Errorf("wsn: deploy connectivity: %w", err)
 	}
 	return d.connStats(), nil
+}
+
+// connSink is the connectivity-only mode's row consumer: secure edges into
+// the union-find until one component remains.
+func (d *Deployer) connSink(u int32, vs []int32) bool {
+	ix, q := d.ix, d.streamQ
+	ix.BeginRow(u, len(vs))
+	for _, v := range vs {
+		if ix.RowHasAtLeast(u, v, q) {
+			d.suf.Add(u, v)
+			if d.suf.Done() {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func (d *Deployer) connStats() ConnStats {
@@ -104,8 +107,8 @@ type DegreeStats struct {
 }
 
 // DeployDegreeStats runs a deployment in streaming degree mode from the
-// given seed: like DeployConnectivity, the channel draw streams edge by
-// edge through the ring intersector, but the secure edges feed a per-node
+// given seed: like DeployConnectivity, the channel draw streams row by row
+// through the ring intersector, but the secure edges feed a per-node
 // degree accumulator BESIDE the union-find in the same pass. It answers the
 // paper's min-degree figures — P[min degree ≥ k] and its coupling with
 // k-connectivity — with O(n + ΣK) memory and no CSR graph at any n. The
@@ -135,18 +138,7 @@ func (d *Deployer) deployDegreeStats(r *rng.Rand, k int) (DegreeStats, error) {
 	n := d.cfg.Sensors
 	d.suf.Reset(n)
 	d.sd.Reset(n, k)
-	if d.degYield == nil {
-		// Persistent for the same reason as streamYield; one closure serves
-		// every k because the accumulator holds the current target.
-		d.degYield = func(u, v int32) bool {
-			if d.ix.HasAtLeast(u, v, d.streamQ) {
-				d.suf.Add(u, v)
-				d.sd.Add(u, v)
-			}
-			return !(d.suf.Done() && d.sd.AllAtLeastK())
-		}
-	}
-	if _, err := d.streamSecureEdges(r, d.degYield); err != nil {
+	if _, err := d.streamSecureEdges(r, d.degRow); err != nil {
 		return DegreeStats{}, fmt.Errorf("wsn: deploy degree stats: %w", err)
 	}
 	minDeg := d.sd.MinDegree()
@@ -162,23 +154,43 @@ func (d *Deployer) deployDegreeStats(r *rng.Rand, k int) (DegreeStats, error) {
 	}, nil
 }
 
+// degSink is the degree mode's row consumer: secure edges into the
+// union-find and the degree accumulator until both are done.
+func (d *Deployer) degSink(u int32, vs []int32) bool {
+	ix, q := d.ix, d.streamQ
+	ix.BeginRow(u, len(vs))
+	for _, v := range vs {
+		if ix.RowHasAtLeast(u, v, q) {
+			d.suf.Add(u, v)
+			d.sd.Add(u, v)
+			if d.suf.Done() && d.sd.AllAtLeastK() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // streamSecureEdges is the pipeline every deployment mode shares: key
 // predistribution, ring-intersector reset, and the channel draw streamed
-// edge by edge into yield (which filters by secure overlap and feeds
-// whatever sinks the mode maintains). The caller resets its sinks first;
-// yield's early-exit verdict stops the emitter. The generator position the
-// draw starts from is saved in d.chanRand, and the assignment is returned,
-// so the CSR mode can hand both to its Network.
-func (d *Deployer) streamSecureEdges(r *rng.Rand, yield func(u, v int32) bool) (keys.Assignment, error) {
+// row by row into sink. A row is one sensor u and its channel neighbours
+// (channel.RowDraw); the sink announces it to the intersector
+// (keys.Intersector.BeginRow), which counts u's row up front when the row
+// is long enough to pay for it, filters the row by secure overlap and
+// feeds whatever sinks the mode maintains. The caller resets its sinks
+// first; the sink's early-exit verdict stops the draw. The generator
+// position the draw starts from is saved in d.chanRand, and the assignment
+// is returned, so the CSR mode can hand both to its Network.
+func (d *Deployer) streamSecureEdges(r *rng.Rand, sink func(u int32, vs []int32) bool) (keys.Assignment, error) {
 	n := d.cfg.Sensors
 	asg, err := d.cfg.Scheme.AssignInto(r, n, &d.arena)
 	if err != nil {
 		return keys.Assignment{}, err
 	}
 
-	// The exact intersection predicate. The emitters yield edges u by u, so
-	// with sparse rings the Intersector answers most of them from one
-	// counted row per u (see keys.Intersector); dense rings keep the bitmap.
+	// The exact intersection predicate: with sparse rings the Intersector
+	// answers a long row from one counted row of u (see keys.Intersector);
+	// short rows and dense rings query directly.
 	if d.ix == nil {
 		ix, err := keys.NewIntersector(d.cfg.Scheme.PoolSize())
 		if err != nil {
@@ -194,5 +206,5 @@ func (d *Deployer) streamSecureEdges(r *rng.Rand, yield func(u, v int32) bool) (
 	// Class-aware models receive the deployment's class labels, so the
 	// scheme and channel observe one shared class assignment.
 	d.chanRand = *r
-	return asg, channel.Emit(d.cfg.Channel, r, n, asg.Labels, yield)
+	return asg, d.rows.Emit(d.cfg.Channel, r, n, asg.Labels, sink)
 }

@@ -22,7 +22,8 @@ import (
 //     connectivity);
 //   - no, on row-major channel models (channel.RowMajor): once the draw
 //     moves past a sensor it yields no further edge at that sensor, so a
-//     passed sensor whose degree is below k settles "no".
+//     passed sensor whose degree is below k settles "no". The check runs
+//     once per row, when the row of a new sensor arrives.
 //
 // A draw that ends undecided is decided on its full secure edge set, so the
 // verdicts equal the CSR path exactly. Like the streaming modes, an early
@@ -39,7 +40,7 @@ const (
 )
 
 // verdictTrial is the state of one verdict trial, read by the Deployer's
-// persistent verdict yield closure.
+// persistent verdict row consumer.
 type verdictTrial struct {
 	k    int32
 	conn bool // k-connectivity (union-find and edges) or min degree alone
@@ -109,11 +110,7 @@ func (d *Deployer) verdict(r *rng.Rand, k int, conn bool) (bool, error) {
 	if channel.RowMajor(d.cfg.Channel) {
 		d.vt.row = 0
 	}
-	if d.verdictYield == nil {
-		// Persistent for the same reason as streamYield.
-		d.verdictYield = d.verdictEdge
-	}
-	if _, err := d.streamSecureEdges(r, d.verdictYield); err != nil {
+	if _, err := d.streamSecureEdges(r, d.verdictRow); err != nil {
 		return false, err
 	}
 	switch {
@@ -122,7 +119,7 @@ func (d *Deployer) verdict(r *rng.Rand, k int, conn bool) (bool, error) {
 	case d.vt.exit != exitDrained:
 		return d.vt.exit == exitYes, nil
 	case d.vt.prefixEdges < 0 || d.vt.prefixEdges == len(d.edges):
-		// The yield decides every "yes" but one: a failed prefix check
+		// The draw decides every "yes" but one: a failed prefix check
 		// followed by more secure edges. Without a prefix check the sinks
 		// never got there; without new edges the prefix was the network.
 		return false, nil
@@ -130,9 +127,10 @@ func (d *Deployer) verdict(r *rng.Rand, k int, conn bool) (bool, error) {
 	return d.edgesKConnected()
 }
 
-// verdictEdge is the verdict trial's yield: the no-exit on a passed sensor
-// below degree k, then the secure-edge sinks and the yes-exit.
-func (d *Deployer) verdictEdge(u, v int32) bool {
+// verdictSink is the verdict trial's row consumer: the no-exit on a
+// passed sensor below degree k, once per row, then the row's secure edges
+// into secureEdge.
+func (d *Deployer) verdictSink(u int32, vs []int32) bool {
 	vt := &d.vt
 	if u > vt.row {
 		if d.sd.AnyBelowK(vt.row, u) {
@@ -141,9 +139,20 @@ func (d *Deployer) verdictEdge(u, v int32) bool {
 		}
 		vt.row = u
 	}
-	if !d.ix.HasAtLeast(u, v, d.streamQ) {
-		return true
+	ix, q := d.ix, d.streamQ
+	ix.BeginRow(u, len(vs))
+	for _, v := range vs {
+		if ix.RowHasAtLeast(u, v, q) && !d.secureEdge(u, v) {
+			return false
+		}
 	}
+	return true
+}
+
+// secureEdge feeds one secure edge of a verdict trial to its sinks and
+// reports whether the trial goes on: false on a decided "yes" or an error.
+func (d *Deployer) secureEdge(u, v int32) bool {
+	vt := &d.vt
 	d.sd.Add(u, v)
 	if !vt.conn {
 		if d.sd.AllAtLeastK() {

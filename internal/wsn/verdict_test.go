@@ -116,11 +116,16 @@ func b2i(b bool) int {
 }
 
 // TestVerdictExits pins which exit each kind of trial takes. Below the
-// threshold, a row-major draw stops at a passed sensor below degree k
-// before its last row; a disk draw never takes that exit. On the plateau
-// both verdicts stop on "yes".
+// threshold, a row-major draw (disk ones included) stops at a passed
+// sensor below degree k before its last row; a labelled two-class
+// heterogeneous draw is not row-major, so it never takes that exit. On the
+// plateau both verdicts stop on "yes".
 func TestVerdictExits(t *testing.T) {
 	sparse, err := keys.NewQComposite(2000, 6, 1) // mean secure degree ≈ 1.8 at p = 0.5
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparseHetero, err := keys.NewHeterogeneous(2000, 1, []keys.Class{{Mu: 0.5, RingSize: 6}, {Mu: 0.5, RingSize: 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +143,8 @@ func TestVerdictExits(t *testing.T) {
 	}{
 		{"onoff-below", Config{Sensors: n, Scheme: sparse, Channel: channel.OnOff{P: 0.5}}, 1, false, exitNo},
 		{"always-on-below", Config{Sensors: n, Scheme: sparse, Channel: channel.AlwaysOn{}}, 2, false, exitNo},
-		{"disk-below", Config{Sensors: n, Scheme: sparse, Channel: channel.Disk{Radius: 0.3}}, 1, false, exitDrained},
+		{"disk-below", Config{Sensors: n, Scheme: sparse, Channel: channel.Disk{Radius: 0.3}}, 1, false, exitNo},
+		{"heter-onoff-below", Config{Sensors: n, Scheme: sparseHetero, Channel: channel.UniformHeterOnOff(2, 0.5)}, 1, false, exitDrained},
 		{"onoff-plateau-k1", Config{Sensors: n, Scheme: dense, Channel: channel.OnOff{P: 0.5}}, 1, true, exitYes},
 		{"onoff-plateau-k3", Config{Sensors: n, Scheme: dense, Channel: channel.OnOff{P: 0.5}}, 3, true, exitYes},
 		{"disk-plateau-k2", Config{Sensors: n, Scheme: dense, Channel: channel.Disk{Radius: 0.5, Torus: true}}, 2, true, exitYes},
@@ -194,12 +200,15 @@ func TestVerdictConventions(t *testing.T) {
 
 // FuzzVerdictMatchesCSR checks both verdicts against the CSR path on small
 // random configurations: sensor count, level, ring size, overlap, channel
-// model and its parameter all come from the fuzzer.
+// model and its parameter all come from the fuzzer. The models include a
+// labelled two-class heterogeneous channel, the one built-in draw that is
+// not row-major.
 func FuzzVerdictMatchesCSR(f *testing.F) {
 	f.Add(uint64(1), uint8(30), uint8(1), uint8(8), uint8(1), uint8(0), uint8(128))
 	f.Add(uint64(2), uint8(60), uint8(2), uint8(12), uint8(1), uint8(1), uint8(255))
 	f.Add(uint64(3), uint8(25), uint8(3), uint8(20), uint8(2), uint8(2), uint8(90))
 	f.Add(uint64(4), uint8(40), uint8(2), uint8(10), uint8(1), uint8(3), uint8(200))
+	f.Add(uint64(5), uint8(50), uint8(1), uint8(16), uint8(1), uint8(4), uint8(160))
 	f.Fuzz(func(t *testing.T, seed uint64, n, k, ring, q, model, param uint8) {
 		const pool = 200
 		ringSize := 1 + int(ring)%40
@@ -207,21 +216,33 @@ func FuzzVerdictMatchesCSR(f *testing.F) {
 		if overlap > ringSize {
 			overlap = ringSize
 		}
-		scheme, err := keys.NewQComposite(pool, ringSize, overlap)
-		if err != nil {
-			t.Skip(err)
-		}
+		var scheme keys.Scheme
+		var err error
 		x := float64(param) / 255
 		var ch channel.Model
-		switch model % 4 {
+		switch model % 5 {
 		case 0:
 			ch = channel.OnOff{P: x}
 		case 1:
 			ch = channel.AlwaysOn{}
 		case 2:
 			ch = channel.Disk{Radius: x}
-		default:
+		case 3:
 			ch = channel.Disk{Radius: x, Torus: true}
+		default:
+			// Two classes: the second holds half-size rings and reaches
+			// the first over weaker channels.
+			scheme, err = keys.NewHeterogeneous(pool, overlap, []keys.Class{
+				{Mu: 0.5, RingSize: ringSize},
+				{Mu: 0.5, RingSize: max(overlap, ringSize/2)},
+			})
+			ch = channel.HeterOnOff{P: [][]float64{{x, x / 2}, {x / 2, x}}}
+		}
+		if scheme == nil && err == nil {
+			scheme, err = keys.NewQComposite(pool, ringSize, overlap)
+		}
+		if err != nil {
+			t.Skip(err)
 		}
 		d, err := NewDeployer(Config{Sensors: int(n) % 80, Scheme: scheme, Channel: ch})
 		if err != nil {
