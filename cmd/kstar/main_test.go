@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -47,4 +49,44 @@ func TestRunSmoke(t *testing.T) {
 	if !strings.Contains(text, "-") {
 		t.Error("csv missing '-' placeholder for unpublished paper values")
 	}
+}
+
+// TestCSVDigests pins the CSV bytes of the smoke run, at one and at two
+// workers, to the repository's digest table.
+func TestCSVDigests(t *testing.T) {
+	for _, w := range []string{"1", "2"} {
+		csv := filepath.Join(t.TempDir(), "kstar.csv")
+		if err := runWith(t, "-n", "80", "-pool", "400", "-q", "1,2", "-p", "1,0.5",
+			"-trials", "12", "-pointworkers", "3",
+			"-workers", w, "-csv", csv); err != nil {
+			t.Fatal(err)
+		}
+		checkDigest(t, "cmd/kstar workers="+w, csv)
+	}
+}
+
+// checkDigest compares the SHA-256 of the file at path with the digest the
+// repository's table (testdata/digests.txt, lines "<sha256>  <name>") holds
+// for name. A digest may change only in a change whose CHANGES.md entry says
+// which result changed and why.
+func checkDigest(t *testing.T, name, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := os.ReadFile("../../testdata/digests.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprintf("%x", sha256.Sum256(data))
+	for _, line := range strings.Split(string(table), "\n") {
+		if want, entry, ok := strings.Cut(line, "  "); ok && entry == name {
+			if got != want {
+				t.Errorf("%s: CSV digest %s, the table holds %s", name, got, want)
+			}
+			return
+		}
+	}
+	t.Errorf("%s: no entry in the digest table; this run gives\n%s  %s", name, got, name)
 }

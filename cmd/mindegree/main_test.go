@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -111,4 +113,56 @@ func TestCheckpointResumeRoundTrip(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Error("resumed run's CSV differs from the original run's")
 	}
+}
+
+// TestCSVDigests pins the CSV bytes of the smoke runs, at one and at two
+// workers, to the repository's digest table.
+func TestCSVDigests(t *testing.T) {
+	for _, v := range []struct {
+		name string
+		args []string
+	}{
+		{"stream", []string{"-mode", "stream",
+			"-n", "60", "-pool", "300", "-q", "1", "-p", "0.9", "-k", "2",
+			"-kmin", "8", "-kmax", "12", "-kstep", "4",
+			"-trials", "10", "-pointworkers", "3"}},
+		{"csr", []string{"-mode", "csr",
+			"-n", "60", "-pool", "300", "-q", "1", "-p", "0.9", "-k", "2",
+			"-kmin", "8", "-kmax", "12", "-kstep", "4",
+			"-trials", "10", "-pointworkers", "3"}},
+	} {
+		for _, w := range []string{"1", "2"} {
+			csv := filepath.Join(t.TempDir(), "mindegree.csv")
+			if err := runWithArgs(t, append(v.args, "-workers", w, "-csv", csv)...); err != nil {
+				t.Fatal(err)
+			}
+			checkDigest(t, "cmd/mindegree "+v.name+" workers="+w, csv)
+		}
+	}
+}
+
+// checkDigest compares the SHA-256 of the file at path with the digest the
+// repository's table (testdata/digests.txt, lines "<sha256>  <name>") holds
+// for name. A digest may change only in a change whose CHANGES.md entry says
+// which result changed and why.
+func checkDigest(t *testing.T, name, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := os.ReadFile("../../testdata/digests.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprintf("%x", sha256.Sum256(data))
+	for _, line := range strings.Split(string(table), "\n") {
+		if want, entry, ok := strings.Cut(line, "  "); ok && entry == name {
+			if got != want {
+				t.Errorf("%s: CSV digest %s, the table holds %s", name, got, want)
+			}
+			return
+		}
+	}
+	t.Errorf("%s: no entry in the digest table; this run gives\n%s  %s", name, got, name)
 }

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -165,4 +167,55 @@ func TestCheckpointResumeClassicMode(t *testing.T) {
 	if n := bytes.Count(second[len(first):], []byte(`"point"`)); n != 0 {
 		t.Errorf("resume recomputed %d points, want 0", n)
 	}
+}
+
+// TestCSVDigests pins the CSV bytes of the smoke runs, at one and at two
+// workers, to the repository's digest table.
+func TestCSVDigests(t *testing.T) {
+	for _, v := range []struct {
+		name string
+		args []string
+	}{
+		{"classic", []string{"-sensors", "40", "-ring", "12", "-target", "0.4", "-qmax", "2",
+			"-xmax", "10", "-xstep", "5",
+			"-trials", "6", "-pointworkers", "3"}},
+		{"timeline", []string{"-sensors", "40", "-ring", "12", "-target", "0.4", "-q", "2",
+			"-timeline", "capture:20;capture:10,fail:10",
+			"-xstep", "5",
+			"-trials", "6", "-pointworkers", "3"}},
+	} {
+		for _, w := range []string{"1", "2"} {
+			csv := filepath.Join(t.TempDir(), "resilience.csv")
+			if err := runResilience(t, append(v.args, "-workers", w, "-csv", csv)...); err != nil {
+				t.Fatal(err)
+			}
+			checkDigest(t, "cmd/resilience "+v.name+" workers="+w, csv)
+		}
+	}
+}
+
+// checkDigest compares the SHA-256 of the file at path with the digest the
+// repository's table (testdata/digests.txt, lines "<sha256>  <name>") holds
+// for name. A digest may change only in a change whose CHANGES.md entry says
+// which result changed and why.
+func checkDigest(t *testing.T, name, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := os.ReadFile("../../testdata/digests.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprintf("%x", sha256.Sum256(data))
+	for _, line := range strings.Split(string(table), "\n") {
+		if want, entry, ok := strings.Cut(line, "  "); ok && entry == name {
+			if got != want {
+				t.Errorf("%s: CSV digest %s, the table holds %s", name, got, want)
+			}
+			return
+		}
+	}
+	t.Errorf("%s: no entry in the digest table; this run gives\n%s  %s", name, got, name)
 }

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -99,4 +101,45 @@ func TestCheckpointResumeRoundTrip(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Error("resumed run's CSV differs from the original run's")
 	}
+}
+
+// TestCSVDigests pins the CSV bytes of the smoke run, at one and at two
+// workers, to the repository's digest table.
+func TestCSVDigests(t *testing.T) {
+	for _, w := range []string{"1", "2"} {
+		csv := filepath.Join(t.TempDir(), "theorem1.csv")
+		if err := runTheorem1(t, "-n", "60", "-pool", "300", "-q", "1", "-kconn", "2",
+			"-kmin", "8", "-kmax", "12", "-kstep", "4",
+			"-trials", "15", "-pointworkers", "3",
+			"-workers", w, "-csv", csv); err != nil {
+			t.Fatal(err)
+		}
+		checkDigest(t, "cmd/theorem1 workers="+w, csv)
+	}
+}
+
+// checkDigest compares the SHA-256 of the file at path with the digest the
+// repository's table (testdata/digests.txt, lines "<sha256>  <name>") holds
+// for name. A digest may change only in a change whose CHANGES.md entry says
+// which result changed and why.
+func checkDigest(t *testing.T, name, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := os.ReadFile("../../testdata/digests.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprintf("%x", sha256.Sum256(data))
+	for _, line := range strings.Split(string(table), "\n") {
+		if want, entry, ok := strings.Cut(line, "  "); ok && entry == name {
+			if got != want {
+				t.Errorf("%s: CSV digest %s, the table holds %s", name, got, want)
+			}
+			return
+		}
+	}
+	t.Errorf("%s: no entry in the digest table; this run gives\n%s  %s", name, got, name)
 }

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -37,4 +40,62 @@ func TestRunSmoke(t *testing.T) {
 	if len(strings.TrimSpace(string(data))) == 0 {
 		t.Error("series csv is empty")
 	}
+}
+
+// runArgs drives run() with a fresh flag set and the given argv tail,
+// stdout discarded.
+func runArgs(t *testing.T, args ...string) error {
+	t.Helper()
+	flag.CommandLine = flag.NewFlagSet("zeroone", flag.ExitOnError)
+	os.Args = append([]string{"zeroone"}, args...)
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer null.Close()
+	stdout := os.Stdout
+	os.Stdout = null
+	defer func() { os.Stdout = stdout }()
+	return run()
+}
+
+// TestCSVDigests pins the CSV bytes of the smoke run, at one and at two
+// workers, to the repository's digest table.
+func TestCSVDigests(t *testing.T) {
+	for _, w := range []string{"1", "2"} {
+		csv := filepath.Join(t.TempDir(), "zeroone.csv")
+		if err := runArgs(t, "-q", "1", "-p", "0.9", "-k", "1", "-c", "1.5", "-poolmult", "5",
+			"-nlist", "40,80",
+			"-trials", "8", "-pointworkers", "2",
+			"-workers", w, "-csv", csv); err != nil {
+			t.Fatal(err)
+		}
+		checkDigest(t, "cmd/zeroone workers="+w, csv)
+	}
+}
+
+// checkDigest compares the SHA-256 of the file at path with the digest the
+// repository's table (testdata/digests.txt, lines "<sha256>  <name>") holds
+// for name. A digest may change only in a change whose CHANGES.md entry says
+// which result changed and why.
+func checkDigest(t *testing.T, name, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := os.ReadFile("../../testdata/digests.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprintf("%x", sha256.Sum256(data))
+	for _, line := range strings.Split(string(table), "\n") {
+		if want, entry, ok := strings.Cut(line, "  "); ok && entry == name {
+			if got != want {
+				t.Errorf("%s: CSV digest %s, the table holds %s", name, got, want)
+			}
+			return
+		}
+	}
+	t.Errorf("%s: no entry in the digest table; this run gives\n%s  %s", name, got, name)
 }

@@ -9,7 +9,9 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -731,5 +733,86 @@ func BenchmarkServerDedup(b *testing.B) {
 	b.ReportMetric(float64(st.Hits)/float64(b.N), "cachehits/op")
 	if st.Misses != 8 {
 		b.Fatalf("store misses = %d, want 8 (grid computed once, ever)", st.Misses)
+	}
+}
+
+// TestJobDigests pins the CSV bytes of one job of each kind, run through the
+// Manager at one and at two trial workers, to the repository's digest table.
+func TestJobDigests(t *testing.T) {
+	specs := []struct {
+		name string
+		spec sweepserve.JobSpec
+	}{
+		{"connectivity", connectivitySpec([]int{6, 9}, []float64{0.5, 1})},
+		{"kconn", sweepserve.JobSpec{
+			Kind: sweepserve.KindKConn, Sensors: testSensors, Pool: testPool,
+			Trials: testTrials, Seed: testSeed,
+			Grid: sweepserve.GridSpec{Ks: []int{9}, Qs: []int{1}, Ps: []float64{0.7}, Xs: []float64{1, 2}},
+		}},
+		{"cross", sweepserve.JobSpec{
+			Kind: sweepserve.KindCross, Sensors: testSensors, Pool: testPool,
+			Trials: testTrials, Seed: testSeed, Binding: "radius", K: 2,
+			Grid: sweepserve.GridSpec{Ks: []int{9}, Qs: []int{1}, Xs: []float64{0.2, 0.35}},
+		}},
+		{"mindegree", sweepserve.JobSpec{
+			Kind: sweepserve.KindMinDegree, Sensors: testSensors, Pool: testPool,
+			Trials: testTrials, Seed: testSeed, K: 2,
+			Grid: sweepserve.GridSpec{Ks: []int{6, 9}, Qs: []int{1}, Ps: []float64{0.6}},
+		}},
+		{"design", sweepserve.JobSpec{
+			Kind: sweepserve.KindDesign, Sensors: testSensors, Pool: testPool,
+			Trials: testTrials, Seed: testSeed, Target: 0.9, KMax: 2,
+			Grid: sweepserve.GridSpec{Qs: []int{1}, Ps: []float64{0.9}},
+		}},
+		{"kstar", sweepserve.JobSpec{
+			Kind: sweepserve.KindKStar, Sensors: testSensors, Pool: testPool,
+			Trials: testTrials, Seed: testSeed,
+			Grid: sweepserve.GridSpec{Qs: []int{1, 2}, Ps: []float64{1, 0.5}},
+		}},
+		{"campaign", sweepserve.JobSpec{
+			Kind: sweepserve.KindCampaign, Sensors: testSensors, Pool: testPool,
+			Trials: testTrials, Seed: testSeed, Timeline: "capture:4,fail:3",
+			Grid: sweepserve.GridSpec{Ks: []int{9}, Qs: []int{1}, Ps: []float64{0.7}, Xs: []float64{0, 4, 7}},
+		}},
+	}
+	table, err := os.ReadFile("../../testdata/digests.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(string(table), "\n") {
+		if sum, name, ok := strings.Cut(line, "  "); ok {
+			want[name] = sum
+		}
+	}
+	ctx := context.Background()
+	for _, workers := range []int{1, 2} {
+		env := newEnv(t, sweepserve.Options{TrialWorkers: workers, PointWorkers: workers})
+		for _, s := range specs {
+			ack, err := env.client.Submit(ctx, s.spec)
+			if err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+			if st, err := env.client.Wait(ctx, ack.ID); err != nil || st.State != sweepserve.StateDone {
+				t.Fatalf("%s: job ended %+v, %v", s.name, st, err)
+			}
+			job, _ := env.manager.Job(ack.ID)
+			res, err := job.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var csv bytes.Buffer
+			if err := res.RenderCSV(&csv); err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("sweepserve/%s workers=%d", s.name, workers)
+			got := fmt.Sprintf("%x", sha256.Sum256(csv.Bytes()))
+			switch sum, ok := want[name]; {
+			case !ok:
+				t.Errorf("%s: no entry in the digest table; this run gives\n%s  %s", name, got, name)
+			case got != sum:
+				t.Errorf("%s: CSV digest %s, the table holds %s", name, got, sum)
+			}
+		}
 	}
 }

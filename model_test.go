@@ -2,8 +2,12 @@ package qcomposite
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"math"
+	"os"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/secure-wsn/qcomposite/internal/graphalgo"
@@ -283,5 +287,59 @@ func TestSampledGraphAgreesWithKConnTest(t *testing.T) {
 	}
 	if conn2 == 0 {
 		t.Error("dense model never 2-connected across 10 trials (suspicious)")
+	}
+}
+
+// TestEstimateDigests pins the Model estimates, at one and at two workers, to
+// the repository's digest table (testdata/digests.txt): each run renders its
+// estimates as CSV and the table holds the SHA-256 of those bytes.
+func TestEstimateDigests(t *testing.T) {
+	m := Model{N: 200, K: 20, P: 2000, Q: 2, ChannelOn: 0.5}
+	ctx := context.Background()
+	table, err := os.ReadFile("testdata/digests.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		cfg := EstimateConfig{Trials: 40, Workers: workers, Seed: 7}
+		var csv strings.Builder
+		csv.WriteString("estimate,level,values\n")
+		for k := 0; k <= 3; k++ {
+			kconn, err := m.EstimateKConnectivity(ctx, k, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mindeg, err := m.EstimateMinDegreeAtLeast(ctx, k, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts, err := m.DegreeCountDistribution(ctx, k, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&csv, "kconn,%d,%d/%d\n", k, kconn.Successes, kconn.Trials)
+			fmt.Fprintf(&csv, "mindegree,%d,%d/%d\n", k, mindeg.Successes, mindeg.Trials)
+			fmt.Fprintf(&csv, "degreecount,%d,%v\n", k, counts)
+		}
+		conn, err := m.EstimateConnectivity(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&csv, "conn,1,%d/%d\n", conn.Successes, conn.Trials)
+
+		name := fmt.Sprintf("qcomposite.Model workers=%d", workers)
+		got := fmt.Sprintf("%x", sha256.Sum256([]byte(csv.String())))
+		found := false
+		for _, line := range strings.Split(string(table), "\n") {
+			if sum, entry, ok := strings.Cut(line, "  "); ok && entry == name {
+				found = true
+				if sum != got {
+					t.Errorf("%s: CSV digest %s, the table holds %s", name, got, sum)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("%s: no entry in the digest table; this run gives\n%s  %s", name, got, name)
+		}
 	}
 }
