@@ -15,22 +15,13 @@ import (
 // and the pivoted table/CSV must all work from the flag surface down.
 func TestRunSmoke(t *testing.T) {
 	csv := filepath.Join(t.TempDir(), "couplings.csv")
-	os.Args = []string{"couplings",
+	err := runArgs(t,
 		"-n", "60", "-pool", "300", "-q", "1", "-k", "1",
 		"-kmin", "8", "-kmax", "12", "-kstep", "4",
 		"-trials", "20", "-couples", "5", "-workers", "2", "-pointworkers", "2",
 		"-csv", csv,
-	}
-	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	)
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer null.Close()
-	stdout := os.Stdout
-	os.Stdout = null
-	defer func() { os.Stdout = stdout }()
-
-	if err := run(); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(csv)

@@ -24,8 +24,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"github.com/secure-wsn/qcomposite/internal/channel"
@@ -66,9 +64,9 @@ func run() error {
 	}
 	defer journal.Close()
 
-	qs, err := parseInts(*qList)
+	qs, err := cmdutil.ParseList[int]("q", *qList)
 	if err != nil {
-		return fmt.Errorf("parse -q: %w", err)
+		return err
 	}
 	if *rStep <= 0 {
 		return fmt.Errorf("-rstep %v must be positive", *rStep)
@@ -202,23 +200,4 @@ func run() error {
 		fmt.Printf("\nwrote %s\n", *csvPath)
 	}
 	return nil
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty list")
-	}
-	return out, nil
 }

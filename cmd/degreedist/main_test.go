@@ -15,21 +15,12 @@ import (
 // all work from the flag surface down.
 func TestRunSmoke(t *testing.T) {
 	csv := filepath.Join(t.TempDir(), "degreedist.csv")
-	os.Args = []string{"degreedist",
+	err := runArgs(t,
 		"-n", "80", "-pool", "400", "-ring", "14", "-q", "1",
 		"-hmax", "1", "-trials", "25", "-workers", "2",
 		"-csv", csv,
-	}
-	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	)
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer null.Close()
-	stdout := os.Stdout
-	os.Stdout = null
-	defer func() { os.Stdout = stdout }()
-
-	if err := run(); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(csv)

@@ -11,10 +11,11 @@
 //   - the eq. (9) connectivity threshold K* for reference;
 //   - the resulting edge probability, expected degree, and α_n.
 //
-// The validation runs through experiment.SweepKConnectivity (the cross-sweep
-// path: the Grid's Xs axis carries the levels k = 1…kmax and each point
+// The validation is the sweepd job of kind "design" (the SweepKConnectivity
+// trial: the Grid's Xs axis carries the levels k = 1…kmax and each point
 // deploys at its own designed ring size through a reusable
-// wsn.DeployerPool), and the table is assembled by the shared
+// wsn.DeployerPool), run in process through sweepserve.RunLocal or on a
+// server with -server, and the table is assembled by the shared
 // Measurement/PivotSweep presenter.
 package main
 
@@ -24,12 +25,9 @@ import (
 	"fmt"
 	"os"
 
-	"github.com/secure-wsn/qcomposite/internal/channel"
 	"github.com/secure-wsn/qcomposite/internal/experiment"
-	"github.com/secure-wsn/qcomposite/internal/keys"
 	"github.com/secure-wsn/qcomposite/internal/sweepserve"
 	"github.com/secure-wsn/qcomposite/internal/theory"
-	"github.com/secure-wsn/qcomposite/internal/wsn"
 )
 
 func main() {
@@ -76,48 +74,28 @@ func run() error {
 		return ring, nil
 	}
 
-	// Empirical validation: the Xs axis carries the levels; every level
-	// deploys at its own designed ring size. With -server the sweep runs as a
-	// sweepd job of kind "design" — same grid, same parameter-derived seeds,
-	// same trial semantics, so the estimates are bit-identical to the local
-	// run (and the server caches the points for the next caller).
-	grid := experiment.Grid{Qs: []int{*q}, Ps: []float64{*pOn}, Xs: experiment.KLevels(*kMax)}
+	// Empirical validation: a sweepd job of kind "design" puts the levels
+	// k = 1..kmax on the Xs axis and deploys every level at its own designed
+	// ring size. It runs in process, or on the -server (which caches the
+	// points for the next caller); either way the grid, the
+	// parameter-derived seeds and the trials are the same, so the estimates
+	// are bit-identical.
+	spec := sweepserve.JobSpec{
+		Kind:    sweepserve.KindDesign,
+		Sensors: *n,
+		Pool:    *pool,
+		Trials:  *trials,
+		Seed:    *seed,
+		Grid:    sweepserve.GridSpec{Qs: []int{*q}, Ps: []float64{*pOn}},
+		Target:  *target,
+		KMax:    *kMax,
+	}
 	var results []experiment.ProportionResult
 	var err error
 	if *server != "" {
-		client := &sweepserve.Client{Base: *server}
-		results, err = client.RunProportion(context.Background(), sweepserve.JobSpec{
-			Kind:    sweepserve.KindDesign,
-			Sensors: *n,
-			Pool:    *pool,
-			Trials:  *trials,
-			Seed:    *seed,
-			Grid:    sweepserve.GridSpec{Qs: []int{*q}, Ps: []float64{*pOn}},
-			Target:  *target,
-			KMax:    *kMax,
-		})
+		results, err = (&sweepserve.Client{Base: *server}).RunProportion(context.Background(), spec)
 	} else {
-		results, err = experiment.SweepKConnectivity(context.Background(), grid,
-			experiment.SweepConfig{Trials: *trials, Workers: *workers, PointWorkers: *pWorkers, Seed: *seed},
-			func(pt experiment.GridPoint) (wsn.Config, error) {
-				k, err := experiment.KOf(pt)
-				if err != nil {
-					return wsn.Config{}, err
-				}
-				ring, err := ringFor(k)
-				if err != nil {
-					return wsn.Config{}, err
-				}
-				scheme, err := keys.NewQComposite(*pool, ring, pt.Q)
-				if err != nil {
-					return wsn.Config{}, err
-				}
-				return wsn.Config{
-					Sensors: *n,
-					Scheme:  scheme,
-					Channel: channel.OnOff{P: pt.P},
-				}, nil
-			})
+		results, err = sweepserve.RunLocal(context.Background(), spec, *workers, *pWorkers)
 	}
 	if err != nil {
 		return err

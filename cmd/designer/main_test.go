@@ -15,22 +15,13 @@ import (
 // the flag surface down.
 func TestRunSmoke(t *testing.T) {
 	csv := filepath.Join(t.TempDir(), "designer.csv")
-	os.Args = []string{"designer",
+	err := runWith(t,
 		"-n", "80", "-pool", "400", "-q", "1", "-p", "0.9",
 		"-kmax", "2", "-target", "0.9",
 		"-trials", "12", "-workers", "2", "-pointworkers", "2",
 		"-csv", csv,
-	}
-	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	)
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer null.Close()
-	stdout := os.Stdout
-	os.Stdout = null
-	defer func() { os.Stdout = stdout }()
-
-	if err := run(); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(csv)

@@ -15,21 +15,12 @@ import (
 // (sharded), and the series CSV must work from the flag surface down.
 func TestRunSmoke(t *testing.T) {
 	csv := filepath.Join(t.TempDir(), "giant.csv")
-	os.Args = []string{"giant",
+	err := runArgs(t,
 		"-n", "60", "-pool", "600", "-q", "1", "-p", "0.9",
 		"-trials", "6", "-workers", "2", "-pointworkers", "2",
 		"-csv", csv,
-	}
-	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	)
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer null.Close()
-	stdout := os.Stdout
-	os.Stdout = null
-	defer func() { os.Stdout = stdout }()
-
-	if err := run(); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(csv)

@@ -25,8 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"github.com/secure-wsn/qcomposite/internal/channel"
@@ -81,23 +79,14 @@ func run() error {
 	pOn := [][]float64{{*p11, *p12}, {*p12, *p22}}
 	ch := channel.HeterOnOff{P: pOn}
 
-	var mus []float64
-	for _, part := range strings.Split(*muList, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		mu, err := strconv.ParseFloat(part, 64)
-		if err != nil {
-			return fmt.Errorf("parse -mus %q: %w", part, err)
-		}
+	mus, err := cmdutil.ParseList[float64]("mus", *muList)
+	if err != nil {
+		return err
+	}
+	for _, mu := range mus {
 		if mu <= 0 || mu >= 1 {
 			return fmt.Errorf("μ=%v must lie strictly in (0,1): two classes need positive mass each", mu)
 		}
-		mus = append(mus, mu)
-	}
-	if len(mus) == 0 {
-		return fmt.Errorf("no mixing probabilities given")
 	}
 	if *k1Step < 1 {
 		return fmt.Errorf("-k1step %d must be ≥ 1", *k1Step)

@@ -11,9 +11,10 @@
 // published values (35, 41, 52, 60, 67, 78) track the asymptotic one (the
 // q = 2 row exactly, the q = 3 row within +1); see EXPERIMENTS.md.
 //
-// The simulation runs through experiment.SweepConnectivity over the (q, p)
-// grid — per-point parameter-derived seeds, verdict-only trials on a
-// reusable wsn.DeployerPool — and the table is assembled by the shared
+// The simulation is the sweepd job of kind "kstar" over the (q, p) grid —
+// per-point parameter-derived seeds, verdict-only connectivity trials on a
+// reusable wsn.DeployerPool — run in process through sweepserve.RunLocal or
+// on a server with -server, and the table is assembled by the shared
 // Measurement/PivotSweep presenter.
 package main
 
@@ -23,15 +24,12 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"strconv"
 	"strings"
 
-	"github.com/secure-wsn/qcomposite/internal/channel"
+	"github.com/secure-wsn/qcomposite/internal/cmdutil"
 	"github.com/secure-wsn/qcomposite/internal/experiment"
-	"github.com/secure-wsn/qcomposite/internal/keys"
 	"github.com/secure-wsn/qcomposite/internal/sweepserve"
 	"github.com/secure-wsn/qcomposite/internal/theory"
-	"github.com/secure-wsn/qcomposite/internal/wsn"
 )
 
 func main() {
@@ -56,13 +54,13 @@ func run() error {
 	)
 	flag.Parse()
 
-	qs, err := parseInts(*qList)
+	qs, err := cmdutil.ParseList[int]("q", *qList)
 	if err != nil {
-		return fmt.Errorf("parse -q: %w", err)
+		return err
 	}
-	ps, err := parseFloats(*pList)
+	ps, err := cmdutil.ParseList[float64]("p", *pList)
 	if err != nil {
-		return fmt.Errorf("parse -p: %w", err)
+		return err
 	}
 
 	paper := map[[2]string]float64{
@@ -86,36 +84,23 @@ func run() error {
 	fmt.Printf("empirical column: P[connected] over %d deployments AT the exact K*, seed %d\n\n",
 		*trials, *seed)
 
-	// Empirical validation sweep: deploy at the exact K* of each (q, p). With
-	// -server the sweep runs as a sweepd job of kind "kstar" — same grid,
-	// same parameter-derived seeds, same trial semantics, so the estimates
-	// are bit-identical to the local run.
-	grid := experiment.Grid{Qs: qs, Ps: ps}
+	// Empirical validation sweep: a sweepd job of kind "kstar" deploys at the
+	// exact K* of each (q, p). It runs in process, or on the -server; either
+	// way the grid, the parameter-derived seeds and the trials are the same,
+	// so the estimates are bit-identical.
+	spec := sweepserve.JobSpec{
+		Kind:    sweepserve.KindKStar,
+		Sensors: *n,
+		Pool:    *pool,
+		Trials:  *trials,
+		Seed:    *seed,
+		Grid:    sweepserve.GridSpec{Qs: qs, Ps: ps},
+	}
 	var results []experiment.ProportionResult
 	if *server != "" {
-		client := &sweepserve.Client{Base: *server}
-		results, err = client.RunProportion(context.Background(), sweepserve.JobSpec{
-			Kind:    sweepserve.KindKStar,
-			Sensors: *n,
-			Pool:    *pool,
-			Trials:  *trials,
-			Seed:    *seed,
-			Grid:    sweepserve.GridSpec{Qs: qs, Ps: ps},
-		})
+		results, err = (&sweepserve.Client{Base: *server}).RunProportion(context.Background(), spec)
 	} else {
-		results, err = experiment.SweepConnectivity(context.Background(), grid,
-			experiment.SweepConfig{Trials: *trials, Workers: *workers, PointWorkers: *pWorkers, Seed: *seed},
-			func(pt experiment.GridPoint) (wsn.Config, error) {
-				exact, _, err := thresholds(pt)
-				if err != nil {
-					return wsn.Config{}, err
-				}
-				scheme, err := keys.NewQComposite(*pool, exact, pt.Q)
-				if err != nil {
-					return wsn.Config{}, err
-				}
-				return wsn.Config{Sensors: *n, Scheme: scheme, Channel: channel.OnOff{P: pt.P}}, nil
-			})
+		results, err = sweepserve.RunLocal(context.Background(), spec, *workers, *pWorkers)
 	}
 	if err != nil {
 		return err
@@ -189,28 +174,4 @@ func run() error {
 
 func lnOverN(n int) float64 {
 	return math.Log(float64(n)) / float64(n)
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

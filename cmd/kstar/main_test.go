@@ -14,21 +14,12 @@ import (
 // the pivoted table CSV must work from the flag surface down.
 func TestRunSmoke(t *testing.T) {
 	csv := filepath.Join(t.TempDir(), "kstar.csv")
-	os.Args = []string{"kstar",
+	err := runWith(t,
 		"-n", "80", "-pool", "400", "-q", "1,2", "-p", "1,0.5",
 		"-trials", "12", "-workers", "2", "-pointworkers", "3",
 		"-csv", csv,
-	}
-	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	)
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer null.Close()
-	stdout := os.Stdout
-	os.Stdout = null
-	defer func() { os.Stdout = stdout }()
-
-	if err := run(); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(csv)
@@ -48,6 +39,19 @@ func TestRunSmoke(t *testing.T) {
 	// Off-paper parameters render the paper column as "-".
 	if !strings.Contains(text, "-") {
 		t.Error("csv missing '-' placeholder for unpublished paper values")
+	}
+}
+
+// TestListFlags pins the shared comma-list parsing: a trailing comma is
+// accepted, and a list with no values fails naming its flag.
+func TestListFlags(t *testing.T) {
+	if err := runWith(t, "-n", "80", "-pool", "400", "-q", "2,", "-p", "1,", "-trials", "2"); err != nil {
+		t.Errorf("-q 2, -p 1,: %v", err)
+	}
+	for _, args := range [][]string{{"-q", ","}, {"-p", ""}} {
+		if err := runWith(t, append(args, "-trials", "2")...); err == nil || !strings.Contains(err.Error(), args[0]+" ") {
+			t.Errorf("%s %q: error = %v, want one naming %s", args[0], args[1], err, args[0])
+		}
 	}
 }
 

@@ -20,11 +20,10 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"github.com/secure-wsn/qcomposite/internal/channel"
+	"github.com/secure-wsn/qcomposite/internal/cmdutil"
 	"github.com/secure-wsn/qcomposite/internal/experiment"
 	"github.com/secure-wsn/qcomposite/internal/keys"
 	"github.com/secure-wsn/qcomposite/internal/theory"
@@ -54,20 +53,14 @@ func run() error {
 	)
 	flag.Parse()
 
-	var ns []int
-	for _, part := range strings.Split(*nList, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil {
-			return fmt.Errorf("parse -nlist %q: %w", part, err)
-		}
+	ns, err := cmdutil.ParseList[int]("nlist", *nList)
+	if err != nil {
+		return err
+	}
+	for _, v := range ns {
 		if v < 3 {
 			return fmt.Errorf("n must be ≥ 3, got %d", v)
 		}
-		ns = append(ns, v)
 	}
 
 	fmt.Printf("Zero–one law (8b)/(8c): k=%d, q=%d, p=%g, P=%d·n, alpha_n = ±%.1f·ln ln n\n",

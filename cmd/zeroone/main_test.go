@@ -15,22 +15,13 @@ import (
 // dimensioning, and the series CSV must work from the flag surface down.
 func TestRunSmoke(t *testing.T) {
 	csv := filepath.Join(t.TempDir(), "zeroone.csv")
-	os.Args = []string{"zeroone",
+	err := runArgs(t,
 		"-q", "1", "-p", "0.9", "-k", "1", "-c", "1.5", "-poolmult", "5",
 		"-nlist", "40,80",
 		"-trials", "8", "-workers", "2", "-pointworkers", "2",
 		"-csv", csv,
-	}
-	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	)
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer null.Close()
-	stdout := os.Stdout
-	os.Stdout = null
-	defer func() { os.Stdout = stdout }()
-
-	if err := run(); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(csv)
@@ -57,6 +48,16 @@ func runArgs(t *testing.T, args ...string) error {
 	os.Stdout = null
 	defer func() { os.Stdout = stdout }()
 	return run()
+}
+
+// TestEmptyNList pins that a list with no values fails naming -nlist
+// instead of running an n = 0 grid point.
+func TestEmptyNList(t *testing.T) {
+	for _, list := range []string{",", " , ", ""} {
+		if err := runArgs(t, "-nlist", list, "-trials", "2"); err == nil || !strings.Contains(err.Error(), "-nlist") {
+			t.Errorf("-nlist %q: error = %v, want one naming -nlist", list, err)
+		}
+	}
 }
 
 // TestCSVDigests pins the CSV bytes of the smoke run, at one and at two

@@ -1,12 +1,10 @@
-// Package bitset provides a dense, fixed-capacity bit set used throughout the
-// library for key rings (subsets of a key pool) and adjacency rows.
+// Package bitset provides a dense, fixed-capacity bit set over a key pool:
+// the adversary's learned keys and a network's revoked keys.
 //
 // The zero value of Set is an empty set with zero capacity; use New to
-// allocate capacity up front. All operations that combine two sets require
-// equal capacity and report a mismatch through their error return where one
-// exists, or document the panic otherwise (programmer error, per the style
-// guide's "don't panic for expected failures" rule: a capacity mismatch is
-// never an expected runtime failure, it is a bug in the caller).
+// allocate capacity up front. Union requires equal capacities and panics on
+// a mismatch: that is a bug in the caller, never an expected runtime
+// failure.
 package bitset
 
 import (
@@ -17,7 +15,7 @@ import (
 
 const wordBits = 64
 
-// Set is a dense bit set over the universe [0, Cap()).
+// Set is a dense bit set over the universe [0, n), n its capacity.
 type Set struct {
 	words []uint64
 	n     int // capacity in bits
@@ -34,22 +32,6 @@ func New(n int) *Set {
 		n:     n,
 	}
 }
-
-// FromIndices returns a Set of capacity n with the given indices set.
-// Indices outside [0, n) are reported as an error.
-func FromIndices(n int, indices []int) (*Set, error) {
-	s := New(n)
-	for _, i := range indices {
-		if i < 0 || i >= n {
-			return nil, fmt.Errorf("bitset: index %d out of range [0, %d)", i, n)
-		}
-		s.Add(i)
-	}
-	return s, nil
-}
-
-// Cap returns the capacity (universe size) of the set in bits.
-func (s *Set) Cap() int { return s.n }
 
 // Add inserts i into the set. It panics if i is out of range, which is a
 // programmer error (callers own the universe size).
@@ -88,42 +70,6 @@ func (s *Set) Count() int {
 	return c
 }
 
-// IntersectionCount returns |s ∩ t| without allocating. Sets of differing
-// capacity intersect over the shorter word prefix, which equals the
-// mathematical intersection because bits beyond a set's capacity are zero.
-func (s *Set) IntersectionCount(t *Set) int {
-	a, b := s.words, t.words
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	c := 0
-	for i, w := range a {
-		c += bits.OnesCount64(w & b[i])
-	}
-	return c
-}
-
-// IntersectsAtLeast reports whether |s ∩ t| ≥ q. It short-circuits as soon as
-// the running count reaches q, which is the hot path for q-composite edge
-// tests where q is small.
-func (s *Set) IntersectsAtLeast(t *Set, q int) bool {
-	if q <= 0 {
-		return true
-	}
-	a, b := s.words, t.words
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	c := 0
-	for i, w := range a {
-		c += bits.OnesCount64(w & b[i])
-		if c >= q {
-			return true
-		}
-	}
-	return false
-}
-
 // Union sets s = s ∪ t. Capacities must match.
 func (s *Set) Union(t *Set) {
 	s.capCheck(t)
@@ -132,54 +78,10 @@ func (s *Set) Union(t *Set) {
 	}
 }
 
-// Intersect sets s = s ∩ t. Capacities must match.
-func (s *Set) Intersect(t *Set) {
-	s.capCheck(t)
-	for i, w := range t.words {
-		s.words[i] &= w
-	}
-}
-
-// Difference sets s = s \ t. Capacities must match.
-func (s *Set) Difference(t *Set) {
-	s.capCheck(t)
-	for i, w := range t.words {
-		s.words[i] &^= w
-	}
-}
-
-// IsSubsetOf reports whether every element of s is in t.
-func (s *Set) IsSubsetOf(t *Set) bool {
-	for i, w := range s.words {
-		var tw uint64
-		if i < len(t.words) {
-			tw = t.words[i]
-		}
-		if w&^tw != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 func (s *Set) capCheck(t *Set) {
 	if s.n != t.n {
 		panic(fmt.Sprintf("bitset: capacity mismatch %d != %d", s.n, t.n))
 	}
-}
-
-// Clear removes all elements, retaining capacity.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
-// Clone returns an independent copy of s (copy at boundaries).
-func (s *Set) Clone() *Set {
-	c := &Set{words: make([]uint64, len(s.words)), n: s.n}
-	copy(c.words, s.words)
-	return c
 }
 
 // Equal reports whether s and t contain exactly the same elements.
@@ -201,43 +103,6 @@ func (s *Set) Equal(t *Set) bool {
 		}
 	}
 	return true
-}
-
-// Indices appends the elements of s to dst in ascending order and returns the
-// extended slice. Pass nil to allocate.
-func (s *Set) Indices(dst []int) []int {
-	for wi, w := range s.words {
-		base := wi * wordBits
-		for w != 0 {
-			tz := bits.TrailingZeros64(w)
-			dst = append(dst, base+tz)
-			w &= w - 1
-		}
-	}
-	return dst
-}
-
-// ForEachIntersection calls fn on each element of s ∩ t in ascending order,
-// without materialising the intersection. Iteration stops early if fn returns
-// false. Sets of differing capacity intersect over the shorter word prefix
-// (bits beyond a set's capacity are zero, so this equals the mathematical
-// intersection).
-func (s *Set) ForEachIntersection(t *Set, fn func(i int) bool) {
-	a, b := s.words, t.words
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	for wi, w := range a {
-		w &= b[wi]
-		base := wi * wordBits
-		for w != 0 {
-			tz := bits.TrailingZeros64(w)
-			if !fn(base + tz) {
-				return
-			}
-			w &= w - 1
-		}
-	}
 }
 
 // ForEach calls fn on each element in ascending order. Iteration stops early

@@ -1,6 +1,8 @@
 package bitset
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -20,8 +22,8 @@ func TestNewEmpty(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			s := New(tt.n)
-			if got := s.Cap(); got != tt.want {
-				t.Errorf("Cap() = %d, want %d", got, tt.want)
+			if got := s.n; got != tt.want {
+				t.Errorf("capacity = %d, want %d", got, tt.want)
 			}
 			if got := s.Count(); got != 0 {
 				t.Errorf("Count() = %d, want 0", got)
@@ -78,12 +80,12 @@ func TestAddPanicsOutOfRange(t *testing.T) {
 }
 
 func TestFromIndices(t *testing.T) {
-	s, err := FromIndices(100, []int{3, 1, 99})
+	s, err := fromIndices(100, []int{3, 1, 99})
 	if err != nil {
 		t.Fatalf("FromIndices: %v", err)
 	}
 	want := []int{1, 3, 99}
-	got := s.Indices(nil)
+	got := s.indices(nil)
 	if len(got) != len(want) {
 		t.Fatalf("Indices = %v, want %v", got, want)
 	}
@@ -92,17 +94,17 @@ func TestFromIndices(t *testing.T) {
 			t.Fatalf("Indices = %v, want %v", got, want)
 		}
 	}
-	if _, err := FromIndices(10, []int{10}); err == nil {
+	if _, err := fromIndices(10, []int{10}); err == nil {
 		t.Error("FromIndices out of range: got nil error")
 	}
-	if _, err := FromIndices(10, []int{-1}); err == nil {
+	if _, err := fromIndices(10, []int{-1}); err == nil {
 		t.Error("FromIndices negative: got nil error")
 	}
 }
 
 func TestSetAlgebra(t *testing.T) {
 	mk := func(idx ...int) *Set {
-		s, err := FromIndices(200, idx)
+		s, err := fromIndices(200, idx)
 		if err != nil {
 			t.Fatalf("FromIndices: %v", err)
 		}
@@ -117,26 +119,26 @@ func TestSetAlgebra(t *testing.T) {
 	})
 	t.Run("intersect", func(t *testing.T) {
 		a := mk(1, 2, 3, 100)
-		a.Intersect(mk(2, 100, 150))
+		a.intersect(mk(2, 100, 150))
 		if !a.Equal(mk(2, 100)) {
 			t.Errorf("intersect = %v", a)
 		}
 	})
 	t.Run("difference", func(t *testing.T) {
 		a := mk(1, 2, 3)
-		a.Difference(mk(2, 7))
+		a.difference(mk(2, 7))
 		if !a.Equal(mk(1, 3)) {
 			t.Errorf("difference = %v", a)
 		}
 	})
 	t.Run("subset", func(t *testing.T) {
-		if !mk(1, 2).IsSubsetOf(mk(1, 2, 3)) {
+		if !mk(1, 2).isSubsetOf(mk(1, 2, 3)) {
 			t.Error("subset = false, want true")
 		}
-		if mk(1, 4).IsSubsetOf(mk(1, 2, 3)) {
+		if mk(1, 4).isSubsetOf(mk(1, 2, 3)) {
 			t.Error("subset = true, want false")
 		}
-		if !mk().IsSubsetOf(mk()) {
+		if !mk().isSubsetOf(mk()) {
 			t.Error("empty subset of empty = false")
 		}
 	})
@@ -155,18 +157,18 @@ func TestIntersectionCount(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			a, err := FromIndices(128, tt.a)
+			a, err := fromIndices(128, tt.a)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := FromIndices(128, tt.b)
+			b, err := fromIndices(128, tt.b)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := a.IntersectionCount(b); got != tt.want {
+			if got := a.intersectionCount(b); got != tt.want {
 				t.Errorf("IntersectionCount = %d, want %d", got, tt.want)
 			}
-			if got := b.IntersectionCount(a); got != tt.want {
+			if got := b.intersectionCount(a); got != tt.want {
 				t.Errorf("IntersectionCount reversed = %d, want %d", got, tt.want)
 			}
 		})
@@ -174,37 +176,37 @@ func TestIntersectionCount(t *testing.T) {
 }
 
 func TestIntersectionCountDifferentCaps(t *testing.T) {
-	a, err := FromIndices(64, []int{1, 63})
+	a, err := fromIndices(64, []int{1, 63})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FromIndices(256, []int{1, 63, 200})
+	b, err := fromIndices(256, []int{1, 63, 200})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.IntersectionCount(b); got != 2 {
+	if got := a.intersectionCount(b); got != 2 {
 		t.Errorf("IntersectionCount = %d, want 2", got)
 	}
-	if got := b.IntersectionCount(a); got != 2 {
+	if got := b.intersectionCount(a); got != 2 {
 		t.Errorf("IntersectionCount reversed = %d, want 2", got)
 	}
 }
 
 func TestIntersectsAtLeast(t *testing.T) {
-	a, err := FromIndices(512, []int{1, 100, 200, 300})
+	a, err := fromIndices(512, []int{1, 100, 200, 300})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FromIndices(512, []int{100, 200, 300, 400})
+	b, err := fromIndices(512, []int{100, 200, 300, 400})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for q := 0; q <= 3; q++ {
-		if !a.IntersectsAtLeast(b, q) {
+		if !a.intersectsAtLeast(b, q) {
 			t.Errorf("IntersectsAtLeast(q=%d) = false, want true", q)
 		}
 	}
-	if a.IntersectsAtLeast(b, 4) {
+	if a.intersectsAtLeast(b, 4) {
 		t.Error("IntersectsAtLeast(q=4) = true, want false")
 	}
 }
@@ -212,7 +214,7 @@ func TestIntersectsAtLeast(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	a := New(64)
 	a.Add(7)
-	b := a.Clone()
+	b := a.clone()
 	b.Add(9)
 	if a.Contains(9) {
 		t.Error("mutating clone affected original")
@@ -226,17 +228,17 @@ func TestClear(t *testing.T) {
 	a := New(128)
 	a.Add(0)
 	a.Add(127)
-	a.Clear()
+	a.reset()
 	if got := a.Count(); got != 0 {
 		t.Errorf("Count after Clear = %d, want 0", got)
 	}
-	if got := a.Cap(); got != 128 {
-		t.Errorf("Cap after Clear = %d, want 128", got)
+	if got := a.n; got != 128 {
+		t.Errorf("capacity after reset = %d, want 128", got)
 	}
 }
 
 func TestForEachEarlyStop(t *testing.T) {
-	a, err := FromIndices(64, []int{1, 2, 3, 4})
+	a, err := fromIndices(64, []int{1, 2, 3, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +253,7 @@ func TestForEachEarlyStop(t *testing.T) {
 }
 
 func TestString(t *testing.T) {
-	a, err := FromIndices(64, []int{3, 1})
+	a, err := fromIndices(64, []int{3, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +287,7 @@ func TestQuickCountMatchesModel(t *testing.T) {
 		if s.Count() != len(m) {
 			return false
 		}
-		for _, i := range s.Indices(nil) {
+		for _, i := range s.indices(nil) {
 			if !m[i] {
 				return false
 			}
@@ -304,19 +306,19 @@ func TestQuickIntersectionCommutesAndBounds(t *testing.T) {
 		n := 1 + r.Intn(300)
 		a, am := randomSet(r, n)
 		b, bm := randomSet(r, n)
-		got := a.IntersectionCount(b)
+		got := a.intersectionCount(b)
 		want := 0
 		for k := range am {
 			if bm[k] {
 				want++
 			}
 		}
-		if got != want || got != b.IntersectionCount(a) {
+		if got != want || got != b.intersectionCount(a) {
 			return false
 		}
-		// IntersectsAtLeast must agree with the count for every threshold.
+		// intersectsAtLeast must agree with the count for every threshold.
 		for q := 0; q <= want+1; q++ {
-			if a.IntersectsAtLeast(b, q) != (want >= q) {
+			if a.intersectsAtLeast(b, q) != (want >= q) {
 				return false
 			}
 		}
@@ -335,10 +337,10 @@ func TestQuickDeMorgan(t *testing.T) {
 		n := 1 + r.Intn(300)
 		a, _ := randomSet(r, n)
 		b, _ := randomSet(r, n)
-		union := a.Clone()
+		union := a.clone()
 		union.Union(b)
-		inter := a.Clone()
-		inter.Intersect(b)
+		inter := a.clone()
+		inter.intersect(b)
 		return union.Count()+inter.Count() == a.Count()+b.Count()
 	}
 	if err := quick.Check(f, cfg); err != nil {
@@ -346,37 +348,17 @@ func TestQuickDeMorgan(t *testing.T) {
 	}
 }
 
-func BenchmarkIntersectionCount(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	a, _ := randomSet(r, 10000)
-	c, _ := randomSet(r, 10000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = a.IntersectionCount(c)
-	}
-}
-
-func BenchmarkIntersectsAtLeast2(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	a, _ := randomSet(r, 10000)
-	c, _ := randomSet(r, 10000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = a.IntersectsAtLeast(c, 2)
-	}
-}
-
 func TestForEachIntersection(t *testing.T) {
-	a, err := FromIndices(256, []int{1, 2, 64, 65, 200})
+	a, err := fromIndices(256, []int{1, 2, 64, 65, 200})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FromIndices(256, []int{2, 64, 99, 200})
+	b, err := fromIndices(256, []int{2, 64, 99, 200})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []int
-	a.ForEachIntersection(b, func(i int) bool {
+	a.forEachIntersection(b, func(i int) bool {
 		got = append(got, i)
 		return true
 	})
@@ -391,7 +373,7 @@ func TestForEachIntersection(t *testing.T) {
 	}
 	// Early stop.
 	var first []int
-	a.ForEachIntersection(b, func(i int) bool {
+	a.forEachIntersection(b, func(i int) bool {
 		first = append(first, i)
 		return false
 	})
@@ -399,27 +381,157 @@ func TestForEachIntersection(t *testing.T) {
 		t.Errorf("early stop visited %v, want [2]", first)
 	}
 	// Differing capacities intersect over the common prefix.
-	small, err := FromIndices(64, []int{2, 63})
+	small, err := fromIndices(64, []int{2, 63})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got = got[:0]
-	a.ForEachIntersection(small, func(i int) bool {
+	a.forEachIntersection(small, func(i int) bool {
 		got = append(got, i)
 		return true
 	})
 	if len(got) != 1 || got[0] != 2 {
 		t.Errorf("mixed-cap intersection = %v, want [2]", got)
 	}
-	// Count agreement with IntersectionCount on every pair combination.
+	// Count agreement with intersectionCount on every pair combination.
 	pairs := []*Set{a, b, small, New(256), New(0)}
 	for _, s := range pairs {
 		for _, u := range pairs {
 			n := 0
-			s.ForEachIntersection(u, func(int) bool { n++; return true })
-			if want := s.IntersectionCount(u); n != want {
+			s.forEachIntersection(u, func(int) bool { n++; return true })
+			if want := s.intersectionCount(u); n != want {
 				t.Errorf("ForEachIntersection visited %d, IntersectionCount = %d", n, want)
 			}
+		}
+	}
+}
+
+// fromIndices returns a Set of capacity n with the given indices set.
+// indices outside [0, n) are reported as an error.
+func fromIndices(n int, indices []int) (*Set, error) {
+	s := New(n)
+	for _, i := range indices {
+		if i < 0 || i >= n {
+			return nil, fmt.Errorf("bitset: index %d out of range [0, %d)", i, n)
+		}
+		s.Add(i)
+	}
+	return s, nil
+}
+
+// intersectionCount returns |s ∩ t| without allocating. Sets of differing
+// capacity intersect over the shorter word prefix, which equals the
+// mathematical intersection because bits beyond a set's capacity are zero.
+func (s *Set) intersectionCount(t *Set) int {
+	a, b := s.words, t.words
+	if len(b) < len(a) {
+		a, b = b, a
+	}
+	c := 0
+	for i, w := range a {
+		c += bits.OnesCount64(w & b[i])
+	}
+	return c
+}
+
+// intersectsAtLeast reports whether |s ∩ t| ≥ q. It short-circuits as soon as
+// the running count reaches q, which is the hot path for q-composite edge
+// tests where q is small.
+func (s *Set) intersectsAtLeast(t *Set, q int) bool {
+	if q <= 0 {
+		return true
+	}
+	a, b := s.words, t.words
+	if len(b) < len(a) {
+		a, b = b, a
+	}
+	c := 0
+	for i, w := range a {
+		c += bits.OnesCount64(w & b[i])
+		if c >= q {
+			return true
+		}
+	}
+	return false
+}
+
+// intersect sets s = s ∩ t. Capacities must match.
+func (s *Set) intersect(t *Set) {
+	s.capCheck(t)
+	for i, w := range t.words {
+		s.words[i] &= w
+	}
+}
+
+// difference sets s = s \ t. Capacities must match.
+func (s *Set) difference(t *Set) {
+	s.capCheck(t)
+	for i, w := range t.words {
+		s.words[i] &^= w
+	}
+}
+
+// isSubsetOf reports whether every element of s is in t.
+func (s *Set) isSubsetOf(t *Set) bool {
+	for i, w := range s.words {
+		var tw uint64
+		if i < len(t.words) {
+			tw = t.words[i]
+		}
+		if w&^tw != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// reset removes all elements, retaining capacity.
+func (s *Set) reset() {
+	for i := range s.words {
+		s.words[i] = 0
+	}
+}
+
+// clone returns an independent copy of s (copy at boundaries).
+func (s *Set) clone() *Set {
+	c := &Set{words: make([]uint64, len(s.words)), n: s.n}
+	copy(c.words, s.words)
+	return c
+}
+
+// indices appends the elements of s to dst in ascending order and returns the
+// extended slice. Pass nil to allocate.
+func (s *Set) indices(dst []int) []int {
+	for wi, w := range s.words {
+		base := wi * wordBits
+		for w != 0 {
+			tz := bits.TrailingZeros64(w)
+			dst = append(dst, base+tz)
+			w &= w - 1
+		}
+	}
+	return dst
+}
+
+// forEachIntersection calls fn on each element of s ∩ t in ascending order,
+// without materialising the intersection. Iteration stops early if fn returns
+// false. Sets of differing capacity intersect over the shorter word prefix
+// (bits beyond a set's capacity are zero, so this equals the mathematical
+// intersection).
+func (s *Set) forEachIntersection(t *Set, fn func(i int) bool) {
+	a, b := s.words, t.words
+	if len(b) < len(a) {
+		a, b = b, a
+	}
+	for wi, w := range a {
+		w &= b[wi]
+		base := wi * wordBits
+		for w != 0 {
+			tz := bits.TrailingZeros64(w)
+			if !fn(base + tz) {
+				return
+			}
+			w &= w - 1
 		}
 	}
 }

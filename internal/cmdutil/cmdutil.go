@@ -2,7 +2,8 @@
 // the command-line experiments: -checkpoint/-resume journal flags shared by
 // every sweep a command runs, and a signal-aware context so an interrupted
 // run (Ctrl-C, SIGTERM) drains its shards, flushes the journal, and prints
-// how to pick up where it left off.
+// how to pick up where it left off. It also holds the comma-list flag parser
+// the commands share.
 package cmdutil
 
 import (
@@ -14,6 +15,8 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
+	"strings"
 	"syscall"
 	"time"
 
@@ -111,6 +114,35 @@ func (j *Journal) Hint(err error) error {
 		err, j.checkpointPath)
 }
 
+// ParseList parses the comma-separated value s of the flag -name into ints
+// or floats. It trims each part and skips empty ones, so "2," lists just 2;
+// a list with no values is an error, and every error names the flag.
+func ParseList[T int | float64](name, s string) ([]T, error) {
+	var out []T
+	for _, part := range strings.Split(s, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		var v T
+		var err error
+		switch p := any(&v).(type) {
+		case *int:
+			*p, err = strconv.Atoi(part)
+		case *float64:
+			*p, err = strconv.ParseFloat(part, 64)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("parse -%s %q: %w", name, part, err)
+		}
+		out = append(out, v)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("-%s %q lists no values", name, s)
+	}
+	return out, nil
+}
+
 // SignalContext returns a context cancelled by SIGINT/SIGTERM. On the first
 // signal the sweep's shards drain, freshly completed points flush to the
 // journal, and the command exits through its normal error path; a second
@@ -118,12 +150,6 @@ func (j *Journal) Hint(err error) error {
 // truncated final line that may leave behind).
 func SignalContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-}
-
-// Interrupted reports whether a sweep error is cancellation fallout from
-// SignalContext (rather than a genuine point failure).
-func Interrupted(err error) bool {
-	return errors.Is(err, context.Canceled)
 }
 
 // Serve runs an http.Server until ctx is cancelled (typically by

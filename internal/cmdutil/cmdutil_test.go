@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -75,5 +76,42 @@ func TestHintNamesTheJournal(t *testing.T) {
 	}
 	if j.Hint(nil) != nil {
 		t.Error("nil error must stay nil")
+	}
+}
+
+func TestParseList(t *testing.T) {
+	ints := []struct {
+		in   string
+		want []int
+		err  string // substring of the error; "" for success
+	}{
+		{in: "2,3", want: []int{2, 3}},
+		{in: " 2 , 3 ", want: []int{2, 3}},
+		{in: "2,", want: []int{2}},
+		{in: ",2,,3,", want: []int{2, 3}},
+		{in: "", err: `-q "" lists no values`},
+		{in: ",", err: `-q "," lists no values`},
+		{in: " , ", err: `-q " , " lists no values`},
+		{in: "2,x", err: `parse -q "x"`},
+		{in: "1.5", err: `parse -q "1.5"`},
+	}
+	for _, tc := range ints {
+		got, err := ParseList[int]("q", tc.in)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("ParseList[int](%q) error = %v, want one containing %q", tc.in, err, tc.err)
+			}
+			continue
+		}
+		if err != nil || !slices.Equal(got, tc.want) {
+			t.Errorf("ParseList[int](%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+	floats, err := ParseList[float64]("p", "1, 0.5,0.2,")
+	if err != nil || !slices.Equal(floats, []float64{1, 0.5, 0.2}) {
+		t.Errorf("ParseList[float64] = %v, %v", floats, err)
+	}
+	if _, err := ParseList[float64]("p", "0.5,abc"); err == nil || !strings.Contains(err.Error(), `parse -p "abc"`) {
+		t.Errorf("bad float: error = %v", err)
 	}
 }

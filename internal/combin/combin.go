@@ -1,8 +1,7 @@
 // Package combin provides the combinatorial and special-function kernel used
 // by the analytical results of the paper: log-gamma based binomial
-// coefficients, exact big-integer binomials for validation, the
-// hypergeometric distribution (the law of |S_i ∩ S_j| for two random key
-// rings, eq. (4) of the paper), and factorials.
+// coefficients, the hypergeometric distribution (the law of |S_i ∩ S_j| for
+// two random key rings, eq. (4) of the paper), and factorials.
 //
 // All floating-point computations are carried out in log space so that the
 // huge binomials arising from realistic pool sizes (P ~ 10^4..10^6) never
@@ -12,7 +11,6 @@ package combin
 import (
 	"fmt"
 	"math"
-	"math/big"
 )
 
 // LogFactorial returns ln(n!) computed via the log-gamma function.
@@ -41,20 +39,6 @@ func LogBinomial(n, k int) float64 {
 		return math.Inf(-1)
 	}
 	return LogFactorial(n) - LogFactorial(k) - LogFactorial(n-k)
-}
-
-// Binomial returns C(n, k) as a float64 (possibly +Inf for huge values).
-func Binomial(n, k int) float64 {
-	return math.Exp(LogBinomial(n, k))
-}
-
-// BigBinomial returns C(n, k) exactly. It is used by tests to validate the
-// log-space fast path. Out-of-range k yields zero.
-func BigBinomial(n, k int) *big.Int {
-	if k < 0 || k > n || n < 0 {
-		return big.NewInt(0)
-	}
-	return new(big.Int).Binomial(int64(n), int64(k))
 }
 
 // HypergeomLogPMF returns ln P[X = u] where X is the size of the overlap
@@ -176,23 +160,10 @@ func HypergeomTail2(pool, ring1, ring2, q int) (float64, error) {
 	return sum, nil
 }
 
-// HypergeomMean returns E[X] = K²/P for the overlap distribution.
-func HypergeomMean(pool, ring int) float64 {
-	return HypergeomMean2(pool, ring, ring)
-}
-
 // HypergeomMean2 returns E[X] = K₁·K₂/P for the unequal-ring overlap.
 func HypergeomMean2(pool, ring1, ring2 int) float64 {
 	if pool <= 0 {
 		return 0
 	}
 	return float64(ring1) * float64(ring2) / float64(pool)
-}
-
-// LogChoose2 returns ln C(n,2) = ln(n(n−1)/2), −Inf for n < 2.
-func LogChoose2(n int) float64 {
-	if n < 2 {
-		return math.Inf(-1)
-	}
-	return math.Log(float64(n)) + math.Log(float64(n-1)) - math.Ln2
 }

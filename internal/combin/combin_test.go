@@ -37,34 +37,34 @@ func TestLogFactorialPanicsNegative(t *testing.T) {
 func TestBinomialAgainstBig(t *testing.T) {
 	for n := 0; n <= 60; n++ {
 		for k := 0; k <= n; k++ {
-			exact := BigBinomial(n, k)
+			exact := bigBinomial(n, k)
 			exactF, _ := new(big.Float).SetInt(exact).Float64()
-			got := Binomial(n, k)
+			got := math.Exp(LogBinomial(n, k))
 			if math.Abs(got-exactF) > 1e-9*exactF+1e-9 {
-				t.Fatalf("Binomial(%d,%d) = %v, want %v", n, k, got, exactF)
+				t.Fatalf("exp LogBinomial(%d,%d) = %v, want %v", n, k, got, exactF)
 			}
 		}
 	}
 }
 
 func TestBinomialOutOfRange(t *testing.T) {
-	if got := Binomial(5, -1); got != 0 {
-		t.Errorf("Binomial(5,-1) = %v, want 0", got)
+	if got := math.Exp(LogBinomial(5, -1)); got != 0 {
+		t.Errorf("exp LogBinomial(5,-1) = %v, want 0", got)
 	}
-	if got := Binomial(5, 6); got != 0 {
-		t.Errorf("Binomial(5,6) = %v, want 0", got)
+	if got := math.Exp(LogBinomial(5, 6)); got != 0 {
+		t.Errorf("exp LogBinomial(5,6) = %v, want 0", got)
 	}
-	if got := BigBinomial(5, 6); got.Sign() != 0 {
-		t.Errorf("BigBinomial(5,6) = %v, want 0", got)
+	if got := bigBinomial(5, 6); got.Sign() != 0 {
+		t.Errorf("bigBinomial(5,6) = %v, want 0", got)
 	}
-	if got := BigBinomial(-2, 1); got.Sign() != 0 {
-		t.Errorf("BigBinomial(-2,1) = %v, want 0", got)
+	if got := bigBinomial(-2, 1); got.Sign() != 0 {
+		t.Errorf("bigBinomial(-2,1) = %v, want 0", got)
 	}
 }
 
 func TestLogBinomialLarge(t *testing.T) {
 	// C(10000, 50) computed exactly with big.Int, compared in log space.
-	exact := BigBinomial(10000, 50)
+	exact := bigBinomial(10000, 50)
 	wantLog := bigLog(exact)
 	got := LogBinomial(10000, 50)
 	if math.Abs(got-wantLog) > 1e-8*math.Abs(wantLog) {
@@ -236,20 +236,20 @@ func TestHypergeomTailAsymptotic(t *testing.T) {
 }
 
 func TestHypergeomMean(t *testing.T) {
-	if got := HypergeomMean(10000, 50); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("HypergeomMean = %v, want 0.25", got)
+	if got := HypergeomMean2(10000, 50, 50); math.Abs(got-0.25) > 1e-12 {
+		t.Errorf("HypergeomMean2 = %v, want 0.25", got)
 	}
-	if got := HypergeomMean(0, 5); got != 0 {
+	if got := HypergeomMean2(0, 5, 5); got != 0 {
 		t.Errorf("HypergeomMean zero pool = %v", got)
 	}
 }
 
 func TestLogChoose2(t *testing.T) {
-	if got := LogChoose2(1000); math.Abs(got-math.Log(499500)) > 1e-12 {
-		t.Errorf("LogChoose2(1000) = %v", got)
+	if got := logChoose2(1000); math.Abs(got-math.Log(499500)) > 1e-12 {
+		t.Errorf("logChoose2(1000) = %v", got)
 	}
-	if got := LogChoose2(1); !math.IsInf(got, -1) {
-		t.Errorf("LogChoose2(1) = %v, want -Inf", got)
+	if got := logChoose2(1); !math.IsInf(got, -1) {
+		t.Errorf("logChoose2(1) = %v, want -Inf", got)
 	}
 }
 
@@ -286,8 +286,8 @@ func TestQuickPMFAgainstBigExact(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		num := new(big.Int).Mul(BigBinomial(ring, u), BigBinomial(pool-ring, ring-u))
-		den := BigBinomial(pool, ring)
+		num := new(big.Int).Mul(bigBinomial(ring, u), bigBinomial(pool-ring, ring-u))
+		den := bigBinomial(pool, ring)
 		want, _ := new(big.Rat).SetFrac(num, den).Float64()
 		return math.Abs(got-want) <= 1e-9*want+1e-12
 	}
@@ -303,4 +303,21 @@ func BenchmarkHypergeomTailPaperScale(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// bigBinomial returns C(n, k) exactly, the reference for the log-space
+// LogBinomial. Out-of-range k yields zero.
+func bigBinomial(n, k int) *big.Int {
+	if k < 0 || k > n || n < 0 {
+		return big.NewInt(0)
+	}
+	return new(big.Int).Binomial(int64(n), int64(k))
+}
+
+// logChoose2 returns ln C(n,2) = ln(n(n−1)/2), −Inf for n < 2.
+func logChoose2(n int) float64 {
+	if n < 2 {
+		return math.Inf(-1)
+	}
+	return math.Log(float64(n)) + math.Log(float64(n-1)) - math.Ln2
 }

@@ -126,16 +126,6 @@ func (s CrossSpec) Validate(grid Grid) error {
 	return nil
 }
 
-// bindsChannel reports whether the Xs axis carries a channel parameter.
-func (s CrossSpec) bindsChannel() bool {
-	for _, b := range s.Bindings {
-		if b == BindDiskRadius || b == BindChannelOn {
-			return true
-		}
-	}
-	return false
-}
-
 // pointDeployment resolves the wsn.Config and connectivity level of one grid
 // point under the spec's bindings.
 func (s CrossSpec) pointDeployment(pt GridPoint) (wsn.Config, int, error) {

@@ -99,41 +99,6 @@ func (t *Table) Render(w io.Writer) error {
 	return nil
 }
 
-// RenderMarkdown writes the table as a GitHub-flavoured Markdown table.
-func (t *Table) RenderMarkdown(w io.Writer) error {
-	row := func(cells []string) error {
-		var b strings.Builder
-		b.WriteString("|")
-		for i := range t.Columns {
-			cell := ""
-			if i < len(cells) {
-				cell = cells[i]
-			}
-			b.WriteString(" ")
-			b.WriteString(strings.ReplaceAll(cell, "|", "\\|"))
-			b.WriteString(" |")
-		}
-		_, err := fmt.Fprintln(w, b.String())
-		return err
-	}
-	if err := row(t.Columns); err != nil {
-		return err
-	}
-	sep := make([]string, len(t.Columns))
-	for i := range sep {
-		sep[i] = "---"
-	}
-	if err := row(sep); err != nil {
-		return err
-	}
-	for _, r := range t.Rows {
-		if err := row(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RenderCSV writes the table as CSV.
 func (t *Table) RenderCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)

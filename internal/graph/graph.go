@@ -1,8 +1,8 @@
 // Package graph provides the immutable undirected graph representation used
-// throughout the library, plus the set operations the paper's model needs —
-// in particular edge-set intersection, because the studied WSN topology is
-// the intersection G_q(n,K,P) ∩ G(n,p) of two random graphs on a common node
-// set (eq. (1) of the paper).
+// throughout the library. The studied WSN topology is the intersection
+// G_q(n,K,P) ∩ G(n,p) of two random graphs on a common node set (eq. (1) of
+// the paper): Builder collects such a streamed edge draw into a graph, and
+// Intersect composes two graphs explicitly.
 //
 // Graphs are stored in compressed sparse row (CSR) form with sorted
 // adjacency, giving O(1) degree queries, O(log d) edge tests, and cache
@@ -14,7 +14,6 @@ package graph
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Edge is an undirected edge between two node indices. Construction
@@ -156,23 +155,6 @@ func Intersect(a, b *Undirected) (*Undirected, error) {
 	return NewFromEdges(a.n, edges)
 }
 
-// Union returns the graph whose edge set is the union of a's and b's.
-func Union(a, b *Undirected) (*Undirected, error) {
-	if a.n != b.n {
-		return nil, fmt.Errorf("graph: union node count mismatch %d != %d", a.n, b.n)
-	}
-	edges := make([]Edge, 0, a.m+b.m)
-	a.ForEachEdge(func(u, v int32) bool {
-		edges = append(edges, Edge{U: u, V: v})
-		return true
-	})
-	b.ForEachEdge(func(u, v int32) bool {
-		edges = append(edges, Edge{U: u, V: v})
-		return true
-	})
-	return NewFromEdges(a.n, edges)
-}
-
 // IsSpanningSubgraphOf reports whether every edge of g is an edge of h and
 // both graphs share the node count — the containment relation used by the
 // paper's coupling arguments (Lemmas 3–6).
@@ -220,28 +202,6 @@ func InducedSubgraph(g *Undirected, alive []bool) (*Undirected, []int32, error) 
 		return nil, nil, err
 	}
 	return sub, origID, nil
-}
-
-// Complete returns the complete graph K_n, constructed directly in CSR form
-// (K_n is fully determined by n; no intermediate O(n²) edge list is built).
-func Complete(n int) (*Undirected, error) {
-	return NewBuilder().Complete(n)
-}
-
-// DOT renders the graph in Graphviz DOT format, for debugging and
-// documentation.
-func (g *Undirected) DOT(name string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "graph %s {\n", name)
-	for v := 0; v < g.n; v++ {
-		fmt.Fprintf(&b, "  %d;\n", v)
-	}
-	g.ForEachEdge(func(u, v int32) bool {
-		fmt.Fprintf(&b, "  %d -- %d;\n", u, v)
-		return true
-	})
-	b.WriteString("}\n")
-	return b.String()
 }
 
 // Density returns 2m / (n(n−1)), the fraction of possible edges present;

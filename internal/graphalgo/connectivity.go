@@ -1,8 +1,6 @@
 package graphalgo
 
 import (
-	"math"
-
 	"github.com/secure-wsn/qcomposite/internal/graph"
 )
 
@@ -45,67 +43,6 @@ import (
 // See IsKConnectedW for the scratch-reusing form.
 func IsKConnected(g *graph.Undirected, k int) bool {
 	return IsKConnectedW(nil, g, k)
-}
-
-// VertexConnectivity returns κ(g) exactly: the minimum number of node
-// removals that disconnect g (n−1 for the complete graph K_n, 0 for
-// disconnected or trivial graphs).
-func VertexConnectivity(g *graph.Undirected) int {
-	n := g.N()
-	if n == 0 {
-		return 0
-	}
-	if n == 1 {
-		return 0
-	}
-	// κ is bounded by the minimum degree; binary search the monotone
-	// predicate IsKConnected over [0, minDeg+1), every probe through one
-	// workspace.
-	ws := NewWorkspace()
-	lo, hi := 0, g.MinDegree()+1 // invariant: IsKConnected(lo), !IsKConnected(hi)
-	if !IsKConnectedW(ws, g, 1) {
-		return 0
-	}
-	if n-1 <= hi && IsKConnectedW(ws, g, n-1) {
-		return n - 1 // complete graph fast path
-	}
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if IsKConnectedW(ws, g, mid) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// VertexDisjointPaths returns the maximum number of internally
-// vertex-disjoint paths between distinct non-adjacent nodes s and t
-// (Menger's theorem: this equals the minimum s–t vertex cut). For adjacent
-// nodes the direct edge is counted along with the disjoint paths through the
-// remaining graph. It returns math.MaxInt32-safe small ints; s == t is a
-// caller error reported as 0.
-func VertexDisjointPaths(g *graph.Undirected, s, t int32) int {
-	if s == t {
-		return 0
-	}
-	n := g.N()
-	d := newDinic(2*n, 2*n+4*g.M())
-	for v := int32(0); int(v) < n; v++ {
-		c := int32(1)
-		if v == s || v == t {
-			c = int32(math.MaxInt32) // endpoints are not internal
-		}
-		d.addArc(2*v, 2*v+1, c)
-	}
-	g.ForEachEdge(func(u, v int32) bool {
-		d.addArc(2*u+1, 2*v, 1)
-		d.addArc(2*v+1, 2*u, 1)
-		return true
-	})
-	d.reset()
-	return int(d.maxFlow(2*s+1, 2*t, -1))
 }
 
 // pairsLinked is step 1 of IsKConnected: it reports whether every

@@ -1,6 +1,7 @@
 package graphalgo
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -31,7 +32,7 @@ func TestArticulationPoints(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got := ArticulationPoints(tt.g)
+			got := articulationPoints(tt.g)
 			if len(got) != len(tt.want) {
 				t.Fatalf("ArticulationPoints = %v, want %v", got, tt.want)
 			}
@@ -50,7 +51,7 @@ func TestQuickArticulationAgainstBrute(t *testing.T) {
 		n := 3 + r.Intn(10)
 		g := gnp(nil2t(t), r, n, 0.35)
 		got := map[int32]bool{}
-		for _, v := range ArticulationPoints(g) {
+		for _, v := range articulationPoints(g) {
 			got[v] = true
 		}
 		_, base := Components(g)
@@ -97,7 +98,7 @@ func TestIsBiconnected(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := IsBiconnected(tt.g); got != tt.want {
+			if got := IsBiconnectedW(nil, tt.g); got != tt.want {
 				t.Errorf("IsBiconnected = %v, want %v", got, tt.want)
 			}
 		})
@@ -134,7 +135,7 @@ func TestIsKConnectedKnownGraphs(t *testing.T) {
 					t.Errorf("IsKConnected(k=%d) = %v, want %v", k, got, want)
 				}
 			}
-			if got := VertexConnectivity(tt.g); got != tt.kappa {
+			if got := vertexConnectivity(tt.g); got != tt.kappa {
 				t.Errorf("VertexConnectivity = %d, want %d", got, tt.kappa)
 			}
 		})
@@ -248,7 +249,7 @@ func TestQuickVertexConnectivityAgainstBrute(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(8)
 		g := gnp(nil2t(t), r, n, 0.25+r.Float64()*0.5)
-		return VertexConnectivity(g) == bruteVertexConnectivity(g)
+		return vertexConnectivity(g) == bruteVertexConnectivity(g)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -281,8 +282,8 @@ func TestQuickWhitneyInequalities(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(12)
 		g := gnp(nil2t(t), r, n, 0.2+r.Float64()*0.6)
-		kappa := VertexConnectivity(g)
-		lambda := EdgeConnectivity(g)
+		kappa := vertexConnectivity(g)
+		lambda := edgeConnectivity(g)
 		delta := g.MinDegree()
 		return kappa <= lambda && lambda <= delta
 	}
@@ -293,18 +294,18 @@ func TestQuickWhitneyInequalities(t *testing.T) {
 
 func TestVertexDisjointPaths(t *testing.T) {
 	g := cycleGraph(t, 6)
-	if got := VertexDisjointPaths(g, 0, 3); got != 2 {
+	if got := vertexDisjointPaths(g, 0, 3); got != 2 {
 		t.Errorf("cycle disjoint paths = %d, want 2", got)
 	}
 	k5 := completeGraph(t, 5)
-	if got := VertexDisjointPaths(k5, 0, 1); got != 4 {
+	if got := vertexDisjointPaths(k5, 0, 1); got != 4 {
 		t.Errorf("K5 disjoint paths = %d, want 4 (edge + 3 via others)", got)
 	}
-	if got := VertexDisjointPaths(g, 2, 2); got != 0 {
+	if got := vertexDisjointPaths(g, 2, 2); got != 0 {
 		t.Errorf("same-node disjoint paths = %d, want 0", got)
 	}
 	disc := mustGraph(t, 4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}})
-	if got := VertexDisjointPaths(disc, 0, 3); got != 0 {
+	if got := vertexDisjointPaths(disc, 0, 3); got != 0 {
 		t.Errorf("cross-component disjoint paths = %d, want 0", got)
 	}
 }
@@ -322,16 +323,16 @@ func TestQuickMengerMatchesConnectivity(t *testing.T) {
 				if g.HasEdge(u, v) {
 					continue
 				}
-				c := VertexDisjointPaths(g, u, v)
+				c := vertexDisjointPaths(g, u, v)
 				if minCut == -1 || c < minCut {
 					minCut = c
 				}
 			}
 		}
 		if minCut == -1 {
-			return VertexConnectivity(g) == n-1 // complete graph
+			return vertexConnectivity(g) == n-1 // complete graph
 		}
-		return VertexConnectivity(g) == minCut
+		return vertexConnectivity(g) == minCut
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
@@ -354,6 +355,54 @@ func BenchmarkIsBiconnected1000(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		IsBiconnected(g)
+		IsBiconnectedW(nil, g)
 	}
+}
+
+// articulationPoints returns the cut vertices of g (vertices whose removal
+// increases the number of connected components), in ascending order. The
+// scan is the iterative Tarjan low-link DFS shared with IsBiconnectedW
+// (Workspace.scanArticulation), so large sparse graphs cannot overflow the
+// call stack.
+func articulationPoints(g *graph.Undirected) []int32 {
+	n := g.N()
+	isCut := make([]bool, n)
+	if !NewWorkspace().scanArticulation(g, isCut) {
+		return nil
+	}
+	var cuts []int32
+	for v := int32(0); int(v) < n; v++ {
+		if isCut[v] {
+			cuts = append(cuts, v)
+		}
+	}
+	return cuts
+}
+
+// vertexDisjointPaths returns the maximum number of internally
+// vertex-disjoint paths between distinct non-adjacent nodes s and t
+// (Menger's theorem: this equals the minimum s–t vertex cut). For adjacent
+// nodes the direct edge is counted along with the disjoint paths through the
+// remaining graph. It returns math.MaxInt32-safe small ints; s == t is a
+// caller error reported as 0.
+func vertexDisjointPaths(g *graph.Undirected, s, t int32) int {
+	if s == t {
+		return 0
+	}
+	n := g.N()
+	d := newDinic(2*n, 2*n+4*g.M())
+	for v := int32(0); int(v) < n; v++ {
+		c := int32(1)
+		if v == s || v == t {
+			c = int32(math.MaxInt32) // endpoints are not internal
+		}
+		d.addArc(2*v, 2*v+1, c)
+	}
+	g.ForEachEdge(func(u, v int32) bool {
+		d.addArc(2*u+1, 2*v, 1)
+		d.addArc(2*v+1, 2*u, 1)
+		return true
+	})
+	d.reset()
+	return int(d.maxFlow(2*s+1, 2*t, -1))
 }

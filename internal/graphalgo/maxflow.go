@@ -1,11 +1,11 @@
 package graphalgo
 
 // dinic is a unit-capacity max-flow solver (Dinic's algorithm: BFS level
-// graph + DFS blocking flow). It counts internally vertex-disjoint paths on
-// the vertex-split digraph (VertexDisjointPaths) and edge-disjoint paths
-// for the edge-connectivity tests. Capacities are integers; queries can cap
-// the flow at a limit so k-edge-connectivity tests cost at most k
-// augmentation rounds of useful work.
+// graph + DFS blocking flow). It counts edge-disjoint paths for
+// IsKEdgeConnected, and internally vertex-disjoint paths on the vertex-split
+// digraph for the tests' k-connectivity references. Capacities are integers;
+// queries can cap the flow at a limit so k-edge-connectivity tests cost at
+// most k augmentation rounds of useful work.
 type dinic struct {
 	head  []int32 // head[v] = first edge id of v, -1 terminated
 	next  []int32 // next[e] = next edge id in v's list

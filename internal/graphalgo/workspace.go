@@ -63,9 +63,10 @@ func IsConnectedW(ws *Workspace, g *graph.Undirected) bool {
 	return ws.uf.Count() == 1
 }
 
-// IsBiconnectedW is IsBiconnected through a reusable workspace (nil ws falls
-// back to one-shot scratch): at least 3 nodes, connected, and free of
-// articulation points.
+// IsBiconnectedW reports whether g is 2-connected: at least 3 nodes,
+// connected, and free of articulation points. (K2 has vertex connectivity 1,
+// matching the convention κ(K_n) = n−1.) A nil ws falls back to one-shot
+// scratch.
 func IsBiconnectedW(ws *Workspace, g *graph.Undirected) bool {
 	if g.N() < 3 {
 		return false
@@ -80,8 +81,8 @@ func IsBiconnectedW(ws *Workspace, g *graph.Undirected) bool {
 }
 
 // scanArticulation runs the iterative Tarjan low-link DFS with reused
-// buffers — the single implementation behind ArticulationPoints and
-// IsBiconnectedW — and reports whether any cut vertex exists. With isCut
+// buffers — the single implementation behind IsBiconnectedW and the tests'
+// articulation-point reference — and reports whether any cut vertex exists. With isCut
 // nil it short-circuits on the first one; otherwise it marks every cut
 // vertex in isCut (length n) and scans the whole graph.
 func (ws *Workspace) scanArticulation(g *graph.Undirected, isCut []bool) bool {

@@ -39,7 +39,7 @@ func TestWorkspaceMatchesOneShot(t *testing.T) {
 				t.Fatalf("trial %d (n=%d, k=%d): IsKConnectedW = %v, one-shot = %v", trial, n, k, got, want)
 			}
 		}
-		if got, want := IsBiconnectedW(ws, g), IsBiconnected(g); got != want {
+		if got, want := IsBiconnectedW(ws, g), IsBiconnectedW(nil, g); got != want {
 			t.Fatalf("trial %d (n=%d): IsBiconnectedW = %v, one-shot = %v", trial, n, got, want)
 		}
 	}
@@ -55,7 +55,7 @@ func TestWorkspaceKnownGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k4, err := graph.Complete(4)
+	k4, err := graph.NewBuilder().Complete(4)
 	if err != nil {
 		t.Fatal(err)
 	}

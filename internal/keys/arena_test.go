@@ -63,18 +63,18 @@ func TestRingAssignmentPinned(t *testing.T) {
 		{"fig1/P=1e4,K=28,q=2", qc(10000, 28, 2), 1000, 2, 0xa3a1fed9ebcf618b},
 		{"fig1/P=1e4,K=60,q=2", qc(10000, 60, 2), 1000, 3, 0xea0ea6e5f890dd93},
 		{"fig1/P=1e4,K=88,q=2", qc(10000, 88, 2), 1000, 4, 0x3ebf3b83f1ee0f},
-		{"eschenauer-gligor/P=1000,K=20", must(NewEschenauerGligor(1000, 20)), 500, 5, 0xe4d1675fd2929772},
+		{"eschenauer-gligor/P=1000,K=20", qc(1000, 20, 1), 500, 5, 0xe4d1675fd2929772},
 		{"heterogeneous/P=2000,q=2,{0.3×20,0.7×45}", must(NewHeterogeneous(2000, 2,
 			[]Class{{Mu: 0.3, RingSize: 20}, {Mu: 0.7, RingSize: 45}})), 800, 6, 0xf90b03fde63c4b91},
 	}
 	var arena RingArena
 	for _, tc := range cases {
 		r := rng.New(tc.seed)
-		asg, err := tc.scheme.Assign(r, tc.n)
+		asg, err := tc.scheme.AssignInto(r, tc.n, new(RingArena))
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaAssign := assignmentFingerprint(asg, r.Uint64())
+		viaFresh := assignmentFingerprint(asg, r.Uint64())
 
 		r = rng.New(tc.seed)
 		asg, err = tc.scheme.AssignInto(r, tc.n, &arena)
@@ -83,9 +83,9 @@ func TestRingAssignmentPinned(t *testing.T) {
 		}
 		viaArena := assignmentFingerprint(asg, r.Uint64())
 
-		if viaAssign != tc.want || viaArena != tc.want {
-			t.Errorf("%s: Assign fingerprint %#x, AssignInto %#x, pinned %#x",
-				tc.name, viaAssign, viaArena, tc.want)
+		if viaFresh != tc.want || viaArena != tc.want {
+			t.Errorf("%s: fresh-arena fingerprint %#x, reused-arena %#x, pinned %#x",
+				tc.name, viaFresh, viaArena, tc.want)
 		}
 	}
 }

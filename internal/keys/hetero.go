@@ -93,22 +93,6 @@ func (s *Heterogeneous) Classes() []Class {
 	return append([]Class(nil), s.classes...)
 }
 
-// Assign implements Scheme. It is AssignInto over a private arena, so the
-// returned rings have an independent lifetime.
-func (s *Heterogeneous) Assign(r *rng.Rand, n int) (Assignment, error) {
-	var a RingArena
-	asg, err := s.AssignInto(r, n, &a)
-	if err != nil {
-		return Assignment{}, err
-	}
-	// The arena is private, so nothing will recycle the backing storage;
-	// only the labels need detaching from the (escaping) arena struct.
-	if asg.Labels != nil {
-		asg.Labels = append([]uint8(nil), asg.Labels...)
-	}
-	return asg, nil
-}
-
 // AssignInto implements Scheme: it draws per-sensor class labels from
 // a dedicated rng.StreamSeed sub-stream (seeded by one draw of r), then one
 // uniform K_{class}-subset per sensor from r. With a single class no label

@@ -79,7 +79,7 @@ func randomRings(t *testing.T, r *rng.Rand, pool, ring, n int) []Ring {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asg, err := s.Assign(r, n)
+	asg, err := s.AssignInto(r, n, new(RingArena))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,15 +148,15 @@ func TestIntersectorMatchesMerge(t *testing.T) {
 }
 
 // TestAssignIntoMatchesAssign pins the determinism contract of the arena
-// path: for equal generator seeds, AssignInto must produce exactly the rings
-// Assign does — including across arena reuse.
+// path: for equal generator seeds, AssignInto into a reused arena must
+// produce exactly the rings it does into a fresh one.
 func TestAssignIntoMatchesAssign(t *testing.T) {
 	s, err := NewQComposite(500, 40, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 60
-	wantAsg, err := s.Assign(rng.New(99), n)
+	wantAsg, err := s.AssignInto(rng.New(99), n, new(RingArena))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestIntersectorRowsMatchMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hasg, err := het.Assign(r, n)
+	hasg, err := het.AssignInto(r, n, new(RingArena))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +463,7 @@ func TestIntersectorRowQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hasg, err := het.Assign(r, n)
+	hasg, err := het.AssignInto(r, n, new(RingArena))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -780,7 +780,7 @@ func benchIntersector(b *testing.B, pool, ring, n int, dense bool) *Intersector 
 	if err != nil {
 		b.Fatal(err)
 	}
-	asg, err := s.Assign(rng.New(11), n)
+	asg, err := s.AssignInto(rng.New(11), n, new(RingArena))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -190,36 +190,11 @@ type Scheme interface {
 	// Classes returns the scheme's sensor-class profile in class-index
 	// order. Homogeneous schemes return a single class with Mu = 1.
 	Classes() []Class
-	// Assign draws the class labels and key rings for n sensors.
-	Assign(r *rng.Rand, n int) (Assignment, error)
-	// AssignInto is Assign into a caller-provided arena, avoiding per-ring
-	// allocations (wsn.Deployer reuses one arena across deployments). It
-	// must consume randomness exactly as Assign does, so a deployment is
-	// byte-identical whichever entry point is used.
+	// AssignInto draws the class labels and key rings for n sensors into a
+	// caller-provided arena, avoiding per-ring allocations (wsn.Deployer
+	// reuses one arena across deployments). The draws depend only on r, so
+	// a reused arena yields exactly the rings a fresh one does.
 	AssignInto(r *rng.Rand, n int, a *RingArena) (Assignment, error)
-}
-
-// MeanRingSize returns the expected per-sensor ring size Σ μ_i·K_i of the
-// scheme's class mixture.
-func MeanRingSize(s Scheme) float64 {
-	mean := 0.0
-	for _, c := range s.Classes() {
-		mean += c.Mu * float64(c.RingSize)
-	}
-	return mean
-}
-
-// MinRingSize returns the smallest class ring size — the class that drives
-// the connectivity threshold in the heterogeneous analysis.
-func MinRingSize(s Scheme) int {
-	classes := s.Classes()
-	min := classes[0].RingSize
-	for _, c := range classes[1:] {
-		if c.RingSize < min {
-			min = c.RingSize
-		}
-	}
-	return min
 }
 
 // MaxRingSize returns the largest class ring size — the bound sizing
@@ -259,16 +234,6 @@ func NewQComposite(pool, ring, q int) (*QComposite, error) {
 	return &QComposite{pool: pool, ring: ring, q: q}, nil
 }
 
-// NewEschenauerGligor returns the basic Eschenauer–Gligor scheme, the
-// q-composite scheme with q = 1 (the paper's baseline).
-func NewEschenauerGligor(pool, ring int) (*QComposite, error) {
-	s, err := NewQComposite(pool, ring, 1)
-	if err != nil {
-		return nil, fmt.Errorf("keys: eschenauer–gligor: %w", err)
-	}
-	return s, nil
-}
-
 // Name implements Scheme.
 func (s *QComposite) Name() string {
 	if s.q == 1 {
@@ -290,14 +255,6 @@ func (s *QComposite) RequiredOverlap() int { return s.q }
 // Classes implements Scheme: one class holding every sensor.
 func (s *QComposite) Classes() []Class {
 	return []Class{{Mu: 1, RingSize: s.ring}}
-}
-
-// Assign implements Scheme: n independent uniform K-subsets of the pool. It
-// is AssignInto over a private arena, so the returned rings have an
-// independent lifetime.
-func (s *QComposite) Assign(r *rng.Rand, n int) (Assignment, error) {
-	var a RingArena
-	return s.AssignInto(r, n, &a)
 }
 
 // LinkKeySize is the size in bytes of derived link keys.

@@ -90,7 +90,7 @@ func TestNewQCompositeValidation(t *testing.T) {
 }
 
 func TestEschenauerGligorIsQ1(t *testing.T) {
-	s, err := NewEschenauerGligor(100, 10)
+	s, err := NewQComposite(100, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestEschenauerGligorIsQ1(t *testing.T) {
 	if s.Name() != "eschenauer-gligor" {
 		t.Errorf("Name = %q", s.Name())
 	}
-	if _, err := NewEschenauerGligor(5, 10); err == nil {
+	if _, err := NewQComposite(5, 10, 1); err == nil {
 		t.Error("invalid EG params: want error")
 	}
 }
@@ -111,7 +111,7 @@ func TestAssignProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rng.New(1)
-	asg, err := s.Assign(r, 50)
+	asg, err := s.AssignInto(r, 50, new(RingArena))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestAssignProperties(t *testing.T) {
 			}
 		}
 	}
-	if _, err := s.Assign(r, -1); err == nil {
+	if _, err := s.AssignInto(r, -1, new(RingArena)); err == nil {
 		t.Error("negative n: want error")
 	}
 }
@@ -145,7 +145,7 @@ func TestAssignKeyMembershipUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asg, err := s.Assign(rng.New(2), nRings)
+	asg, err := s.AssignInto(rng.New(2), nRings, new(RingArena))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func BenchmarkSharedCount(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	asg, err := s.Assign(r, 2)
+	asg, err := s.AssignInto(r, 2, new(RingArena))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 package randgraph
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"github.com/secure-wsn/qcomposite/internal/graph"
 	"github.com/secure-wsn/qcomposite/internal/rng"
 	"github.com/secure-wsn/qcomposite/internal/theory"
 )
@@ -112,22 +114,22 @@ func TestErdosRenyiDeterminism(t *testing.T) {
 
 func TestBinomialQIntersectionValidation(t *testing.T) {
 	r := rng.New(9)
-	if _, err := BinomialQIntersection(r, -1, 0.1, 10, 1); err == nil {
+	if _, err := binomialQIntersection(r, -1, 0.1, 10, 1); err == nil {
 		t.Error("negative n: want error")
 	}
-	if _, err := BinomialQIntersection(r, 5, -0.1, 10, 1); err == nil {
+	if _, err := binomialQIntersection(r, 5, -0.1, 10, 1); err == nil {
 		t.Error("negative x: want error")
 	}
-	if _, err := BinomialQIntersection(r, 5, 1.1, 10, 1); err == nil {
+	if _, err := binomialQIntersection(r, 5, 1.1, 10, 1); err == nil {
 		t.Error("x > 1: want error")
 	}
-	if _, err := BinomialQIntersection(r, 5, 0.1, 10, 0); err == nil {
+	if _, err := binomialQIntersection(r, 5, 0.1, 10, 0); err == nil {
 		t.Error("q = 0: want error")
 	}
-	if _, err := BinomialQIntersection(r, 5, 0.1, -1, 1); err == nil {
+	if _, err := binomialQIntersection(r, 5, 0.1, -1, 1); err == nil {
 		t.Error("negative pool: want error")
 	}
-	g, err := BinomialQIntersection(r, 5, 0.5, 0, 1)
+	g, err := binomialQIntersection(r, 5, 0.5, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +151,7 @@ func TestBinomialQIntersectionEdgeFrequency(t *testing.T) {
 	r := rng.New(10)
 	edges := 0
 	for i := 0; i < trials; i++ {
-		g, err := BinomialQIntersection(r, n, x, pool, q)
+		g, err := binomialQIntersection(r, n, x, pool, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,4 +236,52 @@ func BenchmarkErdosRenyi1000(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// binomialQIntersection samples H_q(n, x, P), the auxiliary graph of the
+// paper's Lemma 5/6 coupling chain: each of the P keys is added to each
+// node's ring independently with probability x; nodes sharing ≥ q keys are
+// adjacent.
+func binomialQIntersection(r *rng.Rand, n int, x float64, pool, q int) (*graph.Undirected, error) {
+	switch {
+	case n < 0:
+		return nil, fmt.Errorf("randgraph: negative node count %d", n)
+	case q < 1:
+		return nil, fmt.Errorf("randgraph: key overlap requirement q=%d must be ≥ 1", q)
+	case pool < 0:
+		return nil, fmt.Errorf("randgraph: negative pool size %d", pool)
+	case x < 0 || x > 1:
+		return nil, fmt.Errorf("randgraph: inclusion probability %v outside [0,1]", x)
+	}
+	// Draw ring sizes Binomial(P, x), then uniform subsets of that size —
+	// distributionally identical to P independent coin flips per node, but
+	// it reuses the fast subset sampler.
+	sizes := make([]int, n)
+	total := 0
+	maxSize := 0
+	for v := range sizes {
+		sizes[v] = r.Binomial(pool, x)
+		total += sizes[v]
+		if sizes[v] > maxSize {
+			maxSize = sizes[v]
+		}
+	}
+	if pool == 0 || maxSize == 0 {
+		return graph.NewFromEdges(n, nil)
+	}
+	subset, err := rng.NewSubsetSampler(pool)
+	if err != nil {
+		return nil, fmt.Errorf("randgraph: binomial q-intersection: %w", err)
+	}
+	rings := make([][]int32, n)
+	buf := make([]int32, 0, total)
+	for v := 0; v < n; v++ {
+		start := len(buf)
+		buf, err = subset.AppendSample(r, sizes[v], buf)
+		if err != nil {
+			return nil, fmt.Errorf("randgraph: binomial q-intersection: %w", err)
+		}
+		rings[v] = buf[start:]
+	}
+	return qIntersectFromRings(n, pool, q, rings)
 }

@@ -68,9 +68,10 @@ const skipGuard = 1e-9
 const fastSkipLimit = 1 << 52
 
 // GeometricSource is the batched kernel behind the streaming edge samplers:
-// repeated Geometric(p) draws with the per-draw math hoisted out of the hot
-// loop. A plain (*Rand).Geometric call pays a math.Log, a math.Log1p and the
-// uniform draw per skip. A source computes math.Log1p(-p) and its
+// repeated Geometric(p) draws — the number of failures before the first
+// success in Bernoulli(p) trials — with the per-draw math hoisted out of the
+// hot loop. A scalar draw pays a math.Log, a math.Log1p and the uniform
+// draw per skip. A source computes math.Log1p(-p) and its
 // reciprocal once per SetP, and each refill stores, for a whole batch of
 // uniforms, x = 1−u and a table-driven approximation of log(x). The
 // per-draw path is one multiply, a truncation and two comparisons with the
@@ -102,8 +103,7 @@ const fastSkipLimit = 1 << 52
 // so a change to when a draw refills changes their output. Next and Fill
 // refill at the same points for the same draws.
 //
-// Quotients exceeding MaxInt (tiny p) saturate to MaxInt, like
-// (*Rand).Geometric. The zero value is unusable: call Reset, then SetP,
+// Quotients exceeding MaxInt (tiny p) saturate to MaxInt. The zero value is unusable: call Reset, then SetP,
 // before Next. A GeometricSource is not safe for concurrent use.
 type GeometricSource struct {
 	r      *Rand

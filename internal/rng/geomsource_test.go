@@ -23,7 +23,7 @@ func TestGeometricSourceMatchesScalar(t *testing.T) {
 		// draw in round-robin order.
 		for i := 0; i < 3*geometricBatch; i++ {
 			p := ps[i%len(ps)]
-			want := rScalar.Geometric(p)
+			want := rScalar.geometric(p)
 			src.SetP(p)
 			if got := src.Next(); got != want {
 				t.Fatalf("seed=%d draw %d (p=%g): kernel %d, scalar %d", seed, i, p, got, want)
@@ -83,7 +83,7 @@ func TestGeometricSkipBoundaries(t *testing.T) {
 	}
 }
 
-// FuzzGeometricSourceExact checks the kernel against (*Rand).Geometric for
+// FuzzGeometricSourceExact checks the kernel against the scalar geometric for
 // an arbitrary p in (0, 1) and seed, across refills.
 func FuzzGeometricSourceExact(f *testing.F) {
 	for i, p := range skipGrid {
@@ -98,7 +98,7 @@ func FuzzGeometricSourceExact(f *testing.F) {
 		src.Reset(rKernel)
 		src.SetP(p)
 		for d := 0; d < 3*geometricBatch; d++ {
-			if got, want := src.Next(), rScalar.Geometric(p); got != want {
+			if got, want := src.Next(), rScalar.geometric(p); got != want {
 				t.Fatalf("p=%v seed=%d draw %d: kernel %d, scalar %d", p, seed, d, got, want)
 			}
 		}
@@ -147,7 +147,7 @@ func TestGeometricSourceResetRealigns(t *testing.T) {
 	*ref = *r // snapshot the generator position after the first refill
 	src.Reset(r)
 	src.SetP(0.3)
-	want := ref.Geometric(0.3)
+	want := ref.geometric(0.3)
 	if got := src.Next(); got != want {
 		t.Fatalf("after Reset: kernel %d, scalar-from-snapshot %d", got, want)
 	}
@@ -162,7 +162,7 @@ func TestGeometricSourceResetRealigns(t *testing.T) {
 func TestGeometricTinyPClamp(t *testing.T) {
 	r := New(42)
 	for i := 0; i < 200; i++ {
-		if g := r.Geometric(1e-12); g < 0 {
+		if g := r.geometric(1e-12); g < 0 {
 			t.Fatalf("draw %d: Geometric(1e-12) = %d, want non-negative", i, g)
 		}
 	}
@@ -171,7 +171,7 @@ func TestGeometricTinyPClamp(t *testing.T) {
 	src.Reset(r)
 	src.SetP(1e-300)
 	for i := 0; i < 200; i++ {
-		g := r.Geometric(1e-300)
+		g := r.geometric(1e-300)
 		k := src.Next()
 		if g < 0 || k < 0 {
 			t.Fatalf("draw %d: Geometric(1e-300) = %d / kernel %d, want non-negative", i, g, k)
@@ -231,7 +231,7 @@ func TestFillFloat64MatchesFloat64(t *testing.T) {
 }
 
 // BenchmarkGeometricKernel measures the kernelized skip draw against the
-// scalar Geometric call it replaced (per-draw Log1p + call overhead vs the
+// scalar geometric draw it replaced (per-draw Log1p + call overhead vs the
 // batched refill), at the skip scales the streaming samplers actually see.
 func BenchmarkGeometricKernel(b *testing.B) {
 	for _, p := range []float64{0.5, 0.05, 0.001} {
@@ -239,7 +239,7 @@ func BenchmarkGeometricKernel(b *testing.B) {
 			r := New(1)
 			acc := 0
 			for i := 0; i < b.N; i++ {
-				acc += r.Geometric(p)
+				acc += r.geometric(p)
 			}
 			sinkInt = acc
 		})
@@ -258,3 +258,23 @@ func BenchmarkGeometricKernel(b *testing.B) {
 }
 
 var sinkInt int
+
+// geometric is the scalar reference GeometricSource must equal: the number
+// of failures before the first success in Bernoulli(p) trials, one uniform
+// per draw. p must be in (0, 1]; p >= 1 always returns 0. Quotients
+// exceeding MaxInt (tiny p makes the divisor approach −0) saturate to
+// MaxInt instead of hitting the implementation-specific out-of-range
+// float→int conversion.
+func (r *Rand) geometric(p float64) int {
+	if p >= 1 {
+		return 0
+	}
+	if p <= 0 {
+		panic(fmt.Sprintf("rng: Geometric with non-positive p = %v", p))
+	}
+	q := math.Floor(math.Log(1-r.Float64()) / math.Log1p(-p))
+	if q >= maxIntFloat {
+		return math.MaxInt
+	}
+	return int(q)
+}

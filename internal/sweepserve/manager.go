@@ -214,14 +214,32 @@ func (m *Manager) Store() *Store { return m.store }
 // is the plan's canonical label, so every spec detail the build closures
 // bake in (scheme, channel, bindings, n, pool, …) is part of the journal
 // identity even though the closures themselves cannot be fingerprinted.
-func (m *Manager) sweepConfig(plan *jobPlan, spec *JobSpec) experiment.SweepConfig {
+// The worker counts are scheduling knobs only.
+func sweepConfig(plan *jobPlan, spec *JobSpec, trialWorkers, pointWorkers int) experiment.SweepConfig {
 	return experiment.SweepConfig{
 		Trials:       spec.Trials,
 		Seed:         spec.Seed,
-		Workers:      m.opts.TrialWorkers,
-		PointWorkers: m.opts.PointWorkers,
+		Workers:      trialWorkers,
+		PointWorkers: pointWorkers,
 		JournalLabel: plan.label,
 	}
+}
+
+// RunLocal runs a proportion-kind job in process, without a server or a
+// store: the compiled plan's grid and trial builder through
+// experiment.SweepProportion, exactly what a Manager executes, so the
+// estimates are bit-identical to the job's. trialWorkers and pointWorkers
+// play the roles of Options.TrialWorkers and Options.PointWorkers.
+func RunLocal(ctx context.Context, spec JobSpec, trialWorkers, pointWorkers int) ([]experiment.ProportionResult, error) {
+	plan, err := spec.compile()
+	if err != nil {
+		return nil, err
+	}
+	if plan.trialBuild == nil {
+		return nil, fmt.Errorf("sweepserve: job kind %q does not estimate a proportion", spec.Kind)
+	}
+	cfg := sweepConfig(plan, &spec, trialWorkers, pointWorkers)
+	return experiment.SweepProportion(ctx, plan.grid, cfg, plan.trialBuild)
 }
 
 // Submit validates, registers and enqueues a job. The returned bool reports
@@ -232,7 +250,7 @@ func (m *Manager) Submit(spec JobSpec) (*Job, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	cfg := m.sweepConfig(plan, &spec)
+	cfg := sweepConfig(plan, &spec, m.opts.TrialWorkers, m.opts.PointWorkers)
 	fingerprint, _ := cfg.JournalFingerprint(plan.kind, plan.grid)
 
 	m.mu.Lock()

@@ -738,6 +738,7 @@ func BenchmarkServerDedup(b *testing.B) {
 
 // TestJobDigests pins the CSV bytes of one job of each kind, run through the
 // Manager at one and at two trial workers, to the repository's digest table.
+// RunLocal must return exactly the job's proportions.
 func TestJobDigests(t *testing.T) {
 	specs := []struct {
 		name string
@@ -804,6 +805,17 @@ func TestJobDigests(t *testing.T) {
 			var csv bytes.Buffer
 			if err := res.RenderCSV(&csv); err != nil {
 				t.Fatal(err)
+			}
+			local, err := sweepserve.RunLocal(ctx, s.spec, workers, workers)
+			switch {
+			case s.spec.Kind == sweepserve.KindCampaign:
+				if err == nil {
+					t.Error("RunLocal ran a campaign job; want an error")
+				}
+			case err != nil:
+				t.Fatalf("%s: RunLocal: %v", s.name, err)
+			case !reflect.DeepEqual(local, res.Proportions()):
+				t.Errorf("%s: RunLocal differs from the job:\n got %+v\nwant %+v", s.name, local, res.Proportions())
 			}
 			name := fmt.Sprintf("sweepserve/%s workers=%d", s.name, workers)
 			got := fmt.Sprintf("%x", sha256.Sum256(csv.Bytes()))

@@ -48,10 +48,12 @@ const (
 	// KindDesign is the design-rule endpoint: for each level k = 1..KMax it
 	// computes the smallest ring size achieving the target k-connectivity
 	// probability under Theorem 1 (theory.DesignRingSize) and validates it
-	// empirically — exactly cmd/designer's sweep.
+	// empirically. cmd/designer runs this job, in process (RunLocal) or on a
+	// server.
 	KindDesign = "design"
 	// KindKStar validates the eq. (9) connectivity threshold K* of each
-	// (q, p) grid point by deploying at it — exactly cmd/kstar's sweep.
+	// (q, p) grid point by deploying at it. cmd/kstar runs this job, in
+	// process (RunLocal) or on a server.
 	KindKStar = "kstar"
 	// KindCampaign sweeps an adversary.Timeline over an attack-budget Xs
 	// axis (experiment.SweepCampaign).
@@ -452,7 +454,7 @@ func (s *JobSpec) compileMinDegree() (*jobPlan, error) {
 // compileDesign lowers a design job: cmd/designer's validation sweep — for
 // each level k on the Xs axis (derived from KMax), deploy at the smallest
 // ring size theory.DesignRingSize says achieves the target, and measure
-// P[k-connected]. Bit-identical to designer's local SweepKConnectivity run.
+// P[k-connected] (the SweepKConnectivity trial).
 func (s *JobSpec) compileDesign() (*jobPlan, error) {
 	if s.Target <= 0 || s.Target >= 1 {
 		return nil, specErrf("target", "target probability %v must be in (0,1)", s.Target)
@@ -512,8 +514,8 @@ func (s *JobSpec) compileDesign() (*jobPlan, error) {
 
 // compileKStar lowers a kstar job: cmd/kstar's validation sweep — deploy
 // each (q, p) point at its exact eq. (9) threshold K* and measure
-// P[connected] with the connectivity verdict. Bit-identical to kstar's
-// local SweepConnectivity run.
+// P[connected] with the connectivity verdict (the SweepConnectivity
+// trial).
 func (s *JobSpec) compileKStar() (*jobPlan, error) {
 	if len(s.Grid.Qs) == 0 || len(s.Grid.Ps) == 0 {
 		return nil, specErrf("grid.qs", "kstar jobs need the overlap (Qs) and channel (Ps) axes")

@@ -207,7 +207,7 @@ func TestHeteroKConnProbLimit(t *testing.T) {
 	// strength ordering lives in β's (k−1)·ln ln n shift, pinned below via
 	// the composed probability.
 	classes := []keys.Class{{Mu: 0.4, RingSize: 20}, {Mu: 0.6, RingSize: 80}}
-	pOn := UniformOnProb(2, 0.6)
+	pOn := uniformOnProb(2, 0.6)
 	var prev float64 = 1
 	for k := 1; k <= 3; k++ {
 		p, err := HeteroKConnProbability(800, 5000, 1, classes, pOn, k)

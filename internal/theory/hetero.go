@@ -37,22 +37,6 @@ func HeteroKeyShareProb(pool, ring1, ring2, q int) (float64, error) {
 	return s, nil
 }
 
-// UniformOnProb returns the classes×classes on-probability matrix with every
-// entry p — the uniform on/off channel written in class form, for pairing
-// heterogeneous keys with the arXiv:1604.00460 (homogeneous channel) model.
-// It matches channel.UniformHeterOnOff(classes, p).P; theory cannot import
-// channel (channel → randgraph, whose tests import theory).
-func UniformOnProb(classes int, p float64) [][]float64 {
-	m := make([][]float64, classes)
-	for i := range m {
-		m[i] = make([]float64, classes)
-		for j := range m[i] {
-			m[i][j] = p
-		}
-	}
-	return m
-}
-
 // validateHetero checks the shared preconditions of the heterogeneous
 // formulas: a non-empty class list and a square symmetric on-probability
 // matrix over the same classes with entries in [0, 1]. It mirrors
@@ -150,15 +134,6 @@ func HeteroBeta(n int, lambdaMin float64) (float64, error) {
 		return 0, fmt.Errorf("theory: heterogeneous beta needs n ≥ 2, got %d", n)
 	}
 	return float64(n)*lambdaMin - math.Log(float64(n)), nil
-}
-
-// HeteroLambdaForBeta is the forward direction of the scaling:
-// λ_min = (ln n + β)/n.
-func HeteroLambdaForBeta(n int, beta float64) (float64, error) {
-	if n < 2 {
-		return 0, fmt.Errorf("theory: heterogeneous scaling needs n ≥ 2, got %d", n)
-	}
-	return (math.Log(float64(n)) + beta) / float64(n), nil
 }
 
 // HeteroConnProbLimit returns exp(−e^{−β}), the Poisson limit for the

@@ -29,13 +29,14 @@ func TestHeteroKeyShareProbReducesToUniform(t *testing.T) {
 }
 
 // TestHeteroKeyShareProbAgainstExactSum cross-checks the unequal-ring tail
-// against a direct big-binomial PMF summation at small sizes.
+// against a direct binomial PMF summation at small sizes.
 func TestHeteroKeyShareProbAgainstExactSum(t *testing.T) {
 	const pool, r1, r2, q = 60, 8, 20, 2
 	want := 0.0
-	denom := combin.Binomial(pool, r2)
+	binom := func(n, k int) float64 { return math.Exp(combin.LogBinomial(n, k)) }
+	denom := binom(pool, r2)
 	for u := q; u <= r1; u++ {
-		want += combin.Binomial(r1, u) * combin.Binomial(pool-r1, r2-u) / denom
+		want += binom(r1, u) * binom(pool-r1, r2-u) / denom
 	}
 	got, err := HeteroKeyShareProb(pool, r1, r2, q)
 	if err != nil {
@@ -80,7 +81,7 @@ func twoClasses(mu1 float64, k1, k2 int) []keys.Class {
 func TestHeteroMeanEdgeProbs(t *testing.T) {
 	const pool, q = 5000, 1
 	classes := twoClasses(0.4, 20, 60)
-	pOn := UniformOnProb(2, 0.5)
+	pOn := uniformOnProb(2, 0.5)
 	lambda, err := HeteroMeanEdgeProbs(pool, q, classes, pOn)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +99,7 @@ func TestHeteroMeanEdgeProbs(t *testing.T) {
 	}
 
 	// Single class: λ must equal the uniform edge probability t(K,P,q,p).
-	single, err := HeteroMeanEdgeProbs(pool, q, []keys.Class{{Mu: 1, RingSize: 40}}, UniformOnProb(1, 0.3))
+	single, err := HeteroMeanEdgeProbs(pool, q, []keys.Class{{Mu: 1, RingSize: 40}}, uniformOnProb(1, 0.3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +117,7 @@ func TestHeteroMeanEdgeProbs(t *testing.T) {
 func TestHeteroBetaRoundTrip(t *testing.T) {
 	const n = 1500
 	for _, beta := range []float64{-3, -0.5, 0, 1.2, 4} {
-		lambda, err := HeteroLambdaForBeta(n, beta)
-		if err != nil {
-			t.Fatal(err)
-		}
+		lambda := heteroLambdaForBeta(n, beta)
 		back, err := HeteroBeta(n, lambda)
 		if err != nil {
 			t.Fatal(err)
@@ -148,7 +146,7 @@ func TestHeteroThresholdRingSize(t *testing.T) {
 		q    = 1
 	)
 	classes := twoClasses(0.5, 10, 80)
-	pOn := UniformOnProb(2, 0.5)
+	pOn := uniformOnProb(2, 0.5)
 	kStar, err := HeteroThresholdRingSize(n, pool, q, classes, pOn, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +173,7 @@ func TestHeteroThresholdRingSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	hetero, err := HeteroThresholdRingSize(n, pool, 2,
-		[]keys.Class{{Mu: 1, RingSize: 2}}, UniformOnProb(1, 0.5), 0)
+		[]keys.Class{{Mu: 1, RingSize: 2}}, uniformOnProb(1, 0.5), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,10 +189,10 @@ func TestHeteroValidation(t *testing.T) {
 	if _, err := HeteroMeanEdgeProbs(100, 1, nil, nil); err == nil {
 		t.Error("empty classes: want error")
 	}
-	if _, err := HeteroMeanEdgeProbs(100, 1, classes, UniformOnProb(3, 0.5)); err == nil {
+	if _, err := HeteroMeanEdgeProbs(100, 1, classes, uniformOnProb(3, 0.5)); err == nil {
 		t.Error("matrix size mismatch: want error")
 	}
-	asym := UniformOnProb(2, 0.5)
+	asym := uniformOnProb(2, 0.5)
 	asym[0][1] = 0.9
 	if _, err := HeteroMeanEdgeProbs(100, 1, classes, asym); err == nil {
 		t.Error("asymmetric matrix: want error")
@@ -204,18 +202,37 @@ func TestHeteroValidation(t *testing.T) {
 	if _, err := HeteroMeanEdgeProbs(100, 1, classes, ragged); err == nil {
 		t.Error("ragged matrix: want error")
 	}
-	bad := UniformOnProb(2, 1.5)
+	bad := uniformOnProb(2, 1.5)
 	if _, err := HeteroMeanEdgeProbs(100, 1, classes, bad); err == nil {
 		t.Error("probability out of range: want error")
 	}
 	if _, err := HeteroBeta(1, 0.5); err == nil {
 		t.Error("n < 2: want error")
 	}
-	if _, err := HeteroThresholdRingSize(1000, 100, 1, classes, UniformOnProb(2, 0.5), 5); err == nil {
+	if _, err := HeteroThresholdRingSize(1000, 100, 1, classes, uniformOnProb(2, 0.5), 5); err == nil {
 		t.Error("class index out of range: want error")
 	}
 	// Unreachable threshold: vanishing channel probability.
-	if _, err := HeteroThresholdRingSize(1000, 100, 1, classes, UniformOnProb(2, 0), 0); err == nil {
+	if _, err := HeteroThresholdRingSize(1000, 100, 1, classes, uniformOnProb(2, 0), 0); err == nil {
 		t.Error("unreachable threshold: want error")
 	}
+}
+
+// uniformOnProb returns the classes×classes on-probability matrix with every
+// entry p: the uniform on/off channel written in class form.
+func uniformOnProb(classes int, p float64) [][]float64 {
+	m := make([][]float64, classes)
+	for i := range m {
+		m[i] = make([]float64, classes)
+		for j := range m[i] {
+			m[i][j] = p
+		}
+	}
+	return m
+}
+
+// heteroLambdaForBeta is the forward direction of the scaling HeteroBeta
+// inverts: λ_min = (ln n + β)/n.
+func heteroLambdaForBeta(n int, beta float64) float64 {
+	return (math.Log(float64(n)) + beta) / float64(n)
 }

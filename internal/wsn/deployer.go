@@ -39,7 +39,7 @@ import (
 // common case an inlined counter read. The channel graph itself is never
 // built during a deployment; a Network keeps the generator state the draw
 // started from and re-emits it into CSR only if asked for it
-// (ChannelTopology, Snapshot, SimulateDiscovery). Ring sizes may differ
+// (Snapshot, SimulateDiscovery). Ring sizes may differ
 // per class; the predicate reads the actual per-sensor rings.
 type Deployer struct {
 	cfg   Config
@@ -117,10 +117,6 @@ func newDeployer(cfg Config) *Deployer {
 	d.csrRow, d.connRow, d.degRow, d.verdictRow = d.csrSink, d.connSink, d.degSink, d.verdictSink
 	return d
 }
-
-// Config returns the deployment configuration (Seed field as passed to
-// NewDeployer, not any per-call seed).
-func (d *Deployer) Config() Config { return d.cfg }
 
 // Deploy deploys a network from the given seed. It is deterministic: equal
 // seeds yield byte-identical secure topologies and link keys, matching the

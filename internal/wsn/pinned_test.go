@@ -92,7 +92,7 @@ func TestDeployTopologiesPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			secure = hashMix(hashMix(secure, graphFingerprint(net.FullSecureTopology())), r.Uint64())
-			chans = hashMix(chans, graphFingerprint(net.ChannelTopology()))
+			chans = hashMix(chans, graphFingerprint(net.channelTopology()))
 		}
 		if secure != tc.secure || chans != tc.channel {
 			t.Errorf("%s: secure %#x, channel %#x; want %#x, %#x", tc.name, secure, chans, tc.secure, tc.channel)

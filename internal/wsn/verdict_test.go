@@ -42,7 +42,7 @@ func verdictModels(t testing.TB) map[string]Config {
 // on its CSR secure topology.
 func csrVerdicts(t testing.TB, d *Deployer, seed uint64, k int) (kconn, minDeg bool) {
 	t.Helper()
-	n := d.Config().Sensors
+	n := d.cfg.Sensors
 	net, err := d.DeployRand(rng.New(seed))
 	if err != nil {
 		t.Fatal(err)

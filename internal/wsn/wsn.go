@@ -259,31 +259,10 @@ func (n *Network) Ring(v int32) (keys.Ring, error) {
 	return n.rings[v], nil
 }
 
-// ClassOf returns sensor v's class index into Scheme().Classes().
-func (n *Network) ClassOf(v int32) (int, error) {
-	if int(v) < 0 || int(v) >= n.cfg.Sensors {
-		return 0, fmt.Errorf("wsn: sensor %d out of range", v)
-	}
-	if n.labels == nil {
-		return 0, nil
-	}
-	return int(n.labels[v]), nil
-}
-
-// ChannelTopology returns the sampled channel graph (ignores failures). The
+// channelGraph returns the sampled channel graph (ignores failures). The
 // first call re-emits the deployment's channel draw from its saved starting
 // state into CSR, drawing exactly the edges discovery streamed; later calls
 // return the same graph. Neither touches any caller's generator.
-func (n *Network) ChannelTopology() *graph.Undirected {
-	g, err := n.channelGraph()
-	if err != nil {
-		// The same draw already succeeded once, during deployment.
-		panic(err)
-	}
-	return g
-}
-
-// channelGraph builds the channel CSR on first use; see ChannelTopology.
 func (n *Network) channelGraph() (*graph.Undirected, error) {
 	if n.channels != nil {
 		return n.channels, nil
@@ -445,14 +424,6 @@ func (n *Network) FailRandom(r *rng.Rand, count int) ([]int32, error) {
 		return nil, err
 	}
 	return chosen, nil
-}
-
-// RestoreAll brings every failed sensor back (fresh-deployment state).
-func (n *Network) RestoreAll() {
-	for i := range n.alive {
-		n.alive[i] = true
-	}
-	n.deadN = 0
 }
 
 // ClassReport is the per-class slice of a Report: the deployment-level

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/secure-wsn/qcomposite/internal/channel"
+	"github.com/secure-wsn/qcomposite/internal/graph"
 	"github.com/secure-wsn/qcomposite/internal/keys"
 	"github.com/secure-wsn/qcomposite/internal/rng"
 	"github.com/secure-wsn/qcomposite/internal/theory"
@@ -55,7 +56,7 @@ func TestDeployEstablishesOnlyValidLinks(t *testing.T) {
 	net := deployTest(t, 7)
 	q := net.Scheme().RequiredOverlap()
 	topo := net.FullSecureTopology()
-	chans := net.ChannelTopology()
+	chans := net.channelTopology()
 
 	// Every secure edge must be a channel edge with ≥ q shared keys and a
 	// link key derived from exactly the shared keys.
@@ -226,7 +227,7 @@ func TestFailureInjection(t *testing.T) {
 	if _, err := net.SecurePath(3, 4); err == nil {
 		t.Error("SecurePath from failed sensor: want error")
 	}
-	net.RestoreAll()
+	net.restoreAll()
 	if net.AliveCount() != n || !net.Alive(3) {
 		t.Error("RestoreAll did not restore")
 	}
@@ -313,7 +314,7 @@ func TestKConnectivityMatchesFailureSemantics(t *testing.T) {
 		if !conn {
 			t.Fatal("3-connected network disconnected by 2 failures")
 		}
-		net.RestoreAll()
+		net.restoreAll()
 	}
 }
 
@@ -417,4 +418,22 @@ func BenchmarkDeploy(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// channelTopology returns the network's channel graph; see channelGraph.
+func (n *Network) channelTopology() *graph.Undirected {
+	g, err := n.channelGraph()
+	if err != nil {
+		// The same draw already succeeded once, during deployment.
+		panic(err)
+	}
+	return g
+}
+
+// restoreAll brings every failed sensor back (fresh-deployment state).
+func (n *Network) restoreAll() {
+	for i := range n.alive {
+		n.alive[i] = true
+	}
+	n.deadN = 0
 }
