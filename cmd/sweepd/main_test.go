@@ -2,9 +2,11 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -38,12 +40,25 @@ func startDaemon(t *testing.T, args ...string) <-chan error {
 	return errc
 }
 
+// serverStats fetches the daemon's /v1/stats.
+func serverStats(client *sweepserve.Client) (sweepserve.ServerStats, error) {
+	var st sweepserve.ServerStats
+	resp, err := http.Get(client.Base + "/v1/stats")
+	if err != nil {
+		return st, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return st, fmt.Errorf("stats: server returned %s", resp.Status)
+	}
+	return st, json.NewDecoder(resp.Body).Decode(&st)
+}
+
 func waitHealthy(t *testing.T, client *sweepserve.Client) {
 	t.Helper()
-	ctx := context.Background()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, err := client.Stats(ctx); err == nil {
+		if _, err := serverStats(client); err == nil {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -119,7 +134,7 @@ func TestSigtermDrainAndRestart(t *testing.T) {
 	client2 := &sweepserve.Client{Base: "http://" + addr2, Poll: 5 * time.Millisecond}
 	waitHealthy(t, client2)
 
-	stats, err := client2.Stats(ctx)
+	stats, err := serverStats(client2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,6 +148,9 @@ func TestSigtermDrainAndRestart(t *testing.T) {
 	st2, err := client2.Wait(ctx, ack2.ID)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ack2.ID != ack.ID {
+		t.Errorf("restarted daemon gave the spec job ID %s, want %s", ack2.ID, ack.ID)
 	}
 	if st2.State != sweepserve.StateDone || st2.Progress.Cached != 4 {
 		t.Fatalf("restarted job should resolve all 4 points from the journal: %+v (%s)", st2, st2.Error)

@@ -40,12 +40,6 @@ func (s *Set) Add(i int) {
 	s.words[i/wordBits] |= 1 << uint(i%wordBits)
 }
 
-// Remove deletes i from the set. It panics if i is out of range.
-func (s *Set) Remove(i int) {
-	s.boundsCheck(i)
-	s.words[i/wordBits] &^= 1 << uint(i%wordBits)
-}
-
 // Contains reports whether i is in the set. Out-of-range values are never
 // members (no panic: queries are total).
 func (s *Set) Contains(i int) bool {
@@ -70,39 +64,10 @@ func (s *Set) Count() int {
 	return c
 }
 
-// Union sets s = s ∪ t. Capacities must match.
-func (s *Set) Union(t *Set) {
-	s.capCheck(t)
-	for i, w := range t.words {
-		s.words[i] |= w
-	}
-}
-
 func (s *Set) capCheck(t *Set) {
 	if s.n != t.n {
 		panic(fmt.Sprintf("bitset: capacity mismatch %d != %d", s.n, t.n))
 	}
-}
-
-// Equal reports whether s and t contain exactly the same elements.
-// Sets of different capacity are equal if their common elements match and the
-// longer set has no elements beyond the shorter capacity.
-func (s *Set) Equal(t *Set) bool {
-	short, long := s.words, t.words
-	if len(long) < len(short) {
-		short, long = long, short
-	}
-	for i, w := range short {
-		if w != long[i] {
-			return false
-		}
-	}
-	for _, w := range long[len(short):] {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // ForEach calls fn on each element in ascending order. Iteration stops early

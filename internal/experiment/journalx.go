@@ -3,8 +3,8 @@ package experiment
 // The exported journal surface: everything an external orchestrator needs to
 // treat checkpoint journals as a content-addressed result cache without
 // knowing the line format. The sweep server (internal/sweepserve) is the
-// primary consumer — it fingerprints sweeps with JournalFingerprint to
-// coalesce duplicate jobs, synthesizes Resume streams from cached points
+// primary consumer — it names each job by its sweep's JournalFingerprint,
+// synthesizes Resume streams from cached points
 // with MarshalJournalHeader/MarshalJournalPoint, and ingests freshly
 // checkpointed points by feeding each journal line through
 // ParseJournalRecord. The types mirror the internal record structs exactly,
@@ -39,8 +39,8 @@ func KindMeanVec(dims int) string {
 // kind, JournalLabel, trial budget, base seed, and the exact grid axis
 // values. Worker counts are excluded by design — results are bit-identical
 // across parallelism settings. Two sweeps share results exactly when their
-// fingerprints match, which makes the fingerprint the dedupe key for
-// job-level coalescing.
+// fingerprints match, which makes the fingerprint the sweep server's job
+// ID.
 func (c SweepConfig) JournalFingerprint(kind string, grid Grid) (fingerprint, spec string) {
 	return c.journalFingerprint(kind, grid)
 }

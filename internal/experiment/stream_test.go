@@ -222,9 +222,8 @@ func TestSweepConnStatsMatchesCSRSweep(t *testing.T) {
 			}
 			for j := range stats {
 				w, g := want[i].Values[j], got[i].Values[j]
-				if w.N() != g.N() || w.Mean() != g.Mean() || w.Min() != g.Min() || w.Max() != g.Max() {
-					t.Fatalf("PointWorkers=%d: point %d stat %v: summary (n=%d mean=%v min=%v max=%v), want (n=%d mean=%v min=%v max=%v)",
-						pw, i, stats[j], g.N(), g.Mean(), g.Min(), g.Max(), w.N(), w.Mean(), w.Min(), w.Max())
+				if *w != *g {
+					t.Fatalf("PointWorkers=%d: point %d stat %v: summary %+v, want %+v", pw, i, stats[j], *g, *w)
 				}
 			}
 		}

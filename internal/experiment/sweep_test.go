@@ -107,7 +107,7 @@ func TestSweepMeanPairedSamples(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range res {
-			all = append(all, []float64{p.Value.Mean(), p.Value.Min(), p.Value.Max()})
+			all = append(all, []float64{p.Value.Mean(), p.Value.StdDev(), p.Value.Max()})
 		}
 		return all
 	}

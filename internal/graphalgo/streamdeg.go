@@ -58,13 +58,6 @@ func (s *StreamDegrees) Add(u, v int32) {
 	}
 }
 
-// K returns the target degree of the current accumulation.
-func (s *StreamDegrees) K() int { return int(s.k) }
-
-// Degree returns the current degree of vertex v (exact once the full stream
-// has been consumed).
-func (s *StreamDegrees) Degree(v int32) int { return int(s.deg[v]) }
-
 // BelowK returns the number of vertices with current degree < k. It only
 // decreases as edges stream in, so it is an upper bound mid-stream and
 // exact once it reaches 0 or the stream ends.

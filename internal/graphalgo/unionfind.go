@@ -86,11 +86,6 @@ func (u *UnionFind) UnionRoot(x, y int32) (int32, bool) {
 	return rx, true
 }
 
-// Connected reports whether x and y are in the same set.
-func (u *UnionFind) Connected(x, y int32) bool {
-	return u.Find(x) == u.Find(y)
-}
-
 // LargestAmong returns the size of the largest set counting only the nodes v
 // with include[v] true (0 when none are). Excluded nodes still glue sets
 // together through prior Unions; they just do not add to any set's size —

@@ -306,22 +306,6 @@ func (x *Intersector) buildIndex() {
 	x.indexed = true
 }
 
-// SharedCount returns |ring(u) ∩ ring(v)| without allocating.
-func (x *Intersector) SharedCount(u, v int32) int {
-	if x.rowU == u || x.rowU == v || x.extendRun(u, v) {
-		return x.rowCount(x.rowOther(u, v))
-	}
-	if x.dense {
-		a, b := x.row(u), x.row(v)
-		c := 0
-		for i, w := range a {
-			c += bits.OnesCount64(w & b[i])
-		}
-		return c
-	}
-	return x.rings[u].SharedCount(x.rings[v])
-}
-
 // HasAtLeast reports whether rings u and v share at least q keys. It is the
 // hot predicate of shared-key discovery — every emitted channel edge of a
 // streaming deployment passes through here — so its common case is small
@@ -403,22 +387,4 @@ func (x *Intersector) rowHasAtLeast(u, v int32, q int) bool {
 		return x.rowCount(x.rowOther(u, v)) >= q
 	}
 	return x.directAtLeast(u, v, q)
-}
-
-// AppendShared appends the sorted shared keys of rings u and v to dst and
-// returns the extended slice.
-func (x *Intersector) AppendShared(u, v int32, dst []ID) []ID {
-	if x.dense {
-		a, b := x.row(u), x.row(v)
-		for i, w := range a {
-			w &= b[i]
-			base := i * 64
-			for w != 0 {
-				dst = append(dst, ID(base+bits.TrailingZeros64(w)))
-				w &= w - 1
-			}
-		}
-		return dst
-	}
-	return x.rings[u].AppendShared(x.rings[v], dst)
 }

@@ -53,12 +53,6 @@ func sortDedup(ids []ID) []ID {
 // Len returns the number of keys in the ring.
 func (r Ring) Len() int { return len(r.ids) }
 
-// Contains reports whether the ring holds key k.
-func (r Ring) Contains(k ID) bool {
-	i := sort.Search(len(r.ids), func(i int) bool { return r.ids[i] >= k })
-	return i < len(r.ids) && r.ids[i] == k
-}
-
 // IDs returns a copy of the ring's sorted key IDs.
 func (r Ring) IDs() []ID { return append([]ID(nil), r.ids...) }
 
@@ -167,14 +161,6 @@ type Assignment struct {
 	Labels []uint8
 }
 
-// Label returns sensor v's class index.
-func (a Assignment) Label(v int) int {
-	if a.Labels == nil {
-		return 0
-	}
-	return int(a.Labels[v])
-}
-
 // Scheme is a key predistribution scheme: it assigns class labels and key
 // rings to sensors before deployment and fixes the overlap requirement for
 // secure links. Ring sizes are per sensor — uniform schemes are the
@@ -244,10 +230,6 @@ func (s *QComposite) Name() string {
 
 // PoolSize implements Scheme.
 func (s *QComposite) PoolSize() int { return s.pool }
-
-// RingSize returns K, the uniform per-sensor ring size of the 1-class
-// scheme.
-func (s *QComposite) RingSize() int { return s.ring }
 
 // RequiredOverlap implements Scheme.
 func (s *QComposite) RequiredOverlap() int { return s.q }

@@ -184,9 +184,6 @@ func (s *Summary) Variance() float64 {
 // StdDev returns the sample standard deviation.
 func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
-// Min returns the smallest observation (0 before any observation).
-func (s *Summary) Min() float64 { return s.min }
-
 // Max returns the largest observation (0 before any observation).
 func (s *Summary) Max() float64 { return s.max }
 
@@ -282,14 +279,6 @@ func (h *Histogram) Add(v int) {
 	h.total++
 }
 
-// Counts returns a copy of the dense count slice.
-func (h *Histogram) Counts() []int {
-	return append([]int(nil), h.counts...)
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int { return h.total }
-
 // Normalized returns the empirical probability mass function.
 func (h *Histogram) Normalized() []float64 {
 	out := make([]float64, len(h.counts))
@@ -300,16 +289,4 @@ func (h *Histogram) Normalized() []float64 {
 		out[i] = float64(c) / float64(h.total)
 	}
 	return out
-}
-
-// Mean returns the mean of the recorded observations.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	sum := 0.0
-	for v, c := range h.counts {
-		sum += float64(v) * float64(c)
-	}
-	return sum / float64(h.total)
 }

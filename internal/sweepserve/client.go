@@ -144,12 +144,6 @@ func (c *Client) CSV(ctx context.Context, id string) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// Stats fetches server statistics.
-func (c *Client) Stats(ctx context.Context) (ServerStats, error) {
-	var st ServerStats
-	return st, c.get(ctx, "/v1/stats", &st)
-}
-
 // RunProportion is the whole client arc for proportion-kind jobs: submit,
 // wait, fetch, and rehydrate engine-level sweep results — the drop-in
 // replacement for a local experiment sweep call that remote-mode commands

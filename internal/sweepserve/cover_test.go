@@ -300,10 +300,11 @@ func TestServerErrorSurfaces(t *testing.T) {
 	})
 	ctx := context.Background()
 
-	if _, err := env.client.Status(ctx, "job-999"); err == nil || !strings.Contains(err.Error(), "404") {
+	unknown := strings.Repeat("0", 64) // a fingerprint no spec was submitted under
+	if _, err := env.client.Status(ctx, unknown); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("unknown job status error = %v, want a 404", err)
 	}
-	if _, err := env.client.Result(ctx, "job-999"); err == nil {
+	if _, err := env.client.Result(ctx, unknown); err == nil {
 		t.Error("unknown job result returned no error")
 	}
 

@@ -46,13 +46,18 @@ type JobStatus struct {
 	Error    string   `json:"error,omitempty"`
 }
 
-// Job is one submitted sweep. All mutable state is guarded by mu; readers
-// take snapshots via Status and block on change via await.
+// Job is one sweep, shared by every submission of its spec. All mutable
+// state is guarded by mu; readers take snapshots via Status and block on
+// change via await.
 type Job struct {
+	// id is the sweep fingerprint (jobPlan.id).
 	id   string
-	spec JobSpec
+	kind string
 	plan *jobPlan
-	cfg  experiment.SweepConfig
+	// submitted is the Manager's submission count at this job's latest
+	// submission: eviction drops the terminal job with the smallest. Guarded
+	// by the Manager's mu.
+	submitted uint64
 
 	mu       sync.Mutex
 	state    string
@@ -68,7 +73,7 @@ type Job struct {
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := JobStatus{ID: j.id, Kind: j.spec.Kind, State: j.state, Progress: j.progress}
+	st := JobStatus{ID: j.id, Kind: j.kind, State: j.state, Progress: j.progress}
 	if j.err != nil {
 		st.Error = j.err.Error()
 	}
@@ -109,6 +114,13 @@ func (j *Job) setState(state string) {
 	j.notifyLocked()
 }
 
+// terminal reports whether the job is done or failed.
+func (j *Job) terminal() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state == StateDone || j.state == StateFailed
+}
+
 // Options configures a Manager.
 type Options struct {
 	// Store is the shared result cache; nil gets a fresh memory-only store.
@@ -133,6 +145,12 @@ type Options struct {
 	WrapTrialBuild func(build func(pt experiment.GridPoint) (montecarlo.Trial, error)) func(pt experiment.GridPoint) (montecarlo.Trial, error)
 }
 
+// MaxTerminalJobs bounds the done and failed jobs a Manager keeps. Past it,
+// the least recently submitted terminal job is evicted: its ID answers 404
+// until its spec is submitted again, and that job is served from the store.
+// Queued and running jobs are never evicted; QueueDepth bounds them.
+const MaxTerminalJobs = 256
+
 // Manager owns the job table and the bounded worker pool that executes jobs
 // on the sweep fabric.
 type Manager struct {
@@ -146,14 +164,15 @@ type Manager struct {
 
 	mu     sync.Mutex
 	closed bool
-	nextID int
-	jobs   map[string]*Job
-	// inflight maps a sweep fingerprint to its queued-or-running job:
-	// submitting an identical spec while one is active coalesces onto it.
-	// Terminal jobs leave the table — a re-submission becomes a new job that
-	// resolves (near-)fully from the store instead.
-	inflight map[string]*Job
-	// coalesced counts submissions absorbed by an active identical job.
+	// jobs maps a job ID — the sweep fingerprint of its spec — to the job.
+	// A spec whose job is queued, running or done gets that job back; a
+	// failed job is replaced by a fresh run under the same ID.
+	jobs map[string]*Job
+	// terminal counts the done and failed jobs in the table.
+	terminal int
+	// submissions counts accepted submissions; it orders jobs for eviction.
+	submissions uint64
+	// coalesced counts submissions served by a job the table already held.
 	coalesced int
 }
 
@@ -170,13 +189,12 @@ func NewManager(opts Options) *Manager {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
-		opts:     opts,
-		store:    opts.Store,
-		ctx:      ctx,
-		cancel:   cancel,
-		queue:    make(chan *Job, opts.QueueDepth),
-		jobs:     map[string]*Job{},
-		inflight: map[string]*Job{},
+		opts:   opts,
+		store:  opts.Store,
+		ctx:    ctx,
+		cancel: cancel,
+		queue:  make(chan *Job, opts.QueueDepth),
+		jobs:   map[string]*Job{},
 	}
 	for range opts.JobWorkers {
 		m.wg.Add(1)
@@ -210,21 +228,6 @@ func (m *Manager) Close() {
 // Store exposes the shared cache (for stats endpoints).
 func (m *Manager) Store() *Store { return m.store }
 
-// sweepConfig builds the engine configuration of a compiled job. The label
-// is the plan's canonical label, so every spec detail the build closures
-// bake in (scheme, channel, bindings, n, pool, …) is part of the journal
-// identity even though the closures themselves cannot be fingerprinted.
-// The worker counts are scheduling knobs only.
-func sweepConfig(plan *jobPlan, spec *JobSpec, trialWorkers, pointWorkers int) experiment.SweepConfig {
-	return experiment.SweepConfig{
-		Trials:       spec.Trials,
-		Seed:         spec.Seed,
-		Workers:      trialWorkers,
-		PointWorkers: pointWorkers,
-		JournalLabel: plan.label,
-	}
-}
-
 // RunLocal runs a proportion-kind job in process, without a server or a
 // store: the compiled plan's grid and trial builder through
 // experiment.SweepProportion, exactly what a Manager executes, so the
@@ -238,49 +241,51 @@ func RunLocal(ctx context.Context, spec JobSpec, trialWorkers, pointWorkers int)
 	if plan.trialBuild == nil {
 		return nil, fmt.Errorf("sweepserve: job kind %q does not estimate a proportion", spec.Kind)
 	}
-	cfg := sweepConfig(plan, &spec, trialWorkers, pointWorkers)
-	return experiment.SweepProportion(ctx, plan.grid, cfg, plan.trialBuild)
+	return experiment.SweepProportion(ctx, plan.grid, plan.config(trialWorkers, pointWorkers), plan.trialBuild)
 }
 
-// Submit validates, registers and enqueues a job. The returned bool reports
-// coalescing: true means the spec matched an active identical job and that
-// job is returned instead of a new one.
+// Submit validates a spec and returns its job. The returned bool reports
+// coalescing: true means the table already held the spec's job, queued,
+// running or done, and that job is returned as it is. Otherwise a new job —
+// the first of its spec, the re-run of a failed one, or the return of an
+// evicted one — is queued under the spec's ID.
 func (m *Manager) Submit(spec JobSpec) (*Job, bool, error) {
 	plan, err := spec.compile()
 	if err != nil {
 		return nil, false, err
 	}
-	cfg := sweepConfig(plan, &spec, m.opts.TrialWorkers, m.opts.PointWorkers)
-	fingerprint, _ := cfg.JournalFingerprint(plan.kind, plan.grid)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return nil, false, ErrShuttingDown
 	}
-	if j, ok := m.inflight[fingerprint]; ok {
+	old, ok := m.jobs[plan.id]
+	if ok && old.Status().State != StateFailed {
+		m.submissions++
+		old.submitted = m.submissions
 		m.coalesced++
-		return j, true, nil
+		return old, true, nil
 	}
-	m.nextID++
 	j := &Job{
-		id:       fmt.Sprintf("job-%d", m.nextID),
-		spec:     spec,
+		id:       plan.id,
+		kind:     spec.Kind,
 		plan:     plan,
-		cfg:      cfg,
 		state:    StateQueued,
 		progress: Progress{Total: plan.grid.Len()},
 		update:   make(chan struct{}),
 	}
-	m.jobs[j.id] = j
-	m.inflight[fingerprint] = j
 	select {
 	case m.queue <- j:
 	default:
-		delete(m.jobs, j.id)
-		delete(m.inflight, fingerprint)
 		return nil, false, ErrQueueFull
 	}
+	if ok {
+		m.terminal-- // the failed job it replaces
+	}
+	m.submissions++
+	j.submitted = m.submissions
+	m.jobs[j.id] = j
 	return j, false, nil
 }
 
@@ -292,7 +297,15 @@ func (m *Manager) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Coalesced reports how many submissions were absorbed by active jobs.
+// Jobs reports how many jobs the table holds.
+func (m *Manager) Jobs() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.jobs)
+}
+
+// Coalesced reports how many submissions were served by a job the table
+// already held.
 func (m *Manager) Coalesced() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -325,14 +338,14 @@ func (m *Manager) worker() {
 func (m *Manager) run(j *Job) {
 	j.setState(StateRunning)
 
-	cfg := j.cfg
-	resume, _, err := m.store.resumeFor(j.plan, cfg)
+	cfg := j.plan.config(m.opts.TrialWorkers, m.opts.PointWorkers)
+	resume, _, err := m.store.resumeFor(j.plan)
 	if err != nil {
 		m.finish(j, nil, err)
 		return
 	}
 	cfg.Resume = resume
-	cfg.Checkpoint, err = m.store.checkpointer(j.plan, cfg)
+	cfg.Checkpoint, err = m.store.checkpointer(j.plan)
 	if err != nil {
 		m.finish(j, nil, err)
 		return
@@ -348,7 +361,7 @@ func (m *Manager) run(j *Job) {
 	}
 
 	var result JobResult
-	result.Kind = j.spec.Kind
+	result.Kind = j.kind
 	switch {
 	case j.plan.trialBuild != nil:
 		build := j.plan.trialBuild
@@ -375,18 +388,13 @@ func (m *Manager) run(j *Job) {
 	m.finish(j, &result, nil)
 }
 
-// finish moves a job to its terminal state and retires its fingerprint from
-// the coalescing table.
+// finish moves a job to its terminal state and evicts the least recently
+// submitted terminal jobs past MaxTerminalJobs. The state changes under the
+// manager's lock, so Submit never sees a terminal job that is not counted.
 func (m *Manager) finish(j *Job, result *JobResult, err error) {
-	fingerprint, _ := j.cfg.JournalFingerprint(j.plan.kind, j.plan.grid)
 	m.mu.Lock()
-	if m.inflight[fingerprint] == j {
-		delete(m.inflight, fingerprint)
-	}
-	m.mu.Unlock()
-
+	defer m.mu.Unlock()
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	if err != nil {
 		j.state = StateFailed
 		j.err = err
@@ -395,4 +403,17 @@ func (m *Manager) finish(j *Job, result *JobResult, err error) {
 		j.result = result
 	}
 	j.notifyLocked()
+	j.mu.Unlock()
+
+	m.terminal++
+	for m.terminal > MaxTerminalJobs {
+		var victim *Job
+		for _, t := range m.jobs {
+			if t.terminal() && (victim == nil || t.submitted < victim.submitted) {
+				victim = t
+			}
+		}
+		delete(m.jobs, victim.id)
+		m.terminal--
+	}
 }

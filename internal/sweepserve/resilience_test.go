@@ -60,9 +60,8 @@ func TestInterleavedJournalSurvivesRestart(t *testing.T) {
 	wantB := offlineFor(testSensors + 10)
 
 	// Life 1: two job workers, and a rendezvous on each job's first point
-	// build — both section headers hit the file before any point line, so
-	// every point line of the first-writing job lands after the OTHER job's
-	// header. Maximal interleaving, deterministically.
+	// build — both jobs compute their points at once, so their point lines
+	// interleave in the file, each run under its own re-emitted header.
 	store1, err := sweepserve.OpenStore(journal)
 	if err != nil {
 		t.Fatal(err)

@@ -4,13 +4,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 )
 
 // Server is the HTTP face of a Manager. Routes (all JSON unless noted):
 //
 //	POST /v1/jobs             submit a JobSpec → SubmitResponse (400 SpecError on bad specs; 413 SpecError naming "body" past MaxSpecBytes; 503 + Retry-After when the queue is full or the server is draining)
-//	GET  /v1/jobs/{id}        job status
+//	GET  /v1/jobs/{id}        job status (404 for an ID never submitted or evicted)
 //	GET  /v1/jobs/{id}/result terminal result (JSON; ?format=csv for text/csv)
 //	GET  /v1/jobs/{id}/events SSE: one progress event per change, then a terminal event
 //	GET  /v1/stats            server + store statistics
@@ -27,10 +28,12 @@ const MaxSpecBytes = 1 << 20
 
 // SubmitResponse acknowledges a job submission.
 type SubmitResponse struct {
+	// ID is the sweep fingerprint of the spec: the same for every
+	// submission of the spec, across restarts.
 	ID    string `json:"id"`
 	State string `json:"state"`
-	// Coalesced reports that the spec matched an already-active identical
-	// job and the response describes that job instead of a new one.
+	// Coalesced reports that the spec's job was already queued, running or
+	// done, and the response describes that job instead of a new run.
 	Coalesced bool `json:"coalesced"`
 	// Points is the job's grid size.
 	Points int `json:"points"`
@@ -38,8 +41,11 @@ type SubmitResponse struct {
 
 // ServerStats is the /v1/stats payload.
 type ServerStats struct {
-	Store     StoreStats `json:"store"`
-	Coalesced int        `json:"coalesced"`
+	Store StoreStats `json:"store"`
+	// Jobs is the size of the job table: queued and running jobs plus at
+	// most MaxTerminalJobs done or failed ones.
+	Jobs      int `json:"jobs"`
+	Coalesced int `json:"coalesced"`
 }
 
 // NewServer wraps a manager in its HTTP routes.
@@ -77,18 +83,28 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
+// decodeSpec decodes a submitted job spec from a body bounded by
+// http.MaxBytesReader, rejecting unknown fields. Failures are SpecErrors
+// naming "body", with the status to answer: 413 past the bound, else 400.
+func decodeSpec(body io.Reader) (JobSpec, int, *SpecError) {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	var spec JobSpec
 	if err := dec.Decode(&spec); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				&SpecError{Field: "body", Msg: fmt.Sprintf("job spec exceeds %d bytes", tooLarge.Limit)})
-			return
+			return spec, http.StatusRequestEntityTooLarge,
+				&SpecError{Field: "body", Msg: fmt.Sprintf("job spec exceeds %d bytes", tooLarge.Limit)}
 		}
-		writeError(w, http.StatusBadRequest, &SpecError{Field: "body", Msg: fmt.Sprintf("decoding job spec: %v", err)})
+		return spec, http.StatusBadRequest, &SpecError{Field: "body", Msg: fmt.Sprintf("decoding job spec: %v", err)}
+	}
+	return spec, 0, nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, code, specErr := decodeSpec(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
+	if specErr != nil {
+		writeJSON(w, code, specErr)
 		return
 	}
 	job, coalesced, err := s.manager.Submit(spec)
@@ -199,6 +215,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ServerStats{
 		Store:     s.manager.Store().Stats(),
+		Jobs:      s.manager.Jobs(),
 		Coalesced: s.manager.Coalesced(),
 	})
 }

@@ -172,7 +172,7 @@ func TestConcurrentClientsOverlappingGrids(t *testing.T) {
 }
 
 // TestCoalescingIdenticalJobs: identical specs submitted while the first is
-// active collapse onto one job ID and one execution.
+// running collapse onto one job ID and one execution.
 func TestCoalescingIdenticalJobs(t *testing.T) {
 	release := make(chan struct{})
 	var started sync.Once
@@ -462,6 +462,16 @@ func TestSpecValidation(t *testing.T) {
 		{"ring larger than pool", func(s *sweepserve.JobSpec) {
 			s.Grid.Ks = []int{testPool + 1}
 		}, "spec"},
+		{"grid past MaxGridPoints", func(s *sweepserve.JobSpec) {
+			s.Grid.Ks = make([]int, 300)
+			s.Grid.Ps = make([]float64, 300)
+		}, "grid"},
+		{"design levels past MaxGridPoints", func(s *sweepserve.JobSpec) {
+			s.Kind = sweepserve.KindDesign
+			s.Grid.Ks = nil
+			s.Target = 0.9
+			s.KMax = sweepserve.MaxGridPoints + 1
+		}, "kmax"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -499,7 +509,7 @@ func TestSpecValidation(t *testing.T) {
 
 // TestOversizeSpecRefused checks the submit body bound: a spec past
 // MaxSpecBytes comes back as a 413 naming the body, both as raw bytes and
-// through the typed client, and submits no job.
+// through the typed client, and leaves the job table as it was.
 func TestOversizeSpecRefused(t *testing.T) {
 	env := newEnv(t, sweepserve.Options{})
 
@@ -532,8 +542,8 @@ func TestOversizeSpecRefused(t *testing.T) {
 	if specErr.Field != "body" {
 		t.Errorf("oversize spec names field %q, want \"body\"", specErr.Field)
 	}
-	if _, ok := env.manager.Job("job-1"); ok {
-		t.Error("an oversize spec created a job")
+	if n := env.manager.Jobs(); n != 0 {
+		t.Errorf("the job table holds %d jobs after two oversize specs, want 0", n)
 	}
 }
 
@@ -709,7 +719,7 @@ func TestSSEEvents(t *testing.T) {
 
 // BenchmarkServerDedup measures the service's caching arc over HTTP: the
 // first iteration computes the grid cold, every later identical submission
-// resolves fully from the shared store — so per-op cost converges to pure
+// is served by that done job — so per-op cost converges to pure
 // orchestration overhead (submit + poll + fetch), not simulation.
 func BenchmarkServerDedup(b *testing.B) {
 	m := sweepserve.NewManager(sweepserve.Options{})

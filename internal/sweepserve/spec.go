@@ -9,11 +9,12 @@
 // seeds derive from point parameters (experiment.SweepConfig.PointSeed), so
 // a grid point's result is a pure function of (code version, sweep kind,
 // job label, trial budget, base seed, point parameters) — the key of the
-// shared result Store. Identical in-flight jobs coalesce onto one execution
-// via the sweep's journal fingerprint, overlapping grids resolve shared
-// points from the store instead of recomputing them, and because the store
-// persists through the PR-8 checkpoint-journal format, a restarted server
-// resumes from the journal file bit-identical to a server that never died.
+// shared result Store. A job's ID is its sweep's journal fingerprint, so
+// identical specs share one job, overlapping grids resolve shared points from
+// the store instead of recomputing them, and because the store persists
+// through the checkpoint-journal format, a restarted server resumes from the
+// journal file bit-identical to a server that never died, under the same job
+// IDs.
 package sweepserve
 
 import (
@@ -144,22 +145,64 @@ func specErrf(field, format string, args ...any) *SpecError {
 	return &SpecError{Field: field, Msg: fmt.Sprintf(format, args...)}
 }
 
+// MaxGridPoints bounds the grid of one job, the derived levels of a design
+// job included. Real sweeps have at most a few hundred points; the bound
+// keeps one spec from asking the server to enumerate (or allocate) an
+// unbounded grid.
+const MaxGridPoints = 1 << 16
+
 // jobPlan is a validated, executable job: the canonical label and journal
-// kind that key its points in the store, the grid, and exactly one runner.
+// kind that key its points in the store, the grid, the sweep's identity, and
+// exactly one runner.
 type jobPlan struct {
 	// kind is the journal/codec kind (experiment.KindProportion or
 	// KindMeanVec(CampaignDims)); label is the canonical sweep label —
 	// everything the build closures bake in that the fingerprint's
 	// grid/trials/seed do not.
-	kind  string
-	label string
-	grid  experiment.Grid
+	kind   string
+	label  string
+	grid   experiment.Grid
+	trials int
+	seed   uint64
+	// id is the sweep's journal fingerprint — code version, kind, label,
+	// trials, seed and grid — and so the job ID; preimage is its
+	// human-readable spec, which the journal section header carries.
+	id, preimage string
 
 	// trialBuild runs proportion-kind jobs (every kind but campaign); the
 	// manager may wrap it (Options.WrapTrialBuild) for fault injection.
 	trialBuild func(pt experiment.GridPoint) (montecarlo.Trial, error)
 	// campaign runs campaign-kind jobs.
 	campaign *experiment.CampaignSpec
+}
+
+// config builds the engine configuration of the plan. The label is the
+// canonical one, so every spec detail the build closures bake in (scheme,
+// channel, bindings, n, pool, …) is part of the journal identity even though
+// the closures themselves cannot be fingerprinted. The worker counts are
+// scheduling knobs only.
+func (p *jobPlan) config(trialWorkers, pointWorkers int) experiment.SweepConfig {
+	return experiment.SweepConfig{
+		Trials:       p.trials,
+		Seed:         p.seed,
+		Workers:      trialWorkers,
+		PointWorkers: pointWorkers,
+		JournalLabel: p.label,
+	}
+}
+
+// gridPoints is the number of points of a grid with these axis lengths (an
+// empty axis counts once, as in experiment.Grid), saturating at
+// MaxGridPoints+1 so that no product of huge axes overflows.
+func gridPoints(axes ...int) int {
+	n := 1
+	for _, l := range axes {
+		n *= max(l, 1)
+		if n > MaxGridPoints {
+			return MaxGridPoints + 1
+		}
+	}
+	return n
 }
 
 // schemeLabel renders the scheme half of the canonical label.
@@ -294,6 +337,10 @@ func (s *JobSpec) validateCommon() *SpecError {
 	if s.Pool <= 0 {
 		return specErrf("pool", "key pool size %d must be positive", s.Pool)
 	}
+	g := s.Grid
+	if gridPoints(len(g.Ks), len(g.Qs), len(g.Ps), len(g.Xs)) > MaxGridPoints {
+		return specErrf("grid", "the grid has more than %d points", MaxGridPoints)
+	}
 	if len(s.Classes) > 0 && len(s.Grid.Ks) > 0 {
 		return specErrf("grid.ks", "ring sizes come from the per-class declarations under a heterogeneous scheme; the Ks axis must be empty")
 	}
@@ -322,9 +369,21 @@ func (s *JobSpec) validatePoints(grid experiment.Grid) *SpecError {
 	return nil
 }
 
-// compile validates the spec and lowers it to an executable plan. All
-// validation errors are *SpecError values naming the offending field.
+// compile validates the spec, lowers it to an executable plan and derives the
+// plan's identity. All validation errors are *SpecError values naming the
+// offending field.
 func (s *JobSpec) compile() (*jobPlan, error) {
+	plan, err := s.compileKind()
+	if err != nil {
+		return nil, err
+	}
+	plan.trials, plan.seed = s.Trials, s.Seed
+	plan.id, plan.preimage = plan.config(0, 0).JournalFingerprint(plan.kind, plan.grid)
+	return plan, nil
+}
+
+// compileKind validates the spec and lowers it to the runner of its kind.
+func (s *JobSpec) compileKind() (*jobPlan, error) {
 	switch s.Kind {
 	case KindConnectivity, KindKConn, KindCross, KindMinDegree, KindDesign, KindKStar, KindCampaign:
 	case "":
@@ -461,6 +520,9 @@ func (s *JobSpec) compileDesign() (*jobPlan, error) {
 	}
 	if s.KMax < 1 {
 		return nil, specErrf("kmax", "kmax %d must be ≥ 1", s.KMax)
+	}
+	if gridPoints(len(s.Grid.Qs), len(s.Grid.Ps), s.KMax) > MaxGridPoints {
+		return nil, specErrf("kmax", "kmax %d gives a grid of more than %d points", s.KMax, MaxGridPoints)
 	}
 	if len(s.Grid.Xs) > 0 {
 		return nil, specErrf("grid.xs", "the Xs axis of a design job carries the levels 1..kmax and is derived from kmax; leave it empty")

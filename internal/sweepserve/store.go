@@ -180,21 +180,19 @@ func (s *Store) Stats() StoreStats {
 	return StoreStats{Points: len(s.points), Hits: s.hits, Misses: s.misses, Restored: s.restored}
 }
 
-// sectionHeader renders one job's journal section header and its
-// fingerprint — shared by resumeFor (synthesized resume streams) and
-// checkpointer (headers re-emitted when concurrent jobs interleave appends).
-func sectionHeader(plan *jobPlan, cfg experiment.SweepConfig) (fingerprint string, header []byte, err error) {
-	fingerprint, spec := cfg.JournalFingerprint(plan.kind, plan.grid)
-	header, err = experiment.MarshalJournalHeader(experiment.JournalHeaderInfo{
-		Fingerprint: fingerprint,
-		Spec:        spec,
+// sectionHeader renders one job's journal section header — shared by
+// resumeFor (synthesized resume streams) and checkpointer (the header written
+// before a run of the job's point lines).
+func sectionHeader(plan *jobPlan) ([]byte, error) {
+	return experiment.MarshalJournalHeader(experiment.JournalHeaderInfo{
+		Fingerprint: plan.id,
+		Spec:        plan.preimage,
 		Code:        experiment.CodeVersion,
 		Kind:        plan.kind,
-		Label:       cfg.JournalLabel,
-		Trials:      cfg.Trials,
-		Seed:        cfg.Seed,
+		Label:       plan.label,
+		Trials:      plan.trials,
+		Seed:        plan.seed,
 	})
-	return fingerprint, header, err
 }
 
 // resumeFor synthesizes the experiment resume stream of one job: a section
@@ -203,8 +201,8 @@ func sectionHeader(plan *jobPlan, cfg experiment.SweepConfig) (fingerprint strin
 // marshallers so SweepConfig.Resume accepts it verbatim. Returns the stream
 // and the number of cache hits (misses — points the job must compute — are
 // grid.Len() − hits; both are tallied into the store stats).
-func (s *Store) resumeFor(plan *jobPlan, cfg experiment.SweepConfig) (io.Reader, int, error) {
-	_, header, err := sectionHeader(plan, cfg)
+func (s *Store) resumeFor(plan *jobPlan) (io.Reader, int, error) {
+	header, err := sectionHeader(plan)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -213,13 +211,14 @@ func (s *Store) resumeFor(plan *jobPlan, cfg experiment.SweepConfig) (io.Reader,
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	cfg := plan.config(0, 0)
 	hits := 0
 	for _, pt := range plan.grid.Points() {
 		info := experiment.JournalPointInfo{
 			K: pt.K, Q: pt.Q, P: pt.P, X: pt.X,
 			Seed: cfg.PointSeed(pt),
 		}
-		value, ok := s.points[keyFor(plan.kind, cfg.JournalLabel, cfg.Trials, info)]
+		value, ok := s.points[keyFor(plan.kind, plan.label, plan.trials, info)]
 		if !ok {
 			s.misses++
 			continue
@@ -236,63 +235,56 @@ func (s *Store) resumeFor(plan *jobPlan, cfg experiment.SweepConfig) (io.Reader,
 	return &buf, hits, nil
 }
 
-// checkpointer returns the job's Checkpoint sink: every line the sweep
-// writes is ingested into the in-memory map (so concurrent and later jobs
-// see the point immediately) and appended to the journal file when the
-// store is file-backed (so the point survives restarts). The journalWriter
-// contract — one complete record per Write call — is what makes live
-// ingestion line-by-line safe.
-func (s *Store) checkpointer(plan *jobPlan, cfg experiment.SweepConfig) (io.Writer, error) {
-	fingerprint, header, err := sectionHeader(plan, cfg)
+// checkpointer returns the job's Checkpoint sink: every point line the sweep
+// writes is ingested into the in-memory map (so concurrent and later jobs see
+// the point immediately) and appended to the journal file when the store is
+// file-backed (so the point survives restarts). The journalWriter contract —
+// one complete record per Write call — is what makes live ingestion
+// line-by-line safe.
+func (s *Store) checkpointer(plan *jobPlan) (io.Writer, error) {
+	header, err := sectionHeader(plan)
 	if err != nil {
 		return nil, err
 	}
-	return &storeWriter{
-		store: s, kind: plan.kind, label: cfg.JournalLabel, trials: cfg.Trials,
-		fingerprint: fingerprint, header: header,
-	}, nil
+	return &storeWriter{store: s, plan: plan, header: header}, nil
 }
 
 type storeWriter struct {
-	store  *Store
-	kind   string
-	label  string
-	trials int
-	// fingerprint and header identify this job's journal section; the header
-	// line is re-emitted whenever another job's section holds the file's
-	// tail, so every contiguous run of point lines sits under its own header
-	// even when concurrent jobs interleave appends.
-	fingerprint string
-	header      []byte
+	store *Store
+	plan  *jobPlan
+	// header opens this job's journal section. The sweep's own header line
+	// is not appended; this one is, before a point line whenever the file's
+	// tail is not this job's section. So every contiguous run of point lines
+	// sits under its own header even when concurrent jobs interleave
+	// appends, and a run that computes no point appends nothing.
+	header []byte
 }
 
 func (w *storeWriter) Write(line []byte) (int, error) {
 	s := w.store
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h, p, err := experiment.ParseJournalRecord(bytes.TrimSpace(line))
+	_, p, err := experiment.ParseJournalRecord(bytes.TrimSpace(line))
 	if err != nil {
 		return 0, fmt.Errorf("sweepserve: checkpoint line does not parse: %w", err)
 	}
+	if p == nil {
+		return len(line), nil
+	}
 	if s.file != nil {
-		if p != nil && s.fileFP != w.fingerprint {
+		if s.fileFP != w.plan.id {
 			if _, err := s.file.Write(w.header); err != nil {
 				return 0, fmt.Errorf("sweepserve: appending to result store: %w", err)
 			}
-			s.fileFP = w.fingerprint
+			s.fileFP = w.plan.id
 		}
 		if _, err := s.file.Write(line); err != nil {
 			return 0, fmt.Errorf("sweepserve: appending to result store: %w", err)
 		}
-		if h != nil {
-			s.fileFP = h.Fingerprint
-		}
 	}
-	if p != nil {
-		key := keyFor(w.kind, w.label, w.trials, *p)
-		if _, dup := s.points[key]; !dup {
-			s.points[key] = append(json.RawMessage(nil), p.Value...)
-		}
+	key := keyFor(w.plan.kind, w.plan.label, w.plan.trials, *p)
+	if _, dup := s.points[key]; !dup {
+		s.points[key] = append(json.RawMessage(nil), p.Value...)
 	}
 	return len(line), nil
 }

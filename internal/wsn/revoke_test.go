@@ -1,6 +1,7 @@
 package wsn
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/secure-wsn/qcomposite/internal/keys"
@@ -41,7 +42,7 @@ func TestRevokeNodeKeysBasics(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range l.SharedKeys {
-			if ring0.Contains(k) {
+			if slices.Contains(ring0.IDs(), k) {
 				t.Fatalf("surviving link (%d,%d) still uses revoked key %d", l.A, l.B, k)
 			}
 		}
