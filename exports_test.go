@@ -46,6 +46,7 @@ var exportAllowlist = map[string]string{
 	"internal/stats.ChiSquare":              "stattest's tests check Pearson statistics against it",
 	"internal/theory.HeteroConnProbability": "the stattest heterogeneous gate predicts with it",
 	"internal/wsn.Network.FailedLinkCount":  "adversary campaign tests count jammed links",
+	"internal/wsn.Network.Links":            "adversary tests check Capture against it; root benchmarks time link materialization",
 }
 
 // TestInternalExportsHaveCallers is the gate against regrowth of dead API: an

@@ -17,6 +17,7 @@ import (
 
 	"github.com/secure-wsn/qcomposite/internal/bitset"
 	"github.com/secure-wsn/qcomposite/internal/combin"
+	"github.com/secure-wsn/qcomposite/internal/keys"
 	"github.com/secure-wsn/qcomposite/internal/rng"
 	"github.com/secure-wsn/qcomposite/internal/wsn"
 )
@@ -103,22 +104,19 @@ func Capture(net *wsn.Network, captured []int32) (CaptureResult, error) {
 		Captured:    captured,
 		KeysLearned: known.Count(),
 	}
-	for _, link := range net.Links() {
-		if isCaptured[link.A] || isCaptured[link.B] {
-			continue // links touching captured nodes are trivially lost
+	net.ForEachLink(func(a, b int32, shared []keys.ID) bool {
+		if isCaptured[a] || isCaptured[b] {
+			return true // links touching captured nodes are trivially lost
 		}
 		res.TotalLinks++
-		compromised := true
-		for _, k := range link.SharedKeys {
+		for _, k := range shared {
 			if !known.Contains(int(k)) {
-				compromised = false
-				break
+				return true
 			}
 		}
-		if compromised {
-			res.CompromisedLinks++
-		}
-	}
+		res.CompromisedLinks++
+		return true
+	})
 	return res, nil
 }
 

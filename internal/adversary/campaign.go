@@ -14,8 +14,7 @@ package adversary
 // amortized bitset of the adversary's key knowledge plus a key→link
 // incidence index over a one-time link snapshot, so learning a key
 // re-classifies exactly the links that hold it (an O(incidence) decrement)
-// instead of re-walking net.Links() — with its per-link shared-set copies
-// and SHA-256 key derivations — once per step.
+// instead of re-walking the network's links once per step.
 
 import (
 	"fmt"
@@ -303,17 +302,16 @@ func RunCampaign(net *wsn.Network, r *rng.Rand, tl Timeline) (*CampaignResult, e
 // again after each revocation step (the only step that replaces the
 // topology); capture, failure and jamming reuse the standing snapshot.
 func (c *campaign) snapshot() {
-	links := c.net.Links()
 	pool := c.net.Scheme().PoolSize()
-	c.links = c.links[:0]
-	c.linkIdx = make(map[[2]int32]int32, len(links))
-
 	counts := make([]int32, pool+1)
-	for _, l := range links {
-		for _, k := range l.SharedKeys {
+	nLinks := 0
+	c.net.ForEachLink(func(_, _ int32, shared []keys.ID) bool {
+		for _, k := range shared {
 			counts[k]++
 		}
-	}
+		nLinks++
+		return true
+	})
 	offs := make([]int32, pool+1)
 	total := int32(0)
 	for k := 0; k < pool; k++ {
@@ -324,19 +322,23 @@ func (c *campaign) snapshot() {
 	cur := append([]int32(nil), offs...)
 	keyLinks := make([]int32, total)
 
-	for i, l := range links {
+	c.links = c.links[:0]
+	c.linkIdx = make(map[[2]int32]int32, nLinks)
+	c.net.ForEachLink(func(a, b int32, shared []keys.ID) bool {
+		i := int32(len(c.links))
 		unknown := 0
-		for _, k := range l.SharedKeys {
-			keyLinks[cur[k]] = int32(i)
+		for _, k := range shared {
+			keyLinks[cur[k]] = i
 			cur[k]++
 			if !c.known.Contains(int(k)) {
 				unknown++
 			}
 		}
-		edge := [2]int32{l.A, l.B}
-		c.links = append(c.links, campLink{a: l.A, b: l.B, unknown: int32(unknown), jammed: c.jammed[edge]})
-		c.linkIdx[edge] = int32(i)
-	}
+		edge := [2]int32{a, b}
+		c.links = append(c.links, campLink{a: a, b: b, unknown: int32(unknown), jammed: c.jammed[edge]})
+		c.linkIdx[edge] = i
+		return true
+	})
 	c.keyOffs, c.keyLinks = offs, keyLinks
 }
 

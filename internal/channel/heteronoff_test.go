@@ -100,3 +100,35 @@ func TestHeterOnOffClassBlocks(t *testing.T) {
 		t.Error("label count mismatch accepted")
 	}
 }
+
+// BenchmarkHeterOnOffEmit draws a labelled heterogeneous channel on
+// n = 1000 sensors. Every draw starts a fresh skip kernel and retargets it
+// once per class-pair block, so this is the path where a skip table must
+// pay for its build within one block or not be built at all. The sparse
+// blocks (p = 0.05, 0.01) draw a few hundred to a few thousand skips.
+func BenchmarkHeterOnOffEmit(b *testing.B) {
+	const n = 1000
+	for _, bc := range []struct {
+		name string
+		m    HeterOnOff
+	}{
+		{"classes=2", HeterOnOff{P: [][]float64{{0.6, 0.3}, {0.3, 0.1}}}},
+		{"classes=3", HeterOnOff{P: [][]float64{{0.9, 0.5, 0.2}, {0.5, 0.3, 0.05}, {0.2, 0.05, 0.01}}}},
+	} {
+		labels := make([]uint8, n)
+		for v := range labels {
+			labels[v] = uint8(v % len(bc.m.P))
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			r := rng.New(1)
+			edges := 0
+			count := func(u, v int32) bool { edges++; return true }
+			for i := 0; i < b.N; i++ {
+				if err := bc.m.EmitClassEdges(r, n, labels, count); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(edges)/float64(b.N), "edges/op")
+		})
+	}
+}

@@ -3,9 +3,9 @@ package rng
 import "math"
 
 // geometricBatch is the uniform-buffer size of a GeometricSource. A refill
-// converts one batch of generator words to x = 1−u values and their
-// approximate logarithms in a tight, branch-free loop; 64 entries amortize
-// the refill while keeping a partially drained batch cheap to abandon.
+// stores one batch of 53-bit uniforms in a tight, branch-free loop; 64
+// entries amortize the refill while keeping a partially drained batch cheap
+// to abandon.
 const geometricBatch = 64
 
 // maxIntFloat is the smallest float64 no int can reach: math.MaxInt rounds
@@ -42,9 +42,9 @@ func approxLog(x float64) float64 {
 }
 
 // skipGuard sets how close to an integer an approximate skip may fall
-// before Next recomputes it exactly. Next compares t = approxLog(x)·(1/lnq)
-// with e = fl(fl(log x)/lnq), the exact path's quotient, for x = 1−u ∈
-// [2⁻⁵³, 1] (so |ln x| ≤ 37) and y = ln(x)/lnq:
+// before the guarded log path recomputes it exactly. That path compares
+// t = approxLog(x)·(1/lnq) with e = fl(fl(log x)/lnq), the exact path's
+// quotient, for x = 1−u ∈ [2⁻⁵³, 1] (so |ln x| ≤ 37) and y = ln(x)/lnq:
 //
 //   - approxLog: the truncated series errs by at most r⁵/5 < 2⁻⁴⁰/5 ≈
 //     1.9·10⁻¹³ for r < 2⁻⁸; the table entries, the rounding of ln 2 times
@@ -60,23 +60,71 @@ func approxLog(x float64) float64 {
 // the guard from both neighbouring integers, t and e fall strictly between
 // the same two integers and ⌊t⌋ = ⌊e⌋. When p is so small that the guard
 // reaches ½, every draw takes the exact path.
+//
+// The skip table rests on the same bound. Bucket b holds the uniforms
+// m ∈ [b·2⁴³, (b+1)·2⁴³), so its x = 1 − m/2⁵³ lie in [E_{b+1}, E_b], where
+// E_b = 1 − b/1024 for b < 1024 and E_1024 = 2⁻⁵³ is the smallest x. y
+// rises as x falls, so the bucket's y lie in [ln(E_b)/lnq, ln(E_{b+1})/lnq].
+// buildTable takes these ends as T_b = fl(lnBucketEdge[b]·(1/lnq)): the
+// logarithm errs by under an ulp of 37 and the two roundings add 37·2⁻⁵²/
+// |lnq|, so |T_b − ln(E_b)/lnq| < 2·10⁻¹⁴/|lnq|. With |e − y| above, every
+// exact quotient e of the bucket lies within 3.2·10⁻¹⁴/|lnq| of
+// [T_b, T_{b+1}], and e ≥ 0 because ln x ≤ 0 and lnq < 0. The guard exceeds
+// that margin more than 30000-fold, which also absorbs the rounding of the
+// guard sums; so when max(T_b − guard, 0) and T_{b+1} + guard have the same
+// floor k, every e of the bucket lies in [k, k+1) and its skip is k.
 const skipGuard = 1e-9
 
-// fastSkipLimit bounds the quotients the fast path handles: below 2⁵², t's
-// integer part and fraction are exact in float64. Larger, infinite or NaN
-// quotients take the exact path, which also saturates at MaxInt.
+// fastSkipLimit bounds the quotients the guarded log path handles: below
+// 2⁵², t's integer part and fraction are exact in float64. Larger, infinite
+// or NaN quotients take the exact path, which also saturates at MaxInt.
 const fastSkipLimit = 1 << 52
+
+// skipTableBits is the number of leading bits of a 53-bit uniform m that
+// index a GeometricSource's skip table: bucket b holds every m with
+// m>>tableShift = b.
+const (
+	skipTableBits = 10
+	tableShift    = 53 - skipTableBits
+	tableMask     = 1<<skipTableBits - 1
+)
+
+// lnBucketEdge[b] is ln(E_b), the logarithm of the largest x = 1 − m/2⁵³ in
+// table bucket b, for b < 1024, and lnBucketEdge[1024] = ln 2⁻⁵³, the
+// smallest x of the last bucket (see skipGuard). The edges do not depend on
+// p, so a table build is one multiply and two truncations per bucket.
+var lnBucketEdge = func() (t [1<<skipTableBits + 1]float64) {
+	for b := range t {
+		t[b] = math.Log(1 - float64(b)/(1<<skipTableBits))
+	}
+	t[1<<skipTableBits] = math.Log(0x1p-53)
+	return t
+}()
+
+// tableBuildDraws is how many draws a source makes at one p, all on the
+// guarded log path, before it builds that p's skip table. A build costs
+// about as much as this many draws save, so a source that stops sooner (a
+// small class-pair block, a short draw) never builds, and one that goes on
+// pays at most twice the cheaper choice.
+const tableBuildDraws = 256
 
 // GeometricSource is the batched kernel behind the streaming edge samplers:
 // repeated Geometric(p) draws — the number of failures before the first
 // success in Bernoulli(p) trials — with the per-draw math hoisted out of the
 // hot loop. A scalar draw pays a math.Log, a math.Log1p and the uniform
-// draw per skip. A source computes math.Log1p(-p) and its
-// reciprocal once per SetP, and each refill stores, for a whole batch of
-// uniforms, x = 1−u and a table-driven approximation of log(x). The
-// per-draw path is one multiply, a truncation and two comparisons with the
-// guard band around the integers (see skipGuard); only a draw inside the
-// band pays the exact math.Log and divide.
+// draw per skip. A source computes math.Log1p(-p) and its reciprocal once
+// per SetP, and each refill stores a whole batch of raw 53-bit uniforms m
+// (u = m/2⁵³, x = 1−u). A draw first looks m's top 10 bits up in a per-p
+// skip table: an entry holds the skip every m in that bucket maps to, and
+// most draws end there. A bucket whose quotients come near an integer holds
+// no skip; its draws take the guarded log path — a table-driven
+// approximation of log(x), one multiply, a truncation and two comparisons
+// with the guard band around the integers — and only a draw inside the
+// band pays the exact math.Log and divide (see skipGuard). The table is
+// built once draws at a p have paid for it (tableBuildDraws) and kept while
+// SetP repeats that p, so a source reused across draws at one p builds it
+// once. When p is so small that every bucket spans an integer, no table is
+// built and every draw takes the guarded log path.
 //
 // The contract that lets the kernel thread through every sampler unchanged:
 // draw i consumes uniform i. Next returns exactly
@@ -86,8 +134,8 @@ const fastSkipLimit = 1 << 52
 // for the i-th Float64 the underlying generator produces, so topologies
 // sampled through a source are bit-identical at a fixed seed to the
 // per-draw samplers that preceded it (pinned by the channel topology
-// fingerprints). Because the buffer holds p-independent values rather than
-// finished skips, SetP may retarget p mid-stream — the heterogeneous
+// fingerprints). Because the buffer holds p-independent uniforms rather
+// than finished skips, SetP may retarget p mid-stream — the heterogeneous
 // per-class-pair blocks do exactly that — without consuming or discarding
 // randomness.
 //
@@ -103,16 +151,25 @@ const fastSkipLimit = 1 << 52
 // so a change to when a draw refills changes their output. Next and Fill
 // refill at the same points for the same draws.
 //
-// Quotients exceeding MaxInt (tiny p) saturate to MaxInt. The zero value is unusable: call Reset, then SetP,
-// before Next. A GeometricSource is not safe for concurrent use.
+// Quotients exceeding MaxInt (tiny p) saturate to MaxInt. The zero value is
+// unusable: call Reset, then SetP, before Next. A GeometricSource is not
+// safe for concurrent use.
 type GeometricSource struct {
 	r      *Rand
+	p      float64
 	lnq    float64
 	invLnq float64
 	guard  float64 // skipGuard·(1 + 1/|lnq|)
 	pos    int
-	xs     [geometricBatch]float64 // 1−u
-	logs   [geometricBatch]float64 // approxLog(1−u)
+	ms     [geometricBatch]uint64 // 53-bit uniforms m
+
+	// skips[b] is 1 + the skip of every uniform in bucket b, or 0 when the
+	// bucket's draws take the guarded log path (all of them until the
+	// table is built). untilTable counts down the draws at p left before
+	// the build; it is 0 when no build is due.
+	skips      [1 << skipTableBits]int32
+	tabled     bool
+	untilTable int
 }
 
 // Reset points the source at r and empties the buffer, so the next refill
@@ -124,11 +181,26 @@ func (g *GeometricSource) Reset(r *Rand) {
 
 // SetP retargets the success probability without touching buffered
 // randomness. p must be in (0, 1); the samplers handle p = 0 and p = 1
-// before reaching the kernel.
+// before reaching the kernel. Retargeting to the current p keeps its skip
+// table; any other p drops it.
 func (g *GeometricSource) SetP(p float64) {
+	if p == g.p {
+		return
+	}
+	g.p = p
 	g.lnq = math.Log1p(-p)
 	g.invLnq = 1 / g.lnq
 	g.guard = skipGuard * (1 - g.invLnq)
+	if g.tabled {
+		clear(g.skips[:])
+		g.tabled = false
+	}
+	// Bucket 0 spans the fewest quotients, T_1: when even it reaches an
+	// integer, every bucket does and the table would hold no skip.
+	g.untilTable = 0
+	if lnBucketEdge[1]*g.invLnq < 1 {
+		g.untilTable = tableBuildDraws
+	}
 }
 
 // Next returns the number of failures before the first success in
@@ -137,15 +209,23 @@ func (g *GeometricSource) Next() int {
 	if g.pos == geometricBatch {
 		g.refill()
 	}
-	i := g.pos
+	if g.untilTable > 0 {
+		g.countDraws(1)
+	}
+	m := g.ms[g.pos]
 	g.pos++
-	if t := g.logs[i] * g.invLnq; t < fastSkipLimit {
+	if s := g.skips[m>>tableShift&tableMask]; s != 0 {
+		return int(s) - 1
+	}
+	// m < 2⁵³, so the signed conversion is exact, and so is x.
+	x := 1 - float64(int64(m))/(1<<53)
+	if t := approxLog(x) * g.invLnq; t < fastSkipLimit {
 		k := int(t)
 		if f := t - float64(k); f > g.guard && f < 1-g.guard {
 			return k
 		}
 	}
-	return g.exact(i)
+	return g.exact(x)
 }
 
 // Fill writes the next draws into dst and returns how many it wrote: all
@@ -154,9 +234,8 @@ func (g *GeometricSource) Next() int {
 // generator end where those calls would leave them. An empty buffer is
 // refilled only when dst asks for at least one draw, so a caller that
 // calls Fill again only once it needs another draw moves the generator
-// exactly as a caller of Next does. Fill converts the buffered uniforms in
-// one loop; a caller that stops partway through dst has still consumed
-// all of it.
+// exactly as a caller of Next does. A caller that stops partway through
+// dst has still consumed all of it.
 func (g *GeometricSource) Fill(dst []int) int {
 	if len(dst) == 0 {
 		return 0
@@ -164,40 +243,74 @@ func (g *GeometricSource) Fill(dst []int) int {
 	if g.pos == geometricBatch {
 		g.refill()
 	}
-	i0 := g.pos
-	dst = dst[:min(len(dst), geometricBatch-i0)]
+	ms := g.ms[g.pos:]
+	ms = ms[:min(len(dst), len(ms))]
+	dst = dst[:len(ms)]
+	if g.untilTable > 0 {
+		g.countDraws(len(ms))
+	}
 	invLnq, guard := g.invLnq, g.guard
-	for j := range dst {
-		if t := g.logs[i0+j] * invLnq; t < fastSkipLimit {
+	for j, m := range ms {
+		if s := g.skips[m>>tableShift&tableMask]; s != 0 {
+			dst[j] = int(s) - 1
+			continue
+		}
+		x := 1 - float64(int64(m))/(1<<53)
+		if t := approxLog(x) * invLnq; t < fastSkipLimit {
 			k := int(t)
 			if f := t - float64(k); f > guard && f < 1-guard {
 				dst[j] = k
 				continue
 			}
 		}
-		dst[j] = g.exact(i0 + j)
+		dst[j] = g.exact(x)
 	}
-	g.pos += len(dst)
-	return len(dst)
+	g.pos += len(ms)
+	return len(ms)
 }
 
-// exact is the guarded skip of buffered uniform i computed as
-// floor(log(1−u)/log1p(−p)), saturating at MaxInt.
-func (g *GeometricSource) exact(i int) int {
-	q := math.Floor(math.Log(g.xs[i]) / g.lnq)
+// countDraws counts n draws towards the table build, building the table
+// once tableBuildDraws draws at p have been made.
+func (g *GeometricSource) countDraws(n int) {
+	if g.untilTable -= n; g.untilTable <= 0 {
+		g.buildTable()
+	}
+}
+
+// exact is the skip of x = 1−u inside the guard band, computed as
+// floor(log(1−u)/log1p(−p)) and saturating at MaxInt.
+func (g *GeometricSource) exact(x float64) int {
+	q := math.Floor(math.Log(x) / g.lnq)
 	if q >= maxIntFloat {
 		return math.MaxInt
 	}
 	return int(q)
 }
 
+// buildTable fills the skip table for the current p: bucket b gets a skip
+// when its quotient range [T_b, T_{b+1}], widened by the guard, holds no
+// integer (see skipGuard). SetP arms a build only when bucket 0's range is
+// below 1, which also keeps every entry below ln(2¹⁰)·1024 < 2¹³.
+func (g *GeometricSource) buildTable() {
+	// The ends are non-negative and below 2¹⁶ here, so int truncation is
+	// the floor; it also clamps bucket 0's lower end, −guard, to 0.
+	lo := 0.0 // T_0: ln 1 = 0
+	for b := range g.skips {
+		hi := lnBucketEdge[b+1] * g.invLnq
+		if k := int(lo - g.guard); k == int(hi+g.guard) {
+			g.skips[b] = int32(k) + 1
+		}
+		lo = hi
+	}
+	g.tabled = true
+	g.untilTable = 0
+}
+
 func (g *GeometricSource) refill() {
 	// Step a local copy of the generator so its state stays in registers.
 	r := *g.r
-	for i := range g.xs {
-		x := 1 - float64(r.Uint64()>>11)/(1<<53)
-		g.xs[i] = x
-		g.logs[i] = approxLog(x)
+	for i := range g.ms {
+		g.ms[i] = r.Uint64() >> 11
 	}
 	*g.r = r
 	g.pos = 0

@@ -2,10 +2,12 @@
 // substrate for the library: a xoshiro256++ generator seeded through
 // SplitMix64, independent derived streams for parallel Monte Carlo trials,
 // and the distribution samplers the random-graph generators need (uniform
-// integers and floats, Bernoulli, binomial, batched geometric skips
-// (GeometricSource), and k-subset sampling without replacement). A k-subset can be drawn in draw order or, with the
-// same draws, in ascending order without a sort (SubsetSampler), which is
-// how key rings are assigned.
+// integers and floats, Bernoulli, binomial, batched geometric skips, and
+// k-subset sampling without replacement). A GeometricSource buffers raw
+// uniforms; a skip is a lookup in a per-p table first and a guarded
+// logarithm second, exact either way. A k-subset can be drawn in draw order
+// or, with the same draws, in ascending order without a sort
+// (SubsetSampler), which is how key rings are assigned.
 //
 // Every randomized API in this repository takes an explicit *Rand so that
 // experiments are reproducible bit-for-bit from a single seed, regardless of

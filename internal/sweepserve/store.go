@@ -91,7 +91,8 @@ func NewStore() *Store {
 // truncated final line — the signature of a kill mid-append — is tolerated
 // AND cut off the file before appends resume: left in place, the next
 // checkpoint would concatenate a complete record onto the torn partial line
-// and the restart after that would read a malformed record mid-file.
+// and the restart after that would read a malformed record mid-file. For
+// the same reason a whole final record that lost only its newline gets one.
 func OpenStore(path string) (*Store, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
@@ -112,6 +113,13 @@ func OpenStore(path string) (*Store, error) {
 		if err := f.Truncate(int64(keep)); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("sweepserve: truncating torn final record: %w", err)
+		}
+	} else if keep > 0 && data[keep-1] != '\n' {
+		// A kill between a record and its newline leaves a whole final
+		// record; end its line so the next append starts a line of its own.
+		if _, err := f.Write([]byte{'\n'}); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("sweepserve: terminating final record: %w", err)
 		}
 	}
 	s.restored = len(s.points)

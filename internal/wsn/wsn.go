@@ -106,15 +106,18 @@ type Network struct {
 	chanBld  *graph.Builder
 	channels *graph.Undirected
 
-	// Lazily materialized link table over the current secure topology;
-	// linksReady reports whether it reflects the current state (revocation
-	// and redeployment invalidate it, keeping the grown buffers).
-	linksReady bool
-	linkIdx    map[[2]int32]int32
-	linkStore  []Link
-	linkFlat   []keys.ID // flat arena behind linkStore[i].SharedKeys
-	linkOffs   []int     // per-link offsets into linkFlat
-	sharedBuf  []keys.ID // scratch for shared-set queries
+	// Lazily materialized link table over the current secure topology.
+	// sharedReady reports whether linkStore holds every link's endpoints
+	// and shared keys for the current state, linksReady whether linkIdx
+	// and the link keys are built too (revocation and redeployment
+	// invalidate both, keeping the grown buffers).
+	sharedReady bool
+	linksReady  bool
+	linkIdx     map[[2]int32]int32
+	linkStore   []Link
+	linkFlat    []keys.ID // flat arena behind linkStore[i].SharedKeys
+	linkOffs    []int     // per-link offsets into linkFlat
+	sharedBuf   []keys.ID // scratch for shared-set queries
 }
 
 // reset re-points the network at a fresh deployment's state, reusing the
@@ -160,22 +163,17 @@ func Deploy(cfg Config) (*Network, error) {
 	return d.Deploy(cfg.Seed)
 }
 
-// materializeLinks builds the link table for the current secure topology:
-// one pass collects every link's surviving shared keys into a flat arena,
-// a second derives the link keys. Called lazily from Link/Links. The index
-// map and both arenas are reused across invalidations, so re-materializing
-// (after revocation or Deployer reuse) allocates only on growth.
-func (n *Network) materializeLinks() {
-	if n.linksReady {
+// materializeShared builds the shared-key half of the link table: one
+// entry per secure edge with its endpoints and surviving shared keys, the
+// keys collected into a flat arena. Called lazily from ForEachLink and
+// materializeLinks. The arenas are reused across invalidations, so
+// re-materializing (after revocation or Deployer reuse) allocates only on
+// growth.
+func (n *Network) materializeShared() {
+	if n.sharedReady {
 		return
 	}
-	m := n.secure.M()
-	if n.linkIdx == nil {
-		n.linkIdx = make(map[[2]int32]int32, m)
-	} else {
-		clear(n.linkIdx)
-	}
-	if cap(n.linkStore) < m {
+	if m := n.secure.M(); cap(n.linkStore) < m {
 		n.linkStore = make([]Link, 0, m)
 	}
 	n.linkStore = n.linkStore[:0]
@@ -184,15 +182,33 @@ func (n *Network) materializeLinks() {
 	n.secure.ForEachEdge(func(u, v int32) bool {
 		flat = n.appendSurvivingShared(u, v, flat)
 		offs = append(offs, len(flat))
-		n.linkIdx[[2]int32{u, v}] = int32(len(n.linkStore))
 		n.linkStore = append(n.linkStore, Link{A: u, B: v})
 		return true
 	})
 	n.linkFlat, n.linkOffs = flat, offs
 	for i := range n.linkStore {
-		shared := flat[offs[i]:offs[i+1]:offs[i+1]]
-		n.linkStore[i].SharedKeys = shared
-		n.linkStore[i].Key = keys.DeriveLinkKey(shared)
+		n.linkStore[i].SharedKeys = flat[offs[i]:offs[i+1]:offs[i+1]]
+	}
+	n.sharedReady = true
+}
+
+// materializeLinks completes the link table for Link and Links: the index
+// map and every link key. Called lazily from both; the index map is reused
+// across invalidations.
+func (n *Network) materializeLinks() {
+	if n.linksReady {
+		return
+	}
+	n.materializeShared()
+	if n.linkIdx == nil {
+		n.linkIdx = make(map[[2]int32]int32, len(n.linkStore))
+	} else {
+		clear(n.linkIdx)
+	}
+	for i := range n.linkStore {
+		l := &n.linkStore[i]
+		n.linkIdx[[2]int32{l.A, l.B}] = int32(i)
+		l.Key = keys.DeriveLinkKey(l.SharedKeys)
 	}
 	n.linksReady = true
 }
@@ -200,7 +216,7 @@ func (n *Network) materializeLinks() {
 // invalidateLinks drops the materialized link table (after revocation or
 // redeployment), keeping its storage for the next materialization.
 func (n *Network) invalidateLinks() {
-	n.linksReady = false
+	n.sharedReady, n.linksReady = false, false
 	n.linkStore = n.linkStore[:0]
 }
 
@@ -331,6 +347,21 @@ func (n *Network) Links() []Link {
 		}
 	}
 	return out
+}
+
+// ForEachLink calls yield with the endpoints and surviving shared keys of
+// every currently usable secure link, in Links order, until yield returns
+// false. The first call after deployment or revocation collects the shared
+// keys; unlike Links it derives no link key, builds no index and copies
+// nothing. shared is valid only during the call and must not be modified.
+func (n *Network) ForEachLink(yield func(a, b int32, shared []keys.ID) bool) {
+	n.materializeShared()
+	for i := range n.linkStore {
+		l := &n.linkStore[i]
+		if n.alive[l.A] && n.alive[l.B] && !yield(l.A, l.B, l.SharedKeys) {
+			return
+		}
+	}
 }
 
 // IsConnected reports whether the alive part of the network is connected.

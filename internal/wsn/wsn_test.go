@@ -2,6 +2,7 @@ package wsn
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/secure-wsn/qcomposite/internal/channel"
@@ -153,6 +154,60 @@ func TestLinkQueries(t *testing.T) {
 				t.Error("returned link aliases internal state")
 			}
 		}
+	}
+}
+
+// TestForEachLinkMatchesLinks pins the key-free link walk to Links: the
+// same links in the same order with the same shared keys, on a fresh
+// deployment, after node failures and after a revocation. The walk runs on
+// a network whose link table it builds itself, Links on a twin deployed
+// from the same seed, and a later Links on the walked network must still
+// derive the twin's keys. An early stop ends the walk.
+func TestForEachLinkMatchesLinks(t *testing.T) {
+	net, twin := deployTest(t, 8), deployTest(t, 8)
+	check := func(stage string) {
+		t.Helper()
+		links := twin.Links()
+		i := 0
+		net.ForEachLink(func(a, b int32, shared []keys.ID) bool {
+			if i >= len(links) {
+				t.Fatalf("%s: ForEachLink walks more than the %d links of Links", stage, len(links))
+			}
+			if l := links[i]; l.A != a || l.B != b || !slices.Equal(l.SharedKeys, shared) {
+				t.Fatalf("%s: link %d is (%d,%d) %v, Links has (%d,%d) %v", stage, i, a, b, shared, l.A, l.B, l.SharedKeys)
+			}
+			i++
+			return true
+		})
+		if i != len(links) {
+			t.Fatalf("%s: ForEachLink walked %d links, Links has %d", stage, i, len(links))
+		}
+		if got := net.Links(); !slices.EqualFunc(got, links, func(x, y Link) bool {
+			return x.A == y.A && x.B == y.B && x.Key == y.Key && slices.Equal(x.SharedKeys, y.SharedKeys)
+		}) {
+			t.Fatalf("%s: Links after ForEachLink differs from the twin's", stage)
+		}
+	}
+	check("fresh")
+	for _, n := range []*Network{net, twin} {
+		if err := n.FailNodes(1, 2, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after failures")
+	for _, n := range []*Network{net, twin} {
+		if _, err := n.RevokeNodeKeys(4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after revocation")
+	walked := 0
+	net.ForEachLink(func(int32, int32, []keys.ID) bool {
+		walked++
+		return false
+	})
+	if walked != 1 {
+		t.Errorf("a walk stopped at its first link visited %d links", walked)
 	}
 }
 
