@@ -252,7 +252,8 @@ func TestJobIDStableAcrossRestart(t *testing.T) {
 
 // TestTerminalJobsBounded submits more distinct specs than MaxTerminalJobs:
 // exactly MaxTerminalJobs stay, the least recently submitted are evicted
-// (404), and an evicted spec submitted again is served from the store.
+// (404), and an evicted spec submitted again is served from the store, with
+// the CSV bytes of its first run.
 func TestTerminalJobsBounded(t *testing.T) {
 	env := newEnv(t, sweepserve.Options{})
 	ctx := context.Background()
@@ -263,9 +264,13 @@ func TestTerminalJobsBounded(t *testing.T) {
 		return s
 	}
 	ids := make([]string, sweepserve.MaxTerminalJobs+extra)
+	var evictedCSV []byte
 	for i := range ids {
-		ack, _ := runJob(t, env, spec(i))
+		ack, csv := runJob(t, env, spec(i))
 		ids[i] = ack.ID
+		if i == 1 {
+			evictedCSV = csv
+		}
 		// Refresh the first job: the next evictions must pass it over.
 		if i == extra+1 {
 			if ack, _ := runJob(t, env, spec(0)); !ack.Coalesced {
@@ -285,9 +290,12 @@ func TestTerminalJobsBounded(t *testing.T) {
 	}
 
 	misses := env.store.Stats().Misses
-	ack, _ := runJob(t, env, spec(1))
+	ack, csv := runJob(t, env, spec(1))
 	if ack.ID != ids[1] || ack.Coalesced {
 		t.Errorf("evicted spec acknowledged as %+v, want a new run under %s", ack, ids[1])
+	}
+	if !bytes.Equal(csv, evictedCSV) {
+		t.Errorf("evicted spec's re-run CSV differs:\n got:\n%s\nwant:\n%s", csv, evictedCSV)
 	}
 	if got := env.store.Stats().Misses; got != misses {
 		t.Errorf("evicted spec ran %d points, want 0: it is served from the store", got-misses)

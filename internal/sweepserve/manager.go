@@ -1,6 +1,7 @@
 package sweepserve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -53,6 +54,8 @@ type Job struct {
 	// id is the sweep fingerprint (jobPlan.id).
 	id   string
 	kind string
+	// plan is the compiled spec. Only the worker running the job reads it;
+	// finish drops it, so a terminal job holds no grid or trial builder.
 	plan *jobPlan
 	// submitted is the Manager's submission count at this job's latest
 	// submission: eviction drops the terminal job with the smallest. Guarded
@@ -63,7 +66,10 @@ type Job struct {
 	state    string
 	progress Progress
 	result   *JobResult
-	err      error
+	// csv is result rendered by JobResult.RenderCSV when the job finished:
+	// every CSV fetch of a done job serves these bytes.
+	csv []byte
+	err error
 	// update is closed and replaced on every state/progress change; waiters
 	// grab the current channel under mu and select on it.
 	update chan struct{}
@@ -80,17 +86,18 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
-// Result returns the terminal payload, or an error while the job is not done.
-func (j *Job) Result() (*JobResult, error) {
+// answer returns the terminal payload and its CSV rendering, or an error
+// while the job is not done.
+func (j *Job) answer() (*JobResult, []byte, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	switch j.state {
 	case StateDone:
-		return j.result, nil
+		return j.result, j.csv, nil
 	case StateFailed:
-		return nil, fmt.Errorf("sweepserve: job %s failed: %w", j.id, j.err)
+		return nil, nil, fmt.Errorf("sweepserve: job %s failed: %w", j.id, j.err)
 	}
-	return nil, fmt.Errorf("sweepserve: job %s is %s; result not ready", j.id, j.state)
+	return nil, nil, fmt.Errorf("sweepserve: job %s is %s; result not ready", j.id, j.state)
 }
 
 // await returns a channel that closes on the next state/progress change,
@@ -388,10 +395,16 @@ func (m *Manager) run(j *Job) {
 	m.finish(j, &result, nil)
 }
 
-// finish moves a job to its terminal state and evicts the least recently
-// submitted terminal jobs past MaxTerminalJobs. The state changes under the
-// manager's lock, so Submit never sees a terminal job that is not counted.
+// finish moves a job to its terminal state, with its result and the result's
+// CSV or with its error, drops its plan, and evicts the least recently
+// submitted terminal jobs past MaxTerminalJobs. The CSV is rendered before
+// the locks are taken. The state changes under the manager's lock, so
+// Submit never sees a terminal job that is not counted.
 func (m *Manager) finish(j *Job, result *JobResult, err error) {
+	var csv bytes.Buffer
+	if err == nil {
+		err = result.RenderCSV(&csv)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j.mu.Lock()
@@ -400,8 +413,9 @@ func (m *Manager) finish(j *Job, result *JobResult, err error) {
 		j.err = err
 	} else {
 		j.state = StateDone
-		j.result = result
+		j.result, j.csv = result, csv.Bytes()
 	}
+	j.plan = nil
 	j.notifyLocked()
 	j.mu.Unlock()
 

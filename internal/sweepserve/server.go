@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 )
 
 // Server is the HTTP face of a Manager. Routes (all JSON unless noted):
@@ -151,7 +152,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	result, err := job.Result()
+	result, csv, err := job.answer()
 	if err != nil {
 		code := http.StatusConflict // not terminal yet
 		if job.Status().State == StateFailed {
@@ -162,9 +163,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.URL.Query().Get("format") == "csv" {
 		w.Header().Set("Content-Type", "text/csv")
-		if err := result.RenderCSV(w); err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-		}
+		w.Header().Set("Content-Length", strconv.Itoa(len(csv)))
+		w.Write(csv) // a failed write leaves no one to tell: the status is out
 		return
 	}
 	writeJSON(w, http.StatusOK, result)
@@ -174,6 +174,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 // status change (coalesced — a burst of point completions may collapse into
 // one event) and a final event named "done" or "failed", then the stream
 // closes. Clients reconnecting mid-job just get the current state first.
+// Progress events are flushed as they happen; the terminal event is not,
+// so a terminal job's stream is one response with a Content-Length.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.job(w, r)
 	if !ok {
@@ -200,10 +202,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		payload, _ := json.Marshal(st)
 		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, payload)
-		flusher.Flush()
 		if terminal {
 			return
 		}
+		flusher.Flush()
 		select {
 		case <-r.Context().Done():
 			return

@@ -746,14 +746,15 @@ func BenchmarkServerDedup(b *testing.B) {
 	}
 }
 
-// TestJobDigests pins the CSV bytes of one job of each kind, run through the
-// Manager at one and at two trial workers, to the repository's digest table.
-// RunLocal must return exactly the job's proportions.
-func TestJobDigests(t *testing.T) {
-	specs := []struct {
-		name string
-		spec sweepserve.JobSpec
-	}{
+// namedSpec is a job spec with the name its digest-table entries carry.
+type namedSpec struct {
+	name string
+	spec sweepserve.JobSpec
+}
+
+// kindSpecs is one small job of each kind.
+func kindSpecs() []namedSpec {
+	return []namedSpec{
 		{"connectivity", connectivitySpec([]int{6, 9}, []float64{0.5, 1})},
 		{"kconn", sweepserve.JobSpec{
 			Kind: sweepserve.KindKConn, Sensors: testSensors, Pool: testPool,
@@ -786,6 +787,14 @@ func TestJobDigests(t *testing.T) {
 			Grid: sweepserve.GridSpec{Ks: []int{9}, Qs: []int{1}, Ps: []float64{0.7}, Xs: []float64{0, 4, 7}},
 		}},
 	}
+}
+
+// TestJobDigests pins the CSV bytes the server serves for one job of each
+// kind, run through the Manager at one and at two trial workers, to the
+// repository's digest table. RunLocal must return exactly the job's
+// proportions.
+func TestJobDigests(t *testing.T) {
+	specs := kindSpecs()
 	table, err := os.ReadFile("../../testdata/digests.txt")
 	if err != nil {
 		t.Fatal(err)
@@ -812,8 +821,8 @@ func TestJobDigests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var csv bytes.Buffer
-			if err := res.RenderCSV(&csv); err != nil {
+			csv, err := env.client.CSV(ctx, ack.ID)
+			if err != nil {
 				t.Fatal(err)
 			}
 			local, err := sweepserve.RunLocal(ctx, s.spec, workers, workers)
@@ -828,7 +837,7 @@ func TestJobDigests(t *testing.T) {
 				t.Errorf("%s: RunLocal differs from the job:\n got %+v\nwant %+v", s.name, local, res.Proportions())
 			}
 			name := fmt.Sprintf("sweepserve/%s workers=%d", s.name, workers)
-			got := fmt.Sprintf("%x", sha256.Sum256(csv.Bytes()))
+			got := fmt.Sprintf("%x", sha256.Sum256(csv))
 			switch sum, ok := want[name]; {
 			case !ok:
 				t.Errorf("%s: no entry in the digest table; this run gives\n%s  %s", name, got, name)

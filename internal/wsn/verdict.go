@@ -161,7 +161,9 @@ func (d *Deployer) secureEdge(u, v int32) bool {
 		}
 		return true
 	}
-	d.suf.Add(u, v)
+	if !d.suf.Done() {
+		d.suf.Add(u, v) // once one component remains, no edge can change it
+	}
 	if vt.k >= 2 {
 		d.edges = append(d.edges, graph.Edge{U: u, V: v})
 	}
