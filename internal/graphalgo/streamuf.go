@@ -43,8 +43,12 @@ func (s *StreamUnionFind) Reset(n int) {
 
 // Add pushes edge (u, v) and reports whether it merged two components.
 // Self-loops and repeated edges are no-ops, mirroring the multi-edge merging
-// of graph.NewFromEdges.
+// of graph.NewFromEdges, and so is every edge once Done: one component is
+// final, so Add skips the two Finds.
 func (s *StreamUnionFind) Add(u, v int32) bool {
+	if s.Done() {
+		return false
+	}
 	ru, rv := s.uf.Find(u), s.uf.Find(v)
 	if ru == rv {
 		return false

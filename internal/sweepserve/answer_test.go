@@ -1,6 +1,7 @@
-// A terminal job's answers are bytes fixed when it finished: its CSV and
-// its event stream each go out as one response with a Content-Length,
-// while a running job's progress events still reach the client one by one.
+// A terminal job's answers are fixed bytes: its CSV, rendered at the first
+// fetch, and its event stream each go out as one response with a
+// Content-Length, while a running job's progress events still reach the
+// client one by one.
 package sweepserve_test
 
 import (
@@ -97,7 +98,9 @@ func TestTerminalAnswersAreSingleResponses(t *testing.T) {
 }
 
 // TestCSVFetchedWhileJobFinishes: clients polling a job's CSV while the job
-// runs and finishes (run it under -race) each get the bytes of the done job.
+// runs and finishes get 409 until it is done, then each the bytes of the
+// done job. Under -race it checks the first fetches, which may render the
+// CSV side by side, against each other and the job's finish.
 func TestCSVFetchedWhileJobFinishes(t *testing.T) {
 	env := newEnv(t, sweepserve.Options{})
 	ctx := context.Background()
@@ -106,6 +109,7 @@ func TestCSVFetchedWhileJobFinishes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	url := env.http.URL + "/v1/jobs/" + ack.ID + "/result?format=csv"
 	csvs := make([][]byte, 4)
 	var wg sync.WaitGroup
 	for i := range csvs {
@@ -113,15 +117,25 @@ func TestCSVFetchedWhileJobFinishes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				csv, err := env.client.CSV(ctx, ack.ID)
-				if err == nil {
-					csvs[i] = csv
-					return
-				}
-				if !strings.Contains(err.Error(), "409") {
+				resp, err := env.http.Client().Get(url)
+				if err != nil {
 					t.Error(err)
 					return
 				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				switch {
+				case err != nil:
+					t.Error(err)
+					return
+				case resp.StatusCode == http.StatusOK:
+					csvs[i] = body
+					return
+				case resp.StatusCode != http.StatusConflict:
+					t.Errorf("GET CSV: %s: %s", resp.Status, body)
+					return
+				}
+				time.Sleep(time.Millisecond)
 			}
 		}()
 	}

@@ -8,11 +8,3 @@ func (c *Client) Stats(ctx context.Context) (ServerStats, error) {
 	var st ServerStats
 	return st, c.get(ctx, "/v1/stats", &st)
 }
-
-// Result returns a job's terminal payload, or an error while the job is not
-// done. Only tests read a result in process; the server answers through
-// answer.
-func (j *Job) Result() (*JobResult, error) {
-	result, _, err := j.answer()
-	return result, err
-}

@@ -66,8 +66,9 @@ type Job struct {
 	state    string
 	progress Progress
 	result   *JobResult
-	// csv is result rendered by JobResult.RenderCSV when the job finished:
-	// every CSV fetch of a done job serves these bytes.
+	// csv is result rendered by JobResult.RenderCSV at the first CSV fetch
+	// (see renderedCSV); later fetches serve these bytes. A job read only
+	// as JSON holds none.
 	csv []byte
 	err error
 	// update is closed and replaced on every state/progress change; waiters
@@ -86,18 +87,41 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
-// answer returns the terminal payload and its CSV rendering, or an error
-// while the job is not done.
-func (j *Job) answer() (*JobResult, []byte, error) {
+// Result returns the terminal payload, or an error while the job is not done.
+func (j *Job) Result() (*JobResult, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	switch j.state {
 	case StateDone:
-		return j.result, j.csv, nil
+		return j.result, nil
 	case StateFailed:
-		return nil, nil, fmt.Errorf("sweepserve: job %s failed: %w", j.id, j.err)
+		return nil, fmt.Errorf("sweepserve: job %s failed: %w", j.id, j.err)
 	}
-	return nil, nil, fmt.Errorf("sweepserve: job %s is %s; result not ready", j.id, j.state)
+	return nil, fmt.Errorf("sweepserve: job %s is %s; result not ready", j.id, j.state)
+}
+
+// renderedCSV returns result, the done job's Result, rendered by
+// JobResult.RenderCSV. The first call renders it and keeps the bytes; later
+// calls return those. It renders outside mu, so a long render holds up
+// neither Status nor Submit, which reads Status under the Manager's lock.
+// Two first calls may both render; the first to finish is kept.
+func (j *Job) renderedCSV(result *JobResult) ([]byte, error) {
+	j.mu.Lock()
+	csv := j.csv
+	j.mu.Unlock()
+	if csv != nil {
+		return csv, nil
+	}
+	var buf bytes.Buffer
+	if err := result.RenderCSV(&buf); err != nil {
+		return nil, err
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.csv == nil {
+		j.csv = buf.Bytes()
+	}
+	return j.csv, nil
 }
 
 // await returns a channel that closes on the next state/progress change,
@@ -395,16 +419,11 @@ func (m *Manager) run(j *Job) {
 	m.finish(j, &result, nil)
 }
 
-// finish moves a job to its terminal state, with its result and the result's
-// CSV or with its error, drops its plan, and evicts the least recently
-// submitted terminal jobs past MaxTerminalJobs. The CSV is rendered before
-// the locks are taken. The state changes under the manager's lock, so
+// finish moves a job to its terminal state, with its result or its error,
+// drops its plan, and evicts the least recently submitted terminal jobs
+// past MaxTerminalJobs. The state changes under the manager's lock, so
 // Submit never sees a terminal job that is not counted.
 func (m *Manager) finish(j *Job, result *JobResult, err error) {
-	var csv bytes.Buffer
-	if err == nil {
-		err = result.RenderCSV(&csv)
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j.mu.Lock()
@@ -413,7 +432,7 @@ func (m *Manager) finish(j *Job, result *JobResult, err error) {
 		j.err = err
 	} else {
 		j.state = StateDone
-		j.result, j.csv = result, csv.Bytes()
+		j.result = result
 	}
 	j.plan = nil
 	j.notifyLocked()

@@ -152,7 +152,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	result, csv, err := job.answer()
+	result, err := job.Result()
 	if err != nil {
 		code := http.StatusConflict // not terminal yet
 		if job.Status().State == StateFailed {
@@ -162,6 +162,11 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.URL.Query().Get("format") == "csv" {
+		csv, err := job.renderedCSV(result)
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, err)
+			return
+		}
 		w.Header().Set("Content-Type", "text/csv")
 		w.Header().Set("Content-Length", strconv.Itoa(len(csv)))
 		w.Write(csv) // a failed write leaves no one to tell: the status is out

@@ -154,17 +154,14 @@ func (d *Deployer) deployDegreeStats(r *rng.Rand, k int) (DegreeStats, error) {
 	}, nil
 }
 
-// degSink is the degree mode's row consumer: secure edges into the degree
-// accumulator, and into the union-find while more than one component
-// remains, until both are done.
+// degSink is the degree mode's row consumer: secure edges into the
+// union-find and the degree accumulator until both are done.
 func (d *Deployer) degSink(u int32, vs []int32) bool {
 	ix, q := d.ix, d.streamQ
 	ix.BeginRow(u, len(vs))
 	for _, v := range vs {
 		if ix.RowHasAtLeast(u, v, q) {
-			if !d.suf.Done() {
-				d.suf.Add(u, v)
-			}
+			d.suf.Add(u, v)
 			d.sd.Add(u, v)
 			if d.suf.Done() && d.sd.AllAtLeastK() {
 				return false

@@ -161,9 +161,7 @@ func (d *Deployer) secureEdge(u, v int32) bool {
 		}
 		return true
 	}
-	if !d.suf.Done() {
-		d.suf.Add(u, v) // once one component remains, no edge can change it
-	}
+	d.suf.Add(u, v)
 	if vt.k >= 2 {
 		d.edges = append(d.edges, graph.Edge{U: u, V: v})
 	}
