@@ -97,15 +97,8 @@ func run() error {
 		}, func(trial int, r *rng.Rand) (float64, error) {
 			d := dp.Get()
 			defer dp.Put(d)
-			net, err := d.DeployRand(r)
-			if err != nil {
-				return 0, err
-			}
-			hist := net.FullSecureTopology().DegreeHistogram()
-			if h >= len(hist) {
-				return 0, nil
-			}
-			return float64(hist[h]), nil
+			c, err := d.DegreeCountRand(r, h)
+			return float64(c), err
 		})
 		if err != nil {
 			return fmt.Errorf("h=%d: %w", h, err)

@@ -36,17 +36,18 @@ var exportAllowlist = map[string]string{
 	"internal/faultinject":         "fault injectors shared by test files",
 
 	// Cross-package test references: another package's tests use them.
-	"internal/channel.UniformHeterOnOff":    "wsn tests deploy one-class heterogeneous channels",
-	"internal/graph.Intersect":              "the root coupling-chain test intersects the coupled graphs with G(n, p)",
-	"internal/graph.Builder.Complete":       "graphalgo tests build complete graphs",
-	"internal/graph.Undirected.Edges":       "graphalgo tests replay a graph's edge list",
-	"internal/keys.NewRing":                 "wsn tests plant rings holding out-of-pool keys",
-	"internal/keys.Ring.SharedWith":         "wsn tests check link keys against the rings' shared keys",
-	"internal/randgraph.Geometric":          "channel's disk pins compare the disk channel with it",
-	"internal/stats.ChiSquare":              "stattest's tests check Pearson statistics against it",
-	"internal/theory.HeteroConnProbability": "the stattest heterogeneous gate predicts with it",
-	"internal/wsn.Network.FailedLinkCount":  "adversary campaign tests count jammed links",
-	"internal/wsn.Network.Links":            "adversary tests check Capture against it; root benchmarks time link materialization",
+	"internal/channel.UniformHeterOnOff":        "wsn tests deploy one-class heterogeneous channels",
+	"internal/graph.Intersect":                  "the root coupling-chain test intersects the coupled graphs with G(n, p)",
+	"internal/graph.Builder.Complete":           "graphalgo tests build complete graphs",
+	"internal/graph.Undirected.Edges":           "graphalgo tests replay a graph's edge list",
+	"internal/graph.Undirected.DegreeHistogram": "wsn tests check the streamed degree counts and min-degree statistics against it",
+	"internal/keys.NewRing":                     "wsn tests plant rings holding out-of-pool keys",
+	"internal/keys.Ring.SharedWith":             "wsn tests check link keys against the rings' shared keys",
+	"internal/randgraph.Geometric":              "channel's disk pins compare the disk channel with it",
+	"internal/stats.ChiSquare":                  "stattest's tests check Pearson statistics against it",
+	"internal/theory.HeteroConnProbability":     "the stattest heterogeneous gate predicts with it",
+	"internal/wsn.Network.FailedLinkCount":      "adversary campaign tests count jammed links",
+	"internal/wsn.Network.Links":                "adversary tests check Capture against it; root benchmarks time link materialization",
 }
 
 // TestInternalExportsHaveCallers is the gate against regrowth of dead API: an

@@ -3,7 +3,10 @@ package experiment
 // The streaming fast path: sweep entry points whose per-point measurements
 // are answerable without a graph run their trials on wsn.Deployer's
 // streaming modes, which pass the channel draw through the ring intersector
-// straight into union-find and degree sinks. Verdict sweeps — connectivity,
+// into the Deployer's one row consumer: it feeds the union-find and degree
+// sinks the mode names and stops once the union-find spans and every degree
+// has reached the mode's k (or, on row-major channels, once a verdict's
+// passed sensor is below k). Verdict sweeps — connectivity,
 // min degree ≥ k, and k-connectivity through CrossSweep — run the
 // verdict-only trials (wsn.Deployer.KConnectedRand, MinDegreeAtLeastRand),
 // which stop each draw as soon as its answer is decided either way and build
@@ -11,8 +14,9 @@ package experiment
 // (SweepConnStats) runs DeployConnectivityRand to the end of the draw or
 // the connected plateau. Every verdict and statistic is bit-identical to
 // the CSR path (same parameter-derived seeds, same booleans and sizes per
-// trial); measurements that need the graph itself (spectral, positions,
-// degree histograms) keep deploying CSR networks.
+// trial); measurements that need the graph itself (spectral, positions)
+// keep deploying CSR networks, while degree-h counts run the whole draw
+// into the degree sink alone (DegreeCountRand).
 
 import (
 	"context"

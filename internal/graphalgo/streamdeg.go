@@ -3,9 +3,11 @@ package graphalgo
 // StreamDegrees is the degree-tracking sink of the streaming pipeline: edges
 // are pushed one at a time and the accumulator maintains per-vertex degrees
 // plus the one summary the paper's min-degree figures need — the number of
-// vertices still below a target degree k. It runs beside StreamUnionFind in
-// a single edge pass (wsn.Deployer.DeployDegreeStats), so a min-degree trial
-// needs O(n) memory and no graph, at any edge count.
+// vertices still below a target degree k. It is one of the sinks of
+// wsn.Deployer's single row consumer, fed beside StreamUnionFind in one edge
+// pass (DeployDegreeStats, MinDegreeAtLeastRand, KConnectedRand) or alone
+// for a whole draw (DegreeCountRand), so a min-degree trial or a degree
+// count needs O(n) memory and no graph, at any edge count.
 //
 // Unlike a union-find, degree counting is NOT idempotent: each unordered
 // pair must be pushed at most once (every built-in channel emitter
@@ -94,4 +96,16 @@ func (s *StreamDegrees) MinDegree() int {
 		}
 	}
 	return int(min)
+}
+
+// CountDegree returns the number of vertices whose current degree is h (0
+// for h < 0). Exact only if the full stream was consumed.
+func (s *StreamDegrees) CountDegree(h int) int {
+	count := 0
+	for _, d := range s.deg {
+		if int(d) == h {
+			count++
+		}
+	}
+	return count
 }

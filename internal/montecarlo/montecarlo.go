@@ -71,32 +71,12 @@ func Transient(err error) error {
 	return transientError{err: err}
 }
 
-// safeTrial invokes fn with panic isolation: a panicking trial returns a
-// *PanicError instead of unwinding the worker goroutine.
-func safeTrial(fn Trial, trial int, r *rng.Rand) (ok bool, err error) {
+// safeCall invokes fn with panic isolation: a panicking trial returns its
+// zero value and a *PanicError instead of unwinding the worker goroutine.
+func safeCall[T any](fn func(int, *rng.Rand) (T, error), trial int, r *rng.Rand) (v T, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			ok, err = false, NewPanicError(p)
-		}
-	}()
-	return fn(trial, r)
-}
-
-// safeSample is safeTrial for Sample trials.
-func safeSample(fn Sample, trial int, r *rng.Rand) (v float64, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			v, err = 0, NewPanicError(p)
-		}
-	}()
-	return fn(trial, r)
-}
-
-// safeSampleVec is safeTrial for SampleVec trials.
-func safeSampleVec(fn SampleVec, trial int, r *rng.Rand) (v []float64, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			v, err = nil, NewPanicError(p)
+			err = NewPanicError(p)
 		}
 	}()
 	return fn(trial, r)
@@ -136,20 +116,17 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// EstimateProportion runs cfg.Trials independent trials of fn and returns
-// the success proportion. It stops early (returning the context error) when
-// ctx is cancelled; workers are always fully drained before return.
-func EstimateProportion(ctx context.Context, cfg Config, fn Trial) (stats.Proportion, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return stats.Proportion{}, err
-	}
+// run feeds trials 0..cfg.Trials-1 to cfg.Workers workers (cfg already
+// defaulted) and hands each successful trial's value to keep, under a lock,
+// so keep needs no synchronization of its own. The first failing trial — an
+// error or a recovered panic — stops the feed and is returned wrapped with
+// its index; a cancelled ctx stops the feed too, and the caller reads
+// ctx.Err. Workers are always fully drained before return.
+func run[T any](ctx context.Context, cfg Config, fn func(int, *rng.Rand) (T, error), keep func(trial int, v T)) error {
 	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		successes int
-		completed int
-		firstErr  error
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		firstErr error
 	)
 	trialCh := make(chan int)
 	cancelCtx, cancel := context.WithCancel(ctx)
@@ -164,17 +141,12 @@ func EstimateProportion(ctx context.Context, cfg Config, fn Trial) (stats.Propor
 			var r rng.Rand
 			for trial := range trialCh {
 				r.ReseedStream(cfg.Seed, uint64(trial))
-				ok, err := safeTrial(fn, trial, &r)
+				v, err := safeCall(fn, trial, &r)
 				mu.Lock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("montecarlo: trial %d: %w", trial, err)
-					}
-				} else {
-					completed++
-					if ok {
-						successes++
-					}
+				if err == nil {
+					keep(trial, v)
+				} else if firstErr == nil {
+					firstErr = fmt.Errorf("montecarlo: trial %d: %w", trial, err)
 				}
 				mu.Unlock()
 				if err != nil {
@@ -195,17 +167,30 @@ feed:
 	}
 	close(trialCh)
 	wg.Wait()
+	return firstErr
+}
 
-	mu.Lock()
-	defer mu.Unlock()
-	if firstErr != nil {
-		return stats.Proportion{}, firstErr
+// EstimateProportion runs cfg.Trials independent trials of fn and returns
+// the success proportion. It stops early (returning the context error) when
+// ctx is cancelled; workers are always fully drained before return.
+func EstimateProportion(ctx context.Context, cfg Config, fn Trial) (stats.Proportion, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return stats.Proportion{}, err
+	}
+	var p stats.Proportion
+	if err := run(ctx, cfg, fn, func(_ int, ok bool) {
+		p.Trials++
+		if ok {
+			p.Successes++
+		}
+	}); err != nil {
+		return stats.Proportion{}, err
 	}
 	if err := ctx.Err(); err != nil {
-		return stats.Proportion{Successes: successes, Trials: completed},
-			fmt.Errorf("montecarlo: cancelled after %d/%d trials: %w", completed, cfg.Trials, err)
+		return p, fmt.Errorf("montecarlo: cancelled after %d/%d trials: %w", p.Trials, cfg.Trials, err)
 	}
-	return stats.Proportion{Successes: successes, Trials: completed}, nil
+	return p, nil
 }
 
 // Sample is a trial producing a numeric observation.
@@ -249,58 +234,15 @@ func EstimateMeanVec(ctx context.Context, cfg Config, dims int, fn SampleVec) ([
 	// Dense per-trial storage so each Summary folds observations in
 	// deterministic order regardless of completion order.
 	values := make([][]float64, cfg.Trials)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	trialCh := make(chan int)
-	cancelCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	wg.Add(cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		go func() {
-			defer wg.Done()
-			var r rng.Rand
-			for trial := range trialCh {
-				r.ReseedStream(cfg.Seed, uint64(trial))
-				v, err := safeSampleVec(fn, trial, &r)
-				if err == nil && len(v) != dims {
-					err = fmt.Errorf("montecarlo: trial returned %d values, want %d", len(v), dims)
-				}
-				mu.Lock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("montecarlo: trial %d: %w", trial, err)
-					}
-				} else {
-					values[trial] = v
-				}
-				mu.Unlock()
-				if err != nil {
-					cancel()
-					return
-				}
-			}
-		}()
-	}
-
-feed:
-	for trial := 0; trial < cfg.Trials; trial++ {
-		select {
-		case trialCh <- trial:
-		case <-cancelCtx.Done():
-			break feed
+	checked := func(trial int, r *rng.Rand) ([]float64, error) {
+		v, err := fn(trial, r)
+		if err == nil && len(v) != dims {
+			err = fmt.Errorf("montecarlo: trial returned %d values, want %d", len(v), dims)
 		}
+		return v, err
 	}
-	close(trialCh)
-	wg.Wait()
-
-	mu.Lock()
-	defer mu.Unlock()
-	if firstErr != nil {
-		return nil, firstErr
+	if err := run(ctx, cfg, checked, func(trial int, v []float64) { values[trial] = v }); err != nil {
+		return nil, err
 	}
 	summaries := make([]*stats.Summary, dims)
 	for i := range summaries {
@@ -331,52 +273,8 @@ func Collect(ctx context.Context, cfg Config, fn Sample) ([]float64, error) {
 		return nil, err
 	}
 	values := make([]float64, cfg.Trials)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	trialCh := make(chan int)
-	cancelCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	wg.Add(cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		go func() {
-			defer wg.Done()
-			var r rng.Rand
-			for trial := range trialCh {
-				r.ReseedStream(cfg.Seed, uint64(trial))
-				v, err := safeSample(fn, trial, &r)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("montecarlo: trial %d: %w", trial, err)
-					}
-					mu.Unlock()
-					cancel()
-					return
-				}
-				values[trial] = v
-			}
-		}()
-	}
-
-feed:
-	for trial := 0; trial < cfg.Trials; trial++ {
-		select {
-		case trialCh <- trial:
-		case <-cancelCtx.Done():
-			break feed
-		}
-	}
-	close(trialCh)
-	wg.Wait()
-
-	mu.Lock()
-	defer mu.Unlock()
-	if firstErr != nil {
-		return nil, firstErr
+	if err := run(ctx, cfg, fn, func(trial int, v float64) { values[trial] = v }); err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("montecarlo: cancelled: %w", err)

@@ -334,17 +334,22 @@ func TestBinomialTinyPClamp(t *testing.T) {
 			t.Fatalf("draw %d: Binomial(1000, 1e-300) = %d, want 0 (success probability ~1e-297)", i, c)
 		}
 	}
+	// 2^40 trials where int holds them, the largest int on 32-bit targets;
+	// p keeps the mean per draw at 2^40 · 1e-12 ≈ 1.1 either way (exactly
+	// 1e-12 at 2^40).
+	const n = min(1<<40, math.MaxInt)
+	p := 1e-12 * (1 << 40) / n
 	total := 0
 	for i := 0; i < 200; i++ {
-		c := r.Binomial(1<<40, 1e-12)
+		c := r.Binomial(n, p)
 		if c < 0 {
-			t.Fatalf("draw %d: Binomial(2^40, 1e-12) = %d, want non-negative", i, c)
+			t.Fatalf("draw %d: Binomial(%d, %g) = %d, want non-negative", i, n, p, c)
 		}
 		total += c
 	}
-	// Mean per draw is 2^40 · 1e-12 ≈ 1.1; 200 draws concentrate hard.
+	// 200 draws of mean ≈ 1.1 concentrate hard.
 	if total < 50 || total > 800 {
-		t.Errorf("Binomial(2^40, 1e-12) summed to %d over 200 draws, want ≈ 220", total)
+		t.Errorf("Binomial(%d, %g) summed to %d over 200 draws, want ≈ 220", n, p, total)
 	}
 }
 

@@ -119,7 +119,11 @@ func (j *Job) renderedCSV(result *JobResult) ([]byte, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.csv == nil {
-		j.csv = buf.Bytes()
+		// An exact-size copy: the buffer's backing array carries growth
+		// slack (up to half of it) for as long as the job lives. make sets
+		// cap to len; bytes.Clone's append would round cap up.
+		j.csv = make([]byte, buf.Len())
+		copy(j.csv, buf.Bytes())
 	}
 	return j.csv, nil
 }

@@ -13,8 +13,9 @@ import (
 
 // TestTerminalJobHoldsNoPlan: a done and a failed job both drop their
 // compiled plan and hold no CSV. A done job read as JSON still holds none;
-// its first CSV fetch renders RenderCSV of its result and keeps it, and the
-// next fetch serves those same bytes.
+// its first CSV fetch renders RenderCSV of its result and keeps an
+// exact-size copy (no buffer growth slack), and the next fetch serves those
+// same bytes.
 func TestTerminalJobHoldsNoPlan(t *testing.T) {
 	errBuild := errors.New("deliberate build failure")
 	m := NewManager(Options{
@@ -82,6 +83,9 @@ func TestTerminalJobHoldsNoPlan(t *testing.T) {
 		_, _, _, kept := held(j)
 		if len(kept) == 0 || !bytes.Equal(kept, want.Bytes()) {
 			t.Fatalf("after a CSV fetch the job holds %q, want %q", kept, want.Bytes())
+		}
+		if cap(kept) != len(kept) {
+			t.Errorf("the kept CSV has cap %d for %d bytes, want no growth slack", cap(kept), len(kept))
 		}
 		again, err := j.renderedCSV(result)
 		if err != nil || &again[0] != &kept[0] {

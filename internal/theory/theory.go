@@ -273,7 +273,9 @@ func PoolSizeForKeyShareProb(ring, q int, target float64) (int, error) {
 		return s >= target, nil
 	}
 	// At P = ring the overlap is full: s = 1 ≥ target. Grow an upper bound
-	// where the target fails.
+	// where the target fails, giving up past 2^40 (or, where int is 32 bits,
+	// before doubling would overflow it).
+	const maxPoolBound = min(1<<40, math.MaxInt/2)
 	hi := ring * 2
 	for {
 		hit, err := ok(hi)
@@ -283,7 +285,7 @@ func PoolSizeForKeyShareProb(ring, q int, target float64) (int, error) {
 		if !hit {
 			break
 		}
-		if hi > 1<<40 {
+		if hi > maxPoolBound {
 			return 0, fmt.Errorf("theory: pool size for target %v diverges", target)
 		}
 		hi *= 2

@@ -15,10 +15,12 @@ import (
 // allocation, the per-Deploy generator; the seed state ran it at ≈ 2,020
 // allocs per trial), the streaming path (DeployConnectivity), the
 // streaming degree path (DeployDegreeStats, the degree accumulator riding
-// beside the union-find) and the verdict-only trials (KConnectedRand at
-// k = 1 and k = 2, whose prefix check builds a CSR graph through the reused
-// builder, and MinDegreeAtLeastRand). Each mode's persistent row consumer
-// keeps the channel.RowDraw crossing allocation-free. Every mode runs on
+// beside the union-find), the degree count (DegreeCountRand, a full draw
+// into the degree counters alone) and the verdict-only trials
+// (KConnectedRand at k = 1 and k = 2, whose prefix check builds a CSR graph
+// through the reused builder, and MinDegreeAtLeastRand). Every mode runs
+// through the one row consumer, bound once per Deployer, which keeps the
+// channel.RowDraw crossing allocation-free. Every mode runs on
 // each way a row is drawn: the native on/off and full-visibility rows and
 // the grouped rows of a disk and a labelled two-class heterogeneous
 // channel.
@@ -91,6 +93,13 @@ func requireTrialsAllocFree(t *testing.T, prefix string, d *Deployer) {
 		"streaming-degrees": func() {
 			seed++
 			if _, err := d.DeployDegreeStats(seed, 2); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"degree-count": func() {
+			seed++
+			r.Reseed(seed)
+			if _, err := d.DegreeCountRand(&r, 2); err != nil {
 				t.Fatal(err)
 			}
 		},

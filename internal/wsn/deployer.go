@@ -31,15 +31,17 @@ import (
 // Every deployment mode runs one pipeline: assign the key rings, reset a
 // keys.Intersector on them, and stream the channel draw row by row — a
 // sensor u with its channel neighbours (channel.RowDraw) — through the
-// exact predicate |ring(u) ∩ ring(v)| ≥ q into the mode's sinks: a secure
-// edge list for Deploy, a union-find and degree counters for the
-// graph-free ones. Each mode has one persistent row consumer; it announces
-// the row to the intersector (which counts u's row up front when the row
-// is long enough to pay for it) and reads each neighbour's answer, in the
-// common case an inlined counter read. The channel graph itself is never
-// built during a deployment; a Network keeps the generator state the draw
-// started from and re-emits it into CSR only if asked for it
-// (Snapshot, SimulateDiscovery). Ring sizes may differ
+// exact predicate |ring(u) ∩ ring(v)| ≥ q into one row consumer. What the
+// consumer feeds and when it stops is set per call by a trial descriptor
+// (see verdict.go): a secure edge list for Deploy, a union-find and degree
+// counters for the graph-free modes, and one stop rule for all of them —
+// stop once the union-find (if fed) spans and every degree has reached k.
+// The consumer announces each row to the intersector (which counts u's row
+// up front when the row is long enough to pay for it) and reads each
+// neighbour's answer, in the common case an inlined counter read. The
+// channel graph itself is never built during a deployment; a Network keeps
+// the generator state the draw started from and re-emits it into CSR only
+// if asked for it (Snapshot, SimulateDiscovery). Ring sizes may differ
 // per class; the predicate reads the actual per-sensor rings.
 type Deployer struct {
 	cfg   Config
@@ -67,30 +69,20 @@ type Deployer struct {
 
 	// The pipeline's shared state: the row draw of the channel, the
 	// generator position the draw starts from (kept by the Network for lazy
-	// re-emission), the overlap requirement, and the CSR mode's row
-	// consumer, which collects secure edges into edges. Every mode's row
-	// consumer is bound once, in newDeployer.
+	// re-emission) and the overlap requirement.
 	rows     channel.RowDraw
 	chanRand rng.Rand
 	streamQ  int
-	csrRow   func(u int32, vs []int32) bool
 
-	// Streaming connectivity-only mode (DeployConnectivity): the union-find
-	// sink and its row consumer.
-	suf     graphalgo.StreamUnionFind
-	connRow func(u int32, vs []int32) bool
+	// The sinks a pass may feed beside edges: the union-find and the degree
+	// counters, which hold their current target k.
+	suf graphalgo.StreamUnionFind
+	sd  graphalgo.StreamDegrees
 
-	// Streaming degree mode (DeployDegreeStats): the degree accumulator
-	// running beside the union-find in the same pass, with its own row
-	// consumer (early exit needs BOTH sinks done); one consumer serves every
-	// k because the accumulator holds the current target.
-	sd     graphalgo.StreamDegrees
-	degRow func(u int32, vs []int32) bool
-
-	// Verdict-only trials (KConnectedRand, MinDegreeAtLeastRand): one row
-	// consumer over the sinks above, steered by this state.
-	verdictRow func(u int32, vs []int32) bool
-	vt         verdictTrial
+	// The current pass's descriptor and state, and the one row consumer
+	// that reads it, bound once in newDeployer.
+	tr    trial
+	rowFn func(u int32, vs []int32) bool
 }
 
 // NewDeployer validates the configuration (including the channel model's
@@ -111,10 +103,10 @@ func newDeployer(cfg Config) *Deployer {
 		secBld: graph.NewBuilder(),
 		algo:   graphalgo.NewWorkspace(),
 	}
-	// The row consumers cross the channel.RowDraw boundary, where a method
-	// value made per call would be heap-allocated every trial; binding each
+	// The row consumer crosses the channel.RowDraw boundary, where a method
+	// value made per call would be heap-allocated every trial; binding it
 	// once keeps the trials allocation-free.
-	d.csrRow, d.connRow, d.degRow, d.verdictRow = d.csrSink, d.connSink, d.degSink, d.verdictSink
+	d.rowFn = d.rowSink
 	return d
 }
 
@@ -135,8 +127,7 @@ func (d *Deployer) DeployRand(r *rng.Rand) (*Network, error) {
 }
 
 func (d *Deployer) deploy(cfg Config, r *rng.Rand) (*Network, error) {
-	d.edges = d.edges[:0]
-	asg, err := d.streamSecureEdges(r, d.csrRow)
+	asg, err := d.pass(r, trial{edges: true})
 	if err != nil {
 		return nil, fmt.Errorf("wsn: deploy: %w", err)
 	}
@@ -151,19 +142,6 @@ func (d *Deployer) deploy(cfg Config, r *rng.Rand) (*Network, error) {
 	d.netIdx ^= 1
 	net.reset(cfg, asg.Rings, asg.Labels, &d.chanRand, secure, d.algo)
 	return net, nil
-}
-
-// csrSink is the CSR mode's row consumer: it collects the secure edges.
-func (d *Deployer) csrSink(u int32, vs []int32) bool {
-	ix, q, edges := d.ix, d.streamQ, d.edges
-	ix.BeginRow(u, len(vs))
-	for _, v := range vs {
-		if ix.RowHasAtLeast(u, v, q) {
-			edges = append(edges, graph.Edge{U: u, V: v})
-		}
-	}
-	d.edges = edges
-	return true
 }
 
 // DeployerPool shares one deployment configuration across concurrent Monte

@@ -82,6 +82,10 @@ func deployerConfigs(t *testing.T) map[string]Config {
 			{0.5, 0.6, 0.4},
 			{0.2, 0.4, 0.8},
 		}}},
+		// Near the disk threshold: clusters reach their degree levels
+		// before the rows that join them arrive, so a stop rule that
+		// skipped the union-find would stop on split components.
+		"disk-clustered": {Sensors: 40, Scheme: scheme, Channel: channel.Disk{Radius: 0.25}},
 	}
 }
 

@@ -2,7 +2,9 @@ package wsn
 
 import (
 	"fmt"
+	"math"
 
+	"github.com/secure-wsn/qcomposite/internal/channel"
 	"github.com/secure-wsn/qcomposite/internal/keys"
 	"github.com/secure-wsn/qcomposite/internal/rng"
 )
@@ -43,37 +45,16 @@ type ConnStats struct {
 // this).
 func (d *Deployer) DeployConnectivity(seed uint64) (ConnStats, error) {
 	d.rand.Reseed(seed)
-	return d.deployConnectivity(&d.rand)
+	return d.DeployConnectivityRand(&d.rand)
 }
 
 // DeployConnectivityRand is DeployConnectivity drawing all randomness from r
 // — the entry point for Monte Carlo trials handed a per-trial stream.
 func (d *Deployer) DeployConnectivityRand(r *rng.Rand) (ConnStats, error) {
-	return d.deployConnectivity(r)
-}
-
-func (d *Deployer) deployConnectivity(r *rng.Rand) (ConnStats, error) {
-	d.suf.Reset(d.cfg.Sensors)
-	if _, err := d.streamSecureEdges(r, d.connRow); err != nil {
+	if _, err := d.pass(r, trial{uf: true, stop: true}); err != nil {
 		return ConnStats{}, fmt.Errorf("wsn: deploy connectivity: %w", err)
 	}
 	return d.connStats(), nil
-}
-
-// connSink is the connectivity-only mode's row consumer: secure edges into
-// the union-find until one component remains.
-func (d *Deployer) connSink(u int32, vs []int32) bool {
-	ix, q := d.ix, d.streamQ
-	ix.BeginRow(u, len(vs))
-	for _, v := range vs {
-		if ix.RowHasAtLeast(u, v, q) {
-			d.suf.Add(u, v)
-			if d.suf.Done() {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 func (d *Deployer) connStats() ConnStats {
@@ -122,67 +103,69 @@ type DegreeStats struct {
 // every built-in model guarantees; degree counting is not idempotent.
 func (d *Deployer) DeployDegreeStats(seed uint64, k int) (DegreeStats, error) {
 	d.rand.Reseed(seed)
-	return d.deployDegreeStats(&d.rand, k)
+	return d.DeployDegreeStatsRand(&d.rand, k)
 }
 
 // DeployDegreeStatsRand is DeployDegreeStats drawing all randomness from r
 // — the entry point for Monte Carlo trials handed a per-trial stream.
 func (d *Deployer) DeployDegreeStatsRand(r *rng.Rand, k int) (DegreeStats, error) {
-	return d.deployDegreeStats(r, k)
-}
-
-func (d *Deployer) deployDegreeStats(r *rng.Rand, k int) (DegreeStats, error) {
 	if k < 0 {
 		return DegreeStats{}, fmt.Errorf("wsn: deploy degree stats: negative degree level %d", k)
 	}
-	n := d.cfg.Sensors
-	d.suf.Reset(n)
-	d.sd.Reset(n, k)
-	if _, err := d.streamSecureEdges(r, d.degRow); err != nil {
+	if _, err := d.pass(r, trial{k: int32(k), uf: true, stop: true}); err != nil {
 		return DegreeStats{}, fmt.Errorf("wsn: deploy degree stats: %w", err)
 	}
-	minDeg := d.sd.MinDegree()
-	if minDeg > k {
-		minDeg = k
+	st := DegreeStats{ConnStats: d.connStats(), K: k, MinDegreeAtLeastK: true}
+	if k > 0 {
+		st.MinDegreeAtLeastK = d.sd.AllAtLeastK()
+		st.MinDegree = min(d.sd.MinDegree(), k)
+		st.BelowK = d.sd.BelowK()
 	}
-	return DegreeStats{
-		ConnStats:         d.connStats(),
-		K:                 k,
-		MinDegreeAtLeastK: d.sd.AllAtLeastK(),
-		MinDegree:         minDeg,
-		BelowK:            d.sd.BelowK(),
-	}, nil
+	return st, nil
 }
 
-// degSink is the degree mode's row consumer: secure edges into the
-// union-find and the degree accumulator until both are done.
-func (d *Deployer) degSink(u int32, vs []int32) bool {
-	ix, q := d.ix, d.streamQ
-	ix.BeginRow(u, len(vs))
-	for _, v := range vs {
-		if ix.RowHasAtLeast(u, v, q) {
-			d.suf.Add(u, v)
-			d.sd.Add(u, v)
-			if d.suf.Done() && d.sd.AllAtLeastK() {
-				return false
-			}
-		}
+// DegreeCountRand returns the number of sensors of secure degree exactly h
+// in one deployment drawn from r — the count whose law Lemma 9 makes
+// asymptotically Poisson. It equals
+// DeployRand(r).FullSecureTopology().DegreeHistogram()[h] (0 past the
+// histogram's end) but runs the whole draw into the degree counters alone:
+// no union-find, no edge list, no CSR graph. h must be non-negative.
+func (d *Deployer) DegreeCountRand(r *rng.Rand, h int) (int, error) {
+	if h < 0 {
+		return 0, fmt.Errorf("wsn: degree count: negative degree %d", h)
 	}
-	return true
+	// Any positive level feeds the counters; the pass never stops, so every
+	// degree is exact at its end.
+	if _, err := d.pass(r, trial{k: 1}); err != nil {
+		return 0, fmt.Errorf("wsn: degree count: %w", err)
+	}
+	return d.sd.CountDegree(h), nil
 }
 
-// streamSecureEdges is the pipeline every deployment mode shares: key
-// predistribution, ring-intersector reset, and the channel draw streamed
-// row by row into sink. A row is one sensor u and its channel neighbours
-// (channel.RowDraw); the sink announces it to the intersector
-// (keys.Intersector.BeginRow), which counts u's row up front when the row
-// is long enough to pay for it, filters the row by secure overlap and
-// feeds whatever sinks the mode maintains. The caller resets its sinks
-// first; the sink's early-exit verdict stops the draw. The generator
-// position the draw starts from is saved in d.chanRand, and the assignment
-// is returned, so the CSR mode can hand both to its Network.
-func (d *Deployer) streamSecureEdges(r *rng.Rand, sink func(u int32, vs []int32) bool) (keys.Assignment, error) {
+// pass is the pipeline every deployment mode shares: reset the sinks tr
+// feeds, assign the keys, reset the ring intersector, and stream the
+// channel draw row by row (channel.RowDraw: a sensor u and its channel
+// neighbours) into the one row consumer until tr's stop rule ends it. The
+// generator position the draw starts from is saved in d.chanRand, and the
+// assignment is returned, so the CSR mode can hand both to its Network.
+func (d *Deployer) pass(r *rng.Rand, tr trial) (keys.Assignment, error) {
 	n := d.cfg.Sensors
+	if tr.edges {
+		d.edges = d.edges[:0]
+	}
+	if tr.uf {
+		d.suf.Reset(n)
+	}
+	if tr.k > 0 {
+		d.sd.Reset(n, int(tr.k))
+	}
+	tr.row = math.MaxInt32
+	if tr.rowExit && channel.RowMajor(d.cfg.Channel) {
+		tr.row = 0
+	}
+	tr.prefixEdges = -1
+	d.tr = tr
+
 	asg, err := d.cfg.Scheme.AssignInto(r, n, &d.arena)
 	if err != nil {
 		return keys.Assignment{}, err
@@ -206,5 +189,5 @@ func (d *Deployer) streamSecureEdges(r *rng.Rand, sink func(u int32, vs []int32)
 	// Class-aware models receive the deployment's class labels, so the
 	// scheme and channel observe one shared class assignment.
 	d.chanRand = *r
-	return asg, d.rows.Emit(d.cfg.Channel, r, n, asg.Labels, sink)
+	return asg, d.rows.Emit(d.cfg.Channel, r, n, asg.Labels, d.rowFn)
 }

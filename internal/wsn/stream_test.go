@@ -6,6 +6,7 @@ import (
 	"github.com/secure-wsn/qcomposite/internal/channel"
 	"github.com/secure-wsn/qcomposite/internal/graphalgo"
 	"github.com/secure-wsn/qcomposite/internal/keys"
+	"github.com/secure-wsn/qcomposite/internal/rng"
 )
 
 // connStatsOf computes a deployment's ConnStats the batch way: deploy the
@@ -129,7 +130,9 @@ func degreeStatsOf(t *testing.T, net *Network, k int) DegreeStats {
 // connectivity equivalence test: for every channel model, several seeds and
 // several degree levels, the streaming degree mode must report exactly what
 // a full CSR deployment measures — connectivity statistics, the min-degree
-// ≥ k verdict, the truncated min degree and the below-k count.
+// ≥ k verdict, the truncated min degree and the below-k count — and the
+// degree count mode must equal the CSR degree histogram at every degree,
+// one past the maximum included.
 func TestDeployDegreeStatsMatchesCSR(t *testing.T) {
 	for name, cfg := range deployerConfigs(t) {
 		t.Run(name+"/streaming", func(t *testing.T) {
@@ -137,6 +140,7 @@ func TestDeployDegreeStatsMatchesCSR(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var r rng.Rand
 			for seed := uint64(0); seed < 4; seed++ {
 				refCfg := cfg
 				refCfg.Seed = seed
@@ -152,6 +156,23 @@ func TestDeployDegreeStatsMatchesCSR(t *testing.T) {
 					}
 					if got != want {
 						t.Fatalf("seed %d k=%d: DegreeStats %+v, want %+v", seed, k, got, want)
+					}
+				}
+				// The degree counts, at every degree the topology has and
+				// one past its maximum.
+				hist := net.FullSecureTopology().DegreeHistogram()
+				for h := 0; h <= len(hist); h++ {
+					want := 0
+					if h < len(hist) {
+						want = hist[h]
+					}
+					r.Reseed(seed)
+					got, err := d.DegreeCountRand(&r, h)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Fatalf("seed %d: DegreeCountRand(h=%d) = %d, want %d", seed, h, got, want)
 					}
 				}
 			}

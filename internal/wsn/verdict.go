@@ -2,35 +2,53 @@ package wsn
 
 import (
 	"fmt"
-	"math"
 
-	"github.com/secure-wsn/qcomposite/internal/channel"
 	"github.com/secure-wsn/qcomposite/internal/graph"
 	"github.com/secure-wsn/qcomposite/internal/graphalgo"
 	"github.com/secure-wsn/qcomposite/internal/rng"
 )
 
-// Verdict-only trials: a Monte Carlo estimate of P[k-connected] or
-// P[min degree ≥ k] needs one boolean per deployment, and that boolean is
-// often settled long before the channel draw ends. Both verdicts stream the
-// draw through the ring intersector into the Deployer's union-find and
-// degree sinks and stop as soon as the answer is decided either way:
+// One row consumer serves every deployment mode, steered by a trial
+// descriptor: which sinks the secure edges feed (degree counters at level
+// k, the union-find, the edge list) and how the pass ends. A stopping pass
+// stops as soon as its answer is decided either way:
 //
-//   - yes, on every channel model: every degree has reached k (and, for
-//     k-connectivity, the union-find spans and the secure edges seen so far
-//     are already k-connected — adding edges never lowers vertex
-//     connectivity);
-//   - no, on row-major channel models (channel.RowMajor): once the draw
-//     moves past a sensor it yields no further edge at that sensor, so a
-//     passed sensor whose degree is below k settles "no". The check runs
-//     once per row, when the row of a new sensor arrives.
+//   - yes, on every channel model: the union-find (if fed) spans and every
+//     degree has reached k; at k ≥ 2, k-connectivity first checks the edges
+//     seen so far, once (adding edges never lowers vertex connectivity; a
+//     failed check lets the pass run to its end);
+//   - no, with the row exit on and a row-major model (channel.RowMajor):
+//     once the draw moves past a sensor it yields no further edge at that
+//     sensor, so a passed sensor below degree k settles "no". The check
+//     runs once per row, when the row of a new sensor arrives.
 //
-// A draw that ends undecided is decided on its full secure edge set, so the
-// verdicts equal the CSR path exactly. Like the streaming modes, an early
-// exit leaves the rest of the channel draw unconsumed: the generator handed
-// in must not be used for anything else within the same trial.
+// Deploy and the degree counts never stop. A verdict that ends undecided is
+// decided on its full secure edge set, so every mode equals the CSR path
+// exactly. An early exit leaves the rest of the channel draw unconsumed:
+// the generator handed in must not be used again within the same trial.
 
-// verdictExit records how the last verdict trial ended.
+// trial describes one pass of the pipeline and holds its state, read by the
+// Deployer's row consumer.
+type trial struct {
+	k       int32 // degree level of the degree counters; 0 leaves them unfed
+	uf      bool  // feed the union-find
+	edges   bool  // collect the secure edges into Deployer.edges
+	stop    bool  // stop on "yes": the union-find (if fed) spans and every degree has reached k
+	check   bool  // before a "yes", check the edges so far for k-connectivity (k ≥ 2)
+	rowExit bool  // stop on "no" at a passed sensor below degree k (row-major models)
+
+	// row is the row of the draw so far when the row exit is on: every
+	// sensor below it has been checked against k. MaxInt32 turns the row
+	// check off.
+	row int32
+	// prefixEdges is the secure edge count at the one prefix
+	// k-connectivity check, or -1 before it.
+	prefixEdges int
+	exit        verdictExit
+	err         error
+}
+
+// verdictExit records how the last pass ended.
 type verdictExit uint8
 
 const (
@@ -38,23 +56,6 @@ const (
 	exitYes                        // stopped on a decided "yes"
 	exitNo                         // stopped on a passed sensor below degree k
 )
-
-// verdictTrial is the state of one verdict trial, read by the Deployer's
-// persistent verdict row consumer.
-type verdictTrial struct {
-	k    int32
-	conn bool // k-connectivity (union-find and edges) or min degree alone
-	// row is the row of the draw so far on row-major models: every sensor
-	// below it has been checked against k. MaxInt32 on the other models
-	// turns the row check off.
-	row int32
-	// prefixEdges is the secure edge count at the one prefix
-	// k-connectivity check (k ≥ 2), or -1 before it: before the union-find
-	// spans and every degree has reached k.
-	prefixEdges int
-	exit        verdictExit
-	err         error
-}
 
 // KConnectedRand reports whether the secure topology of one deployment
 // drawn from r is k-connected. It equals DeployRand(r) followed by
@@ -70,7 +71,7 @@ func (d *Deployer) KConnectedRand(r *rng.Rand, k int) (bool, error) {
 	case d.cfg.Sensors <= k:
 		return false, nil
 	}
-	ok, err := d.verdict(r, k, true)
+	ok, err := d.verdict(r, trial{k: int32(k), uf: true, edges: k >= 2, stop: true, check: k >= 2, rowExit: true})
 	if err != nil {
 		return false, fmt.Errorf("wsn: k-connectivity verdict: %w", err)
 	}
@@ -90,35 +91,24 @@ func (d *Deployer) MinDegreeAtLeastRand(r *rng.Rand, k int) (bool, error) {
 	case k == 0 || d.cfg.Sensors == 0:
 		return true, nil
 	}
-	ok, err := d.verdict(r, k, false)
+	ok, err := d.verdict(r, trial{k: int32(k), stop: true, rowExit: true})
 	if err != nil {
 		return false, fmt.Errorf("wsn: min-degree verdict: %w", err)
 	}
 	return ok, nil
 }
 
-// verdict runs one verdict trial at level k ≥ 1: k-connectivity when conn
-// is set (the caller has ruled out n ≤ k), min degree ≥ k otherwise.
-func (d *Deployer) verdict(r *rng.Rand, k int, conn bool) (bool, error) {
-	n := d.cfg.Sensors
-	d.sd.Reset(n, k)
-	if conn {
-		d.suf.Reset(n)
-		d.edges = d.edges[:0]
-	}
-	d.vt = verdictTrial{k: int32(k), conn: conn, row: math.MaxInt32, prefixEdges: -1}
-	if channel.RowMajor(d.cfg.Channel) {
-		d.vt.row = 0
-	}
-	if _, err := d.streamSecureEdges(r, d.verdictRow); err != nil {
+// verdict runs one verdict pass at level tr.k ≥ 1 and decides it.
+func (d *Deployer) verdict(r *rng.Rand, tr trial) (bool, error) {
+	if _, err := d.pass(r, tr); err != nil {
 		return false, err
 	}
-	switch {
-	case d.vt.err != nil:
-		return false, d.vt.err
-	case d.vt.exit != exitDrained:
-		return d.vt.exit == exitYes, nil
-	case d.vt.prefixEdges < 0 || d.vt.prefixEdges == len(d.edges):
+	switch tr := &d.tr; {
+	case tr.err != nil:
+		return false, tr.err
+	case tr.exit != exitDrained:
+		return tr.exit == exitYes, nil
+	case tr.prefixEdges < 0 || tr.prefixEdges == len(d.edges):
 		// The draw decides every "yes" but one: a failed prefix check
 		// followed by more secure edges. Without a prefix check the sinks
 		// never got there; without new edges the prefix was the network.
@@ -127,62 +117,60 @@ func (d *Deployer) verdict(r *rng.Rand, k int, conn bool) (bool, error) {
 	return d.edgesKConnected()
 }
 
-// verdictSink is the verdict trial's row consumer: the no-exit on a
-// passed sensor below degree k, once per row, then the row's secure edges
-// into secureEdge.
-func (d *Deployer) verdictSink(u int32, vs []int32) bool {
-	vt := &d.vt
-	if u > vt.row {
-		if d.sd.AnyBelowK(vt.row, u) {
-			vt.exit = exitNo
+// rowSink is the one row consumer: the "no" exit once per row, then each
+// secure edge into the sinks of the pass and through its stop rule, whose
+// test is inline; stopAt decides the rare edge that meets it.
+func (d *Deployer) rowSink(u int32, vs []int32) bool {
+	tr := &d.tr
+	if u > tr.row {
+		if d.sd.AnyBelowK(tr.row, u) {
+			tr.exit = exitNo
 			return false
 		}
-		vt.row = u
+		tr.row = u
 	}
 	ix, q := d.ix, d.streamQ
 	ix.BeginRow(u, len(vs))
 	for _, v := range vs {
-		if ix.RowHasAtLeast(u, v, q) && !d.secureEdge(u, v) {
+		if !ix.RowHasAtLeast(u, v, q) {
+			continue
+		}
+		if tr.edges {
+			d.edges = append(d.edges, graph.Edge{U: u, V: v})
+		}
+		if tr.uf {
+			d.suf.Add(u, v)
+		}
+		if tr.k > 0 {
+			d.sd.Add(u, v)
+		}
+		// The stop rule: the union-find (if fed) spans and every degree has
+		// reached k, once per pass.
+		if tr.stop && tr.prefixEdges < 0 && (!tr.uf || d.suf.Done()) && (tr.k == 0 || d.sd.AllAtLeastK()) && d.stopAt() {
 			return false
 		}
 	}
 	return true
 }
 
-// secureEdge feeds one secure edge of a verdict trial to its sinks and
-// reports whether the trial goes on: false on a decided "yes" or an error.
-func (d *Deployer) secureEdge(u, v int32) bool {
-	vt := &d.vt
-	d.sd.Add(u, v)
-	if !vt.conn {
-		if d.sd.AllAtLeastK() {
-			vt.exit = exitYes
+// stopAt decides the first secure edge that meets the stop rule and reports
+// whether the pass stops: on a "yes" or an error, but not when a k ≥ 2
+// prefix check finds the edges so far not k-connected.
+func (d *Deployer) stopAt() bool {
+	tr := &d.tr
+	if tr.check {
+		// The one prefix check: k-connected now means k-connected at the end.
+		tr.prefixEdges = len(d.edges)
+		ok, err := d.edgesKConnected()
+		if err != nil {
+			tr.err = err
+			return true
+		}
+		if !ok {
 			return false
 		}
-		return true
 	}
-	d.suf.Add(u, v)
-	if vt.k >= 2 {
-		d.edges = append(d.edges, graph.Edge{U: u, V: v})
-	}
-	if vt.prefixEdges >= 0 || !d.suf.Done() || !d.sd.AllAtLeastK() {
-		return true
-	}
-	if vt.k == 1 {
-		vt.exit = exitYes
-		return false
-	}
-	// The one prefix check: k-connected now means k-connected at the end.
-	vt.prefixEdges = len(d.edges)
-	ok, err := d.edgesKConnected()
-	if err != nil {
-		vt.err = err
-		return false
-	}
-	if ok {
-		vt.exit = exitYes
-		return false
-	}
+	tr.exit = exitYes
 	return true
 }
 
@@ -193,5 +181,5 @@ func (d *Deployer) edgesKConnected() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return graphalgo.IsKConnectedW(d.algo, g, int(d.vt.k)), nil
+	return graphalgo.IsKConnectedW(d.algo, g, int(d.tr.k)), nil
 }

@@ -160,11 +160,11 @@ func TestVerdictExits(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got != tc.want || d.vt.exit != tc.wantExit {
-						t.Fatalf("seed %d: verdict %t with exit %d, want %t with exit %d", seed, got, d.vt.exit, tc.want, tc.wantExit)
+					if got != tc.want || d.tr.exit != tc.wantExit {
+						t.Fatalf("seed %d: verdict %t with exit %d, want %t with exit %d", seed, got, d.tr.exit, tc.want, tc.wantExit)
 					}
-					if tc.wantExit == exitNo && d.vt.row >= n-1 {
-						t.Fatalf("seed %d: no-exit at row %d, want it before the last row", seed, d.vt.row)
+					if tc.wantExit == exitNo && d.tr.row >= n-1 {
+						t.Fatalf("seed %d: no-exit at row %d, want it before the last row", seed, d.tr.row)
 					}
 				}
 			}

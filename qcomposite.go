@@ -248,15 +248,8 @@ func (m Model) DegreeCountDistribution(ctx context.Context, h int, cfg EstimateC
 		func(trial int, r *rng.Rand) (float64, error) {
 			d := dp.Get()
 			defer dp.Put(d)
-			net, err := d.DeployRand(r)
-			if err != nil {
-				return 0, err
-			}
-			hist := net.FullSecureTopology().DegreeHistogram()
-			if h >= len(hist) {
-				return 0, nil
-			}
-			return float64(hist[h]), nil
+			c, err := d.DegreeCountRand(r, h)
+			return float64(c), err
 		})
 	if err != nil {
 		return nil, err
