@@ -64,7 +64,7 @@ func run() error {
 		trials   = flag.Int("trials", 200, "samples per estimate")
 		couplesN = flag.Int("couples", 50, "sampled Lemma 5 couplings per K")
 		workers  = flag.Int("workers", 0, "parallel workers (0 = all CPUs)")
-		pWorkers = flag.Int("pointworkers", 0, "grid-point shards (0 = sequential points; results identical either way)")
+		pWorkers = flag.Int("pointworkers", 0, "grid-point shards (0 = points in order on one shared trial pool; results identical either way)")
 		seed     = flag.Uint64("seed", 1, "base RNG seed")
 		csvPath  = flag.String("csv", "", "write table CSV to this path")
 	)

@@ -53,7 +53,7 @@ func run() error {
 		kConn    = flag.Int("k", 1, "connectivity level tested at every point")
 		trials   = flag.Int("trials", 200, "samples per point")
 		workers  = flag.Int("workers", 0, "parallel workers (0 = all CPUs)")
-		pWorkers = flag.Int("pointworkers", 0, "grid-point shards (0 = sequential points; results identical either way)")
+		pWorkers = flag.Int("pointworkers", 0, "grid-point shards (0 = points in order on one shared trial pool; results identical either way)")
 		seed     = flag.Uint64("seed", 1, "base RNG seed")
 		csvPath  = flag.String("csv", "", "write series CSV to this path")
 	)

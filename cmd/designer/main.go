@@ -47,7 +47,7 @@ func run() error {
 		target   = flag.Float64("target", 0.99, "target k-connectivity probability")
 		trials   = flag.Int("trials", 150, "deployments per level validating the design empirically")
 		workers  = flag.Int("workers", 0, "parallel workers (0 = all CPUs)")
-		pWorkers = flag.Int("pointworkers", 0, "grid-point shards (0 = sequential points; results identical either way)")
+		pWorkers = flag.Int("pointworkers", 0, "grid-point shards (0 = points in order on one shared trial pool; results identical either way)")
 		seed     = flag.Uint64("seed", 1, "base RNG seed")
 		csvPath  = flag.String("csv", "", "write table CSV to this path")
 		server   = flag.String("server", "", "run the validation sweep on this sweepd server (e.g. http://127.0.0.1:8322) instead of locally; estimates are bit-identical")

@@ -59,7 +59,7 @@ func run() error {
 		p22      = flag.Float64("p22", -1, "channel-on probability for class-2↔class-2 pairs (-1 = same as -p)")
 		trials   = flag.Int("trials", 200, "samples per point")
 		workers  = flag.Int("workers", 0, "parallel workers (0 = all CPUs)")
-		pWorkers = flag.Int("pointworkers", 0, "grid-point shards (0 = sequential points; results identical either way)")
+		pWorkers = flag.Int("pointworkers", 0, "grid-point shards (0 = points in order on one shared trial pool; results identical either way)")
 		seed     = flag.Uint64("seed", 1, "base RNG seed")
 		csvPath  = flag.String("csv", "", "write series CSV to this path")
 	)

@@ -59,7 +59,7 @@ func run() error {
 		xStep    = flag.Int("xstep", 10, "capture count / attack budget step")
 		trials   = flag.Int("trials", 30, "deployments averaged per point")
 		workers  = flag.Int("workers", 0, "parallel workers (0 = all CPUs)")
-		pWorkers = flag.Int("pointworkers", 0, "grid-point shards (0 = sequential points; results identical either way)")
+		pWorkers = flag.Int("pointworkers", 0, "grid-point shards (0 = points in order on one shared trial pool; results identical either way)")
 		seed     = flag.Uint64("seed", 1, "base RNG seed")
 		csvPath  = flag.String("csv", "", "write series CSV to this path")
 		timeline = flag.String("timeline", "", `timeline mode: semicolon-separated attack campaigns, each "kind:count,kind:count,..." (kinds: capture, capture-targeted, fail, fail-targeted, jam, revoke)`)

@@ -37,8 +37,8 @@ func run() error {
 		addr     = flag.String("addr", "127.0.0.1:8322", "listen address")
 		journal  = flag.String("journal", "", "result-store journal file (empty: in-memory only, nothing survives restarts)")
 		jobs     = flag.Int("jobworkers", 1, "concurrently executing jobs (1 maximizes cross-job cache reuse)")
-		pWorkers = flag.Int("pointworkers", 0, "grid-point shards per job (0 = sequential points; results identical either way)")
-		workers  = flag.Int("workers", 0, "trial workers per point (0 = all CPUs)")
+		pWorkers = flag.Int("pointworkers", 0, "grid-point shards per job (0 = points in order on the job's shared trial pool; results identical either way)")
+		workers  = flag.Int("workers", 0, "trial workers per job (0 = all CPUs)")
 		drain    = flag.Duration("drain", 10*time.Second, "graceful-shutdown window for in-flight requests")
 	)
 	flag.Parse()

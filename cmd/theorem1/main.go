@@ -46,7 +46,7 @@ func run() error {
 		kStep    = flag.Int("kstep", 2, "ring size step")
 		trials   = flag.Int("trials", 300, "samples per point")
 		workers  = flag.Int("workers", 0, "parallel workers (0 = all CPUs)")
-		pWorkers = flag.Int("pointworkers", 0, "grid-point shards (0 = sequential points; results identical either way)")
+		pWorkers = flag.Int("pointworkers", 0, "grid-point shards (0 = points in order on one shared trial pool; results identical either way)")
 		seed     = flag.Uint64("seed", 1, "base RNG seed")
 		csvPath  = flag.String("csv", "", "write series CSV to this path")
 	)

@@ -47,7 +47,7 @@ func run() error {
 		nList    = flag.String("nlist", "200,400,800,1600,3200", "comma-separated n schedule")
 		trials   = flag.Int("trials", 200, "samples per point")
 		workers  = flag.Int("workers", 0, "parallel workers (0 = all CPUs)")
-		pWorkers = flag.Int("pointworkers", 0, "grid-point shards (0 = sequential points; results identical either way)")
+		pWorkers = flag.Int("pointworkers", 0, "grid-point shards (0 = points in order on one shared trial pool; results identical either way)")
 		seed     = flag.Uint64("seed", 1, "base RNG seed")
 		csvPath  = flag.String("csv", "", "write series CSV to this path")
 	)

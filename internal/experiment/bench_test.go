@@ -5,10 +5,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"github.com/secure-wsn/qcomposite/internal/channel"
+	"github.com/secure-wsn/qcomposite/internal/keys"
 	"github.com/secure-wsn/qcomposite/internal/montecarlo"
 	"github.com/secure-wsn/qcomposite/internal/rng"
+	"github.com/secure-wsn/qcomposite/internal/wsn"
 )
 
 // BenchmarkCheckpointOverhead measures the cost of the checkpoint journal on
@@ -61,4 +66,44 @@ func BenchmarkSupervisedPointOverhead(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSequentialSweep is the traffic a sweepd job serves: a sequential
+// sweep (PointWorkers = 0) of 8 connectivity points × 6 trials at n = 400,
+// P = 4000, q = 2, p = 0.5 on 2 trial workers — SweepConnectivity's trials
+// (ConnectivityTrials), each timed. busy_frac is Σ trial time / (Workers ×
+// wall time): the share of the pool's worker time spent inside trials, which
+// idle workers at point boundaries pull below 1.
+func BenchmarkSequentialSweep(b *testing.B) {
+	grid := Grid{Ks: []int{36, 40, 44, 48}, Qs: []int{2}, Ps: []float64{0.3, 0.4}}
+	cfg := SweepConfig{Trials: 6, Workers: 2, Seed: 9}
+	trials := ConnectivityTrials(func(pt GridPoint) (wsn.Config, error) {
+		scheme, err := keys.NewQComposite(4000, pt.K, pt.Q)
+		if err != nil {
+			return wsn.Config{}, err
+		}
+		return wsn.Config{Sensors: 400, Scheme: scheme, Channel: channel.OnOff{P: pt.P}}, nil
+	})
+	var busy atomic.Int64
+	timed := func(pt GridPoint) (montecarlo.Trial, error) {
+		trial, err := trials(pt)
+		if err != nil {
+			return nil, err
+		}
+		return func(i int, r *rng.Rand) (bool, error) {
+			start := time.Now()
+			ok, err := trial(i, r)
+			busy.Add(int64(time.Since(start)))
+			return ok, err
+		}, nil
+	}
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		if _, err := SweepProportion(context.Background(), grid, cfg, timed); err != nil {
+			b.Fatal(err)
+		}
+	}
+	wall := time.Since(start)
+	b.ReportMetric(float64(busy.Load())/(float64(cfg.Workers)*float64(wall)), "busy_frac")
 }

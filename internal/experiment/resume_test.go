@@ -44,10 +44,13 @@ type resumeVariant struct {
 	run  func(ctx context.Context, cfg SweepConfig, builds *atomic.Int64) (any, error)
 }
 
-func resumeVariants() []resumeVariant {
+func resumeVariants() []resumeVariant { return resumeVariantsOn(resumeTestGrid) }
+
+// resumeVariantsOn is resumeVariants over another grid.
+func resumeVariantsOn(grid Grid) []resumeVariant {
 	return []resumeVariant{
 		{name: "proportion", run: func(ctx context.Context, cfg SweepConfig, builds *atomic.Int64) (any, error) {
-			res, err := SweepProportion(ctx, resumeTestGrid, cfg,
+			res, err := SweepProportion(ctx, grid, cfg,
 				func(pt GridPoint) (montecarlo.Trial, error) {
 					builds.Add(1)
 					return func(trial int, r *rng.Rand) (bool, error) {
@@ -57,7 +60,7 @@ func resumeVariants() []resumeVariant {
 			return res, err
 		}},
 		{name: "mean", run: func(ctx context.Context, cfg SweepConfig, builds *atomic.Int64) (any, error) {
-			res, err := SweepMean(ctx, resumeTestGrid, cfg,
+			res, err := SweepMean(ctx, grid, cfg,
 				func(pt GridPoint) (montecarlo.Sample, error) {
 					builds.Add(1)
 					return func(trial int, r *rng.Rand) (float64, error) {
@@ -67,7 +70,7 @@ func resumeVariants() []resumeVariant {
 			return res, err
 		}},
 		{name: "meanvec", run: func(ctx context.Context, cfg SweepConfig, builds *atomic.Int64) (any, error) {
-			res, err := SweepMeanVec(ctx, resumeTestGrid, cfg, 2,
+			res, err := SweepMeanVec(ctx, grid, cfg, 2,
 				func(pt GridPoint) (montecarlo.SampleVec, error) {
 					builds.Add(1)
 					return func(trial int, r *rng.Rand) ([]float64, error) {
@@ -78,7 +81,7 @@ func resumeVariants() []resumeVariant {
 			return res, err
 		}},
 		{name: "connstats", run: func(ctx context.Context, cfg SweepConfig, builds *atomic.Int64) (any, error) {
-			res, err := SweepConnStats(ctx, resumeTestGrid, cfg,
+			res, err := SweepConnStats(ctx, grid, cfg,
 				[]ConnStat{ConnStatConnected, ConnStatGiantFraction},
 				func(pt GridPoint) (wsn.Config, error) {
 					builds.Add(1)

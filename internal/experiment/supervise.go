@@ -63,7 +63,9 @@ func runAttemptRecovered[R any](ctx context.Context, pt GridPoint,
 // cannot kill it): it may still be running when the attempt returns, which
 // is safe because every attempt calls build afresh and therefore owns its
 // per-attempt state — but it is the reason a wedged trial no longer hangs
-// the whole grid.
+// the whole grid. The attempt's context is cancelled on timeout, so a
+// sequential sweep's shared trial pool replaces any worker the attempt
+// leaves wedged (montecarlo.Pool).
 func runAttempt[R any](ctx context.Context, cfg SweepConfig, pt GridPoint,
 	fn func(ctx context.Context, pt GridPoint) (R, error)) (R, error) {
 	if cfg.PointTimeout <= 0 {

@@ -7,11 +7,12 @@ package experiment
 // can be reproduced in isolation and adding points to one axis never
 // perturbs the other points' results for the same base seed.
 //
-// Grid points themselves can be sharded across a worker pool
-// (SweepConfig.PointWorkers): shards own the per-point state their build
-// calls create and results land in Points() order, and because seeds never
-// depend on scheduling, the sharded estimates are bit-identical to the
-// sequential ones field for field.
+// A sequential sweep runs the trials of all its points on one shared pool,
+// admitting each point as the one before it hands out its last trial;
+// grid points can instead be sharded across a worker pool
+// (SweepConfig.PointWorkers). Either way results land in Points() order,
+// and because seeds never depend on scheduling, the estimates are
+// bit-identical field for field.
 
 import (
 	"context"
@@ -100,21 +101,27 @@ func (g Grid) Points() []GridPoint {
 type SweepConfig struct {
 	// Trials is the number of Monte Carlo trials per grid point.
 	Trials int
-	// Workers bounds per-point parallelism; 0 means all CPUs. Under point
-	// sharding (PointWorkers > 0) the per-point budget is divided across the
-	// shards, so the total goroutine count stays ≈ Workers.
+	// Workers bounds trial parallelism; 0 means all CPUs. A sequential sweep
+	// (PointWorkers = 0) runs the trials of all its points on one pool of
+	// Workers goroutines (see PointWorkers). Under point sharding
+	// (PointWorkers > 0) the budget is divided across the shards, each
+	// point running on Workers/PointWorkers goroutines of its own (at least
+	// one), so the total goroutine count stays ≈ Workers.
 	Workers int
 	// PointWorkers shards GRID POINTS across a worker pool: each shard is a
-	// long-lived goroutine that pulls points off a queue, runs build there
-	// (so any state build creates — typically a wsn.DeployerPool plus its
-	// graphalgo.Workspace scratch — is owned by that shard for the point's
-	// whole trial run), and writes the result into the point's Points() slot.
+	// long-lived goroutine that pulls points off a queue, runs the point's
+	// build and trial run there, and writes the result into the point's
+	// Points() slot.
 	//
-	// 0 preserves the historical behavior: points run sequentially on the
-	// caller's goroutine, only trials within a point parallelize. Because
-	// per-point seeds derive from point parameters (PointSeed) and per-trial
-	// streams from trial indices, estimates are bit-identical for every
-	// PointWorkers value — scheduling never touches randomness.
+	// 0 runs the points in Points() order on one shared pool of Workers
+	// trial workers. A point is admitted — its build starts, under its own
+	// supervisor — as soon as every trial of the points before it has been
+	// handed to a worker, so the tail of one point overlaps the head of the
+	// next and no worker idles at a point boundary; at most Workers + 1
+	// points are open at once. Because per-point seeds derive from point
+	// parameters (PointSeed) and per-trial streams from trial indices,
+	// estimates are bit-identical for every PointWorkers and Workers value —
+	// scheduling never touches randomness.
 	PointWorkers int
 	// Seed is the sweep's base seed. Every grid point runs with an
 	// independent base seed mixed from (Seed, K, q, p, x); trials within a
@@ -124,9 +131,10 @@ type SweepConfig struct {
 	// Checkpoint, when non-nil, receives the sweep's journal: a header
 	// record binding the journal to this sweep's fingerprint, then one
 	// JSON-lines record per freshly completed grid point, appended as each
-	// point lands (under sharding, in completion order — resume does not
-	// care). Writes are serialized and each record is a single Write call,
-	// so an os.File opened with O_APPEND is safe to share. Points restored
+	// point lands, in completion order (points overlap in every mode —
+	// resume does not care). Writes are serialized and each record is a
+	// single Write call, so an os.File opened with O_APPEND is safe to
+	// share. Points restored
 	// from Resume are NOT re-emitted: to keep one complete journal, resume
 	// from and checkpoint to the same file.
 	Checkpoint io.Writer
@@ -151,8 +159,8 @@ type SweepConfig struct {
 	// result lands: fromCache reports whether the point was restored from
 	// the Resume journal (true) or freshly computed (false). Restored points
 	// report before any fresh point runs; fresh points report after their
-	// checkpoint record (if any) has been written. Under point sharding the
-	// hook is called concurrently from shard goroutines, so it must be safe
+	// checkpoint record (if any) has been written. Points overlap, so the
+	// hook is called concurrently from several goroutines: it must be safe
 	// for concurrent use and should return quickly. The hook observes
 	// progress only — it cannot alter results, and it is not part of the
 	// journal fingerprint.
@@ -161,8 +169,9 @@ type SweepConfig struct {
 	// PointTimeout bounds each ATTEMPT of one grid point (build plus its
 	// full trial run); 0 means no timeout. A timed-out attempt counts as a
 	// retryable failure; its goroutine is abandoned (every attempt calls
-	// build afresh, so attempts never share state), which keeps a wedged
-	// point from hanging the grid.
+	// build afresh, so attempts never share state), and a trial worker it
+	// leaves wedged is replaced, which keeps a wedged point from hanging the
+	// grid.
 	PointTimeout time.Duration
 	// PointRetries is the number of ADDITIONAL attempts a failed point gets
 	// when its error is retryable; 0 means fail on first error. Retries
@@ -194,8 +203,8 @@ func (c SweepConfig) clampShards(grid Grid) SweepConfig {
 
 // pointConfig returns the montecarlo configuration of grid point pt: the
 // point's parameter-derived seed, and the per-point trial parallelism — the
-// full Workers budget when points run sequentially, or the budget split
-// across shards (at least 1 each) under point sharding.
+// full Workers budget, or under point sharding the budget split across
+// shards (at least 1 each), which a sequential sweep's shared pool ignores.
 func (c SweepConfig) pointConfig(pt GridPoint) montecarlo.Config {
 	workers := c.Workers
 	if c.PointWorkers > 1 {
@@ -210,13 +219,39 @@ func (c SweepConfig) pointConfig(pt GridPoint) montecarlo.Config {
 	return montecarlo.Config{Trials: c.Trials, Workers: workers, Seed: c.PointSeed(pt)}
 }
 
+// trialRun is where one attempt of a point runs its trials. In a
+// sequential sweep that is the sweep's shared pool, and fed admits the next
+// point; it must be called once every trial of the point is on a worker
+// (lastTrialFeeds does that). Under sharding pool is nil — each point runs
+// on workers of its own — and fed is nil.
+type trialRun struct {
+	pool *montecarlo.Pool
+	fed  func()
+}
+
+// lastTrialFeeds wraps fn so that the start of its last trial calls fed:
+// the pool hands trials out in index order, so by then every trial of the
+// run is on a worker. A nil fed leaves fn as it is.
+func lastTrialFeeds[T any](fn func(int, *rng.Rand) (T, error), trials int, fed func()) func(int, *rng.Rand) (T, error) {
+	if fed == nil {
+		return fn
+	}
+	return func(trial int, r *rng.Rand) (T, error) {
+		if trial == trials-1 {
+			fed()
+		}
+		return fn(trial, r)
+	}
+}
+
 // runPoints executes fn for every grid point and returns the results in
-// Points() order regardless of scheduling. PointWorkers = 0 runs points
-// sequentially on the calling goroutine (the historical sweep behavior);
-// otherwise min(PointWorkers, points) shard goroutines pull points off a
-// queue. fn observes a context that is cancelled as soon as any point fails,
-// so in-flight points stop promptly; all shards are always fully drained
-// before return.
+// Points() order regardless of scheduling. PointWorkers = 0 runs the points
+// in order on one shared trial pool, admitting each as the one before it
+// has handed out its last trial (runAdmitted); otherwise min(PointWorkers,
+// points) shard goroutines pull points off a queue (runSharded). fn
+// observes a context that is cancelled as soon as any point fails, so
+// in-flight points stop promptly; every point is always fully drained
+// before return. A sweep with no pending point starts no goroutine.
 //
 // Every point executes under the supervisor (runSupervised): panics in
 // build become point errors, attempts are bounded by cfg.PointTimeout, and
@@ -229,7 +264,7 @@ func (c SweepConfig) pointConfig(pt GridPoint) montecarlo.Config {
 // order, preferring genuine point errors over the cancellation fallout they
 // caused in concurrently running points.
 func runPoints[R any](ctx context.Context, grid Grid, cfg SweepConfig, codec pointCodec[R],
-	fn func(ctx context.Context, pt GridPoint) (R, error)) ([]R, error) {
+	fn func(ctx context.Context, pt GridPoint, tr trialRun) (R, error)) ([]R, error) {
 	pts := grid.Points()
 	out := make([]R, len(pts))
 	jw, cached, err := cfg.journalSetup(codec.kind, grid)
@@ -259,70 +294,42 @@ func runPoints[R any](ctx context.Context, grid Grid, cfg SweepConfig, codec poi
 			}
 		}
 	}
-	// run supervises one point and checkpoints its fresh result.
-	run := func(ctx context.Context, pt GridPoint) (R, error) {
-		r, err := runSupervised(ctx, cfg, pt, fn)
-		if err != nil {
-			return r, err
+	if len(pending) == 0 {
+		return out, nil
+	}
+
+	errs := make([]error, len(pts))
+	cancelCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	// exec supervises one point, checkpoints its fresh result and lands it
+	// (or its error, which cancels the sweep).
+	exec := func(pt GridPoint, tr trialRun) {
+		r, err := runSupervised(cancelCtx, cfg, pt, func(ctx context.Context, pt GridPoint) (R, error) {
+			return fn(ctx, pt, tr)
+		})
+		if err == nil && jw != nil {
+			var raw []byte
+			if raw, err = codec.encode(r); err != nil {
+				err = fmt.Errorf("experiment: checkpointing point %v: %w", pt, err)
+			} else {
+				err = jw.writePoint(pt, cfg.PointSeed(pt), raw)
+			}
 		}
-		if jw != nil {
-			raw, err := codec.encode(r)
-			if err != nil {
-				return r, fmt.Errorf("experiment: checkpointing point %v: %w", pt, err)
-			}
-			if err := jw.writePoint(pt, cfg.PointSeed(pt), raw); err != nil {
-				return r, err
-			}
+		if err != nil {
+			errs[pt.Index] = err
+			cancel()
+			return
 		}
 		if cfg.PointDone != nil {
 			cfg.PointDone(pt, false)
 		}
-		return r, nil
+		out[pt.Index] = r
 	}
 	if cfg.PointWorkers <= 0 {
-		for _, pt := range pending {
-			r, err := run(ctx, pt)
-			if err != nil {
-				return nil, err
-			}
-			out[pt.Index] = r
-		}
-		return out, nil
+		runAdmitted(cancelCtx, cfg, pending, exec)
+	} else {
+		runSharded(cancelCtx, cfg.PointWorkers, pending, exec)
 	}
-
-	// cfg arrives clampShards-ed from the Sweep* entry points, so the shard
-	// count here and the per-point worker split in pointConfig agree.
-	shards := cfg.PointWorkers
-	errs := make([]error, len(pts))
-	cancelCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	pointCh := make(chan GridPoint)
-	var wg sync.WaitGroup
-	wg.Add(shards)
-	for s := 0; s < shards; s++ {
-		go func() {
-			defer wg.Done()
-			for pt := range pointCh {
-				r, err := run(cancelCtx, pt)
-				if err != nil {
-					errs[pt.Index] = err
-					cancel()
-					continue
-				}
-				out[pt.Index] = r
-			}
-		}()
-	}
-feed:
-	for _, pt := range pending {
-		select {
-		case pointCh <- pt:
-		case <-cancelCtx.Done():
-			break feed
-		}
-	}
-	close(pointCh)
-	wg.Wait()
 
 	// First error in Points() order. A genuine point failure cancels the
 	// shared context, making concurrently running EARLIER points fail with a
@@ -349,6 +356,80 @@ feed:
 	return out, nil
 }
 
+// runAdmitted runs the pending points of a sequential sweep in order on one
+// pool of cfg.Workers trial workers (fewer if the sweep has fewer trials).
+// Point i+1 is admitted — exec starts on its own goroutine — once point i
+// has handed its last trial to a worker or has ended, and while fewer than
+// workers + 1 points are open, so at most one open point is still handing
+// out trials. Admission stops when ctx is cancelled; every admitted point
+// has ended before return.
+func runAdmitted(ctx context.Context, cfg SweepConfig, pending []GridPoint, exec func(GridPoint, trialRun)) {
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	workers = max(1, min(workers, cfg.Trials*len(pending)))
+	pool := montecarlo.NewPool(workers)
+	defer pool.Close()
+	open := make(chan struct{}, workers+1)
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for _, pt := range pending {
+		select {
+		case open <- struct{}{}:
+		case <-ctx.Done():
+		}
+		if ctx.Err() != nil {
+			return
+		}
+		fed := make(chan struct{})
+		var once sync.Once
+		admit := func() { once.Do(func() { close(fed) }) }
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-open }()
+			defer admit()
+			exec(pt, trialRun{pool: pool, fed: admit})
+		}()
+		select {
+		case <-fed:
+		case <-ctx.Done():
+		}
+	}
+}
+
+// runSharded runs the pending points on min(shards, points) goroutines that
+// pull points off a queue until it is drained or ctx is cancelled; every
+// shard has ended before return. Each point runs its trials on workers of
+// its own.
+func runSharded(ctx context.Context, shards int, pending []GridPoint, exec func(GridPoint, trialRun)) {
+	// The Sweep* entry points clamp shards to the grid (clampShards), so
+	// the shard count here and the per-point worker split in pointConfig
+	// agree.
+	pointCh := make(chan GridPoint)
+	var wg sync.WaitGroup
+	wg.Add(shards)
+	for s := 0; s < shards; s++ {
+		go func() {
+			defer wg.Done()
+			for pt := range pointCh {
+				exec(pt, trialRun{})
+			}
+		}()
+	}
+feed:
+	for _, pt := range pending {
+		select {
+		case pointCh <- pt:
+		case <-ctx.Done():
+			break feed
+		}
+	}
+	close(pointCh)
+	wg.Wait()
+}
+
 // PointSeed returns the deterministic Monte Carlo base seed of grid point pt
 // under this sweep configuration. The seed is a function of the point's
 // parameters, not its grid index, so extending any grid axis leaves the
@@ -373,23 +454,24 @@ type MeanResult struct {
 }
 
 // SweepProportion estimates a success proportion at every grid point. build
-// is called once per point, on the goroutine that will run the point's
-// trials, and returns the trial to run there (typically closing over a
-// sampler or wsn.DeployerPool for that point's parameters). With
-// cfg.PointWorkers = 0 points run sequentially and trials within a point run
-// across the worker pool; with PointWorkers > 0 grid points are sharded
-// across a pool of long-lived workers (see SweepConfig.PointWorkers) and the
-// estimates are bit-identical to the sequential run.
+// is called once per point attempt, on the goroutine that supervises the
+// point, and returns the trial to run (typically closing over a sampler or
+// wsn.DeployerPool for that point's parameters); the trials run on
+// montecarlo workers, several at once. With cfg.PointWorkers = 0 the points
+// run in order on one shared trial pool, overlapping at their boundaries;
+// with PointWorkers > 0 grid points are sharded across a pool of
+// long-lived workers (see SweepConfig.PointWorkers). The estimates are
+// bit-identical either way.
 func SweepProportion(ctx context.Context, grid Grid, cfg SweepConfig,
 	build func(pt GridPoint) (montecarlo.Trial, error)) ([]ProportionResult, error) {
 	cfg = cfg.clampShards(grid)
 	return runPoints(ctx, grid, cfg, proportionCodec(),
-		func(ctx context.Context, pt GridPoint) (ProportionResult, error) {
+		func(ctx context.Context, pt GridPoint, tr trialRun) (ProportionResult, error) {
 			trial, err := build(pt)
 			if err != nil {
 				return ProportionResult{}, fmt.Errorf("experiment: sweep point %v: %w", pt, err)
 			}
-			est, err := montecarlo.EstimateProportion(ctx, cfg.pointConfig(pt), trial)
+			est, err := tr.pool.EstimateProportion(ctx, cfg.pointConfig(pt), lastTrialFeeds(trial, cfg.Trials, tr.fed))
 			if err != nil {
 				return ProportionResult{}, fmt.Errorf("experiment: sweep point %v: %w", pt, err)
 			}
@@ -412,12 +494,12 @@ func SweepMeanVec(ctx context.Context, grid Grid, cfg SweepConfig, dims int,
 	build func(pt GridPoint) (montecarlo.SampleVec, error)) ([]MeanVecResult, error) {
 	cfg = cfg.clampShards(grid)
 	return runPoints(ctx, grid, cfg, meanVecCodec(dims),
-		func(ctx context.Context, pt GridPoint) (MeanVecResult, error) {
+		func(ctx context.Context, pt GridPoint, tr trialRun) (MeanVecResult, error) {
 			sample, err := build(pt)
 			if err != nil {
 				return MeanVecResult{}, fmt.Errorf("experiment: sweep point %v: %w", pt, err)
 			}
-			sums, err := montecarlo.EstimateMeanVec(ctx, cfg.pointConfig(pt), dims, sample)
+			sums, err := tr.pool.EstimateMeanVec(ctx, cfg.pointConfig(pt), dims, lastTrialFeeds(sample, cfg.Trials, tr.fed))
 			if err != nil {
 				return MeanVecResult{}, fmt.Errorf("experiment: sweep point %v: %w", pt, err)
 			}
@@ -433,12 +515,12 @@ func SweepMean(ctx context.Context, grid Grid, cfg SweepConfig,
 	build func(pt GridPoint) (montecarlo.Sample, error)) ([]MeanResult, error) {
 	cfg = cfg.clampShards(grid)
 	return runPoints(ctx, grid, cfg, meanCodec(),
-		func(ctx context.Context, pt GridPoint) (MeanResult, error) {
+		func(ctx context.Context, pt GridPoint, tr trialRun) (MeanResult, error) {
 			sample, err := build(pt)
 			if err != nil {
 				return MeanResult{}, fmt.Errorf("experiment: sweep point %v: %w", pt, err)
 			}
-			sum, err := montecarlo.EstimateMean(ctx, cfg.pointConfig(pt), sample)
+			sum, err := tr.pool.EstimateMean(ctx, cfg.pointConfig(pt), lastTrialFeeds(sample, cfg.Trials, tr.fed))
 			if err != nil {
 				return MeanResult{}, fmt.Errorf("experiment: sweep point %v: %w", pt, err)
 			}

@@ -116,91 +116,216 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// run feeds trials 0..cfg.Trials-1 to cfg.Workers workers (cfg already
-// defaulted) and hands each successful trial's value to keep, under a lock,
-// so keep needs no synchronization of its own. The first failing trial — an
-// error or a recovered panic — stops the feed and is returned wrapped with
-// its index; a cancelled ctx stops the feed too, and the caller reads
-// ctx.Err. Workers are always fully drained before return.
-func run[T any](ctx context.Context, cfg Config, fn func(int, *rng.Rand) (T, error), keep func(trial int, v T)) error {
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	trialCh := make(chan int)
-	cancelCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
+// Pool is a set of trial workers shared by any number of runs: the
+// Estimate methods of one Pool may run one after another or overlap, and
+// their trials interleave on the same goroutines. A sequential sweep runs
+// every grid point on one Pool, so a point's last trials overlap the next
+// point's first ones instead of leaving workers idle at the boundary. A
+// run's results never depend on which worker ran which trial: trial i
+// always runs on stream rng.NewStream(cfg.Seed, i).
+//
+// A worker still inside a trial of a cancelled run (an abandoned sweep
+// attempt whose trial never returns, say) is detached and replaced, so the
+// pool keeps its size; the detached goroutine exits when its trial
+// returns. A nil *Pool runs each call on cfg.Workers goroutines of its own,
+// exactly like the package-level EstimateProportion.
+type Pool struct {
+	tasks chan task
+	// quit stops the workers. tasks is never closed: a cancelled run may
+	// still be in its feed when the pool closes.
+	quit chan struct{}
+	// wg counts the pool's places: a detached worker hands its place to its
+	// replacement.
+	wg sync.WaitGroup
+}
 
-	wg.Add(cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		go func() {
-			defer wg.Done()
-			// One reseeded generator per worker: trial i always observes the
-			// exact NewStream(Seed, i) state, with no per-trial allocation.
-			var r rng.Rand
-			for trial := range trialCh {
-				r.ReseedStream(cfg.Seed, uint64(trial))
-				v, err := safeCall(fn, trial, &r)
-				mu.Lock()
-				if err == nil {
-					keep(trial, v)
-				} else if firstErr == nil {
-					firstErr = fmt.Errorf("montecarlo: trial %d: %w", trial, err)
-				}
-				mu.Unlock()
-				if err != nil {
-					cancel()
-					return
-				}
+// task is one trial of one run, handed to a worker.
+type task struct {
+	run   runner
+	trial int
+}
+
+// runner is a run as its workers see it.
+type runner interface {
+	// exec runs one trial on r and reports whether the worker keeps its
+	// place in the pool.
+	exec(trial int, r *rng.Rand) bool
+}
+
+// NewPool starts a pool of workers goroutines; 0 or less means
+// runtime.NumCPU(). Close it when its runs are done.
+func NewPool(workers int) *Pool {
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	p := &Pool{tasks: make(chan task), quit: make(chan struct{})}
+	p.wg.Add(workers)
+	for range workers {
+		go p.work()
+	}
+	return p
+}
+
+// Close stops the workers and waits for them. Every run on the pool must
+// have returned or been cancelled; only detached workers may outlive Close.
+func (p *Pool) Close() {
+	close(p.quit)
+	p.wg.Wait()
+}
+
+func (p *Pool) work() {
+	// One reseeded generator per worker: trial i always observes the exact
+	// NewStream(Seed, i) state, with no per-trial allocation.
+	var r rng.Rand
+	for {
+		select {
+		case t := <-p.tasks:
+			if !t.run.exec(t.trial, &r) {
+				return // detached: the replacement holds this place
 			}
-		}()
+		case <-p.quit:
+			p.wg.Done()
+			return
+		}
+	}
+}
+
+// runState is one run's trial function, aggregation and progress.
+type runState[T any] struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+	seed   uint64
+	fn     func(int, *rng.Rand) (T, error)
+	keep   func(trial int, v T)
+	// pending counts the trials handed out and not yet returned.
+	pending sync.WaitGroup
+
+	// mu guards the fields below and serializes keep.
+	mu       sync.Mutex
+	inflight int  // trials executing now
+	detached bool // the run was cancelled; its executing workers were replaced
+	err      error
+}
+
+func (rn *runState[T]) exec(trial int, r *rng.Rand) bool {
+	defer rn.pending.Done()
+	rn.mu.Lock()
+	if rn.ctx.Err() != nil {
+		// Cancelled before the trial started: skip it.
+		rn.mu.Unlock()
+		return true
+	}
+	rn.inflight++
+	rn.mu.Unlock()
+
+	r.ReseedStream(rn.seed, uint64(trial))
+	v, err := safeCall(rn.fn, trial, r)
+
+	rn.mu.Lock()
+	rn.inflight--
+	stay := !rn.detached
+	if err == nil {
+		rn.keep(trial, v)
+	} else if rn.err == nil {
+		rn.err = fmt.Errorf("montecarlo: trial %d: %w", trial, err)
+	}
+	rn.mu.Unlock()
+	if err != nil {
+		rn.cancel()
+	}
+	return stay
+}
+
+// detach replaces every worker executing one of the cancelled run's trials.
+// A worker that starts a trial after the cancellation skips it, and one
+// whose trial returned first keeps its place, so each replacement stands in
+// for exactly one worker that will leave.
+func (rn *runState[T]) detach(p *Pool) {
+	rn.mu.Lock()
+	rn.detached = true
+	n := rn.inflight
+	rn.mu.Unlock()
+	for range n {
+		go p.work()
+	}
+}
+
+// run feeds trials 0..cfg.Trials-1 to the workers of p (cfg already
+// defaulted) and hands each successful trial's value to keep, under the
+// run's lock, so keep needs no synchronization of its own. A nil p runs
+// the trials on a pool of cfg.Workers goroutines owned by this run. The
+// first failing trial — an error or a recovered panic — stops the feed and
+// is returned wrapped with its index; a cancelled ctx stops the feed too,
+// and the caller reads ctx.Err. Every trial handed to a worker has returned
+// before run does.
+func run[T any](ctx context.Context, p *Pool, cfg Config, fn func(int, *rng.Rand) (T, error), keep func(trial int, v T)) error {
+	rctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	rn := &runState[T]{ctx: rctx, cancel: cancel, seed: cfg.Seed, fn: fn, keep: keep}
+	if p == nil {
+		// No other run shares these workers, so a cancelled run has none
+		// to replace.
+		p = NewPool(cfg.Workers)
+		defer p.Close()
+	} else {
+		// Once the run is cancelled, a worker still inside one of its
+		// trials is detached from the shared pool and replaced, so a trial
+		// that never returns (an abandoned attempt's) cannot shrink it.
+		defer context.AfterFunc(rctx, func() { rn.detach(p) })()
 	}
 
 feed:
 	for trial := 0; trial < cfg.Trials; trial++ {
+		rn.pending.Add(1)
 		select {
-		case trialCh <- trial:
-		case <-cancelCtx.Done():
+		case p.tasks <- task{run: rn, trial: trial}:
+		case <-rctx.Done():
+			rn.pending.Done()
 			break feed
 		}
 	}
-	close(trialCh)
-	wg.Wait()
-	return firstErr
+	rn.pending.Wait()
+	return rn.err
 }
 
 // EstimateProportion runs cfg.Trials independent trials of fn and returns
 // the success proportion. It stops early (returning the context error) when
 // ctx is cancelled; workers are always fully drained before return.
 func EstimateProportion(ctx context.Context, cfg Config, fn Trial) (stats.Proportion, error) {
+	return (*Pool)(nil).EstimateProportion(ctx, cfg, fn)
+}
+
+// EstimateProportion is the package-level EstimateProportion on p's
+// workers; cfg.Workers plays no part unless p is nil.
+func (p *Pool) EstimateProportion(ctx context.Context, cfg Config, fn Trial) (stats.Proportion, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return stats.Proportion{}, err
 	}
-	var p stats.Proportion
-	if err := run(ctx, cfg, fn, func(_ int, ok bool) {
-		p.Trials++
+	var prop stats.Proportion
+	if err := run(ctx, p, cfg, fn, func(_ int, ok bool) {
+		prop.Trials++
 		if ok {
-			p.Successes++
+			prop.Successes++
 		}
 	}); err != nil {
 		return stats.Proportion{}, err
 	}
 	if err := ctx.Err(); err != nil {
-		return p, fmt.Errorf("montecarlo: cancelled after %d/%d trials: %w", p.Trials, cfg.Trials, err)
+		return prop, fmt.Errorf("montecarlo: cancelled after %d/%d trials: %w", prop.Trials, cfg.Trials, err)
 	}
-	return p, nil
+	return prop, nil
 }
 
 // Sample is a trial producing a numeric observation.
 type Sample func(trial int, r *rng.Rand) (float64, error)
 
-// EstimateMean runs cfg.Trials trials of fn and aggregates the observations
-// into a Summary (mean, variance, extremes). It is EstimateMeanVec with one
-// component, so the concurrency/cancellation behavior is shared.
-func EstimateMean(ctx context.Context, cfg Config, fn Sample) (*stats.Summary, error) {
-	summaries, err := EstimateMeanVec(ctx, cfg, 1,
+// EstimateMean runs cfg.Trials trials of fn on p's workers and aggregates
+// the observations into a Summary (mean, variance, extremes). It is
+// EstimateMeanVec with one component, so the concurrency/cancellation
+// behavior is shared.
+func (p *Pool) EstimateMean(ctx context.Context, cfg Config, fn Sample) (*stats.Summary, error) {
+	summaries, err := p.EstimateMeanVec(ctx, cfg, 1,
 		func(trial int, r *rng.Rand) ([]float64, error) {
 			v, err := fn(trial, r)
 			if err != nil {
@@ -220,10 +345,12 @@ func EstimateMean(ctx context.Context, cfg Config, fn Sample) (*stats.Summary, e
 // without paying the sampling cost per statistic.
 type SampleVec func(trial int, r *rng.Rand) ([]float64, error)
 
-// EstimateMeanVec runs cfg.Trials trials of fn and aggregates component i of
-// every observation into its own Summary. fn must return exactly dims values
-// each trial; a mismatch aborts the run.
-func EstimateMeanVec(ctx context.Context, cfg Config, dims int, fn SampleVec) ([]*stats.Summary, error) {
+// EstimateMeanVec runs cfg.Trials trials of fn on p's workers and
+// aggregates component i of every observation into its own Summary. fn must
+// return exactly dims values each trial; a mismatch aborts the run. Like
+// EstimateProportion, it stops early when ctx is cancelled, and every
+// trial handed out has returned before it does.
+func (p *Pool) EstimateMeanVec(ctx context.Context, cfg Config, dims int, fn SampleVec) ([]*stats.Summary, error) {
 	if dims <= 0 {
 		return nil, fmt.Errorf("montecarlo: dims must be positive, got %d", dims)
 	}
@@ -241,7 +368,7 @@ func EstimateMeanVec(ctx context.Context, cfg Config, dims int, fn SampleVec) ([
 		}
 		return v, err
 	}
-	if err := run(ctx, cfg, checked, func(trial int, v []float64) { values[trial] = v }); err != nil {
+	if err := run(ctx, p, cfg, checked, func(trial int, v []float64) { values[trial] = v }); err != nil {
 		return nil, err
 	}
 	summaries := make([]*stats.Summary, dims)
@@ -273,7 +400,7 @@ func Collect(ctx context.Context, cfg Config, fn Sample) ([]float64, error) {
 		return nil, err
 	}
 	values := make([]float64, cfg.Trials)
-	if err := run(ctx, cfg, fn, func(trial int, v float64) { values[trial] = v }); err != nil {
+	if err := run(ctx, nil, cfg, fn, func(trial int, v float64) { values[trial] = v }); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {

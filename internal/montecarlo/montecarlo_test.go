@@ -13,6 +13,9 @@ import (
 	"github.com/secure-wsn/qcomposite/internal/rng"
 )
 
+// own is the nil Pool: each call runs on cfg.Workers goroutines of its own.
+var own *Pool
+
 func TestEstimateProportionBasic(t *testing.T) {
 	got, err := EstimateProportion(context.Background(), Config{Trials: 10000, Workers: 8, Seed: 1},
 		func(trial int, r *rng.Rand) (bool, error) {
@@ -116,7 +119,7 @@ func TestEstimateProportionCancellation(t *testing.T) {
 }
 
 func TestEstimateMean(t *testing.T) {
-	s, err := EstimateMean(context.Background(), Config{Trials: 5000, Workers: 8, Seed: 3},
+	s, err := own.EstimateMean(context.Background(), Config{Trials: 5000, Workers: 8, Seed: 3},
 		func(trial int, r *rng.Rand) (float64, error) {
 			return r.Float64(), nil
 		})
@@ -136,7 +139,7 @@ func TestEstimateMean(t *testing.T) {
 
 func TestEstimateMeanDeterministicOrder(t *testing.T) {
 	run := func(workers int) float64 {
-		s, err := EstimateMean(context.Background(), Config{Trials: 1000, Workers: workers, Seed: 9},
+		s, err := own.EstimateMean(context.Background(), Config{Trials: 1000, Workers: workers, Seed: 9},
 			func(trial int, r *rng.Rand) (float64, error) {
 				return r.Float64(), nil
 			})
@@ -152,7 +155,7 @@ func TestEstimateMeanDeterministicOrder(t *testing.T) {
 
 func TestEstimateMeanError(t *testing.T) {
 	wantErr := errors.New("bad trial")
-	_, err := EstimateMean(context.Background(), Config{Trials: 50, Workers: 4, Seed: 1},
+	_, err := own.EstimateMean(context.Background(), Config{Trials: 50, Workers: 4, Seed: 1},
 		func(trial int, r *rng.Rand) (float64, error) {
 			if trial == 7 {
 				return 0, wantErr
@@ -247,7 +250,7 @@ func TestTrialPanicIsolation(t *testing.T) {
 		checkPanic(t, err)
 	})
 	t.Run("meanvec", func(t *testing.T) {
-		_, err := EstimateMeanVec(context.Background(), cfg, 1,
+		_, err := own.EstimateMeanVec(context.Background(), cfg, 1,
 			func(trial int, r *rng.Rand) ([]float64, error) {
 				if trial == 37 {
 					panic("trial exploded")
@@ -257,7 +260,7 @@ func TestTrialPanicIsolation(t *testing.T) {
 		checkPanic(t, err)
 	})
 	t.Run("mean", func(t *testing.T) {
-		_, err := EstimateMean(context.Background(), cfg,
+		_, err := own.EstimateMean(context.Background(), cfg,
 			func(trial int, r *rng.Rand) (float64, error) {
 				if trial == 37 {
 					panic("trial exploded")
@@ -303,5 +306,82 @@ func TestTransientMarking(t *testing.T) {
 	wrapped := fmt.Errorf("trial 3: %w", Transient(cause))
 	if !errors.Is(wrapped, ErrTransient) {
 		t.Error("fmt-wrapped transient error lost the marker")
+	}
+}
+
+// TestPoolSharedByOverlappingRuns runs several estimates at once on one
+// Pool: each must equal the same estimate on workers of its own, since
+// trial i always runs on stream (Seed, i) whichever worker takes it.
+func TestPoolSharedByOverlappingRuns(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	trial := func(trial int, r *rng.Rand) (bool, error) { return r.Bernoulli(0.4), nil }
+	got := make([]int, 6)
+	done := make(chan struct{})
+	for i := range got {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			est, err := p.EstimateProportion(context.Background(), Config{Trials: 300, Seed: uint64(i)}, trial)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = est.Successes
+		}()
+	}
+	for range got {
+		<-done
+	}
+	for i, successes := range got {
+		want, err := EstimateProportion(context.Background(), Config{Trials: 300, Workers: 3, Seed: uint64(i)}, trial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if successes != want.Successes {
+			t.Errorf("seed %d: %d successes on the shared pool, %d on its own", i, successes, want.Successes)
+		}
+	}
+}
+
+// TestPoolReplacesWorkerOfCancelledRun: on a one-worker Pool, a run whose
+// trial never returns is cancelled. The pool detaches that worker and
+// starts a replacement, so the next run still completes; the cancelled run
+// returns once its trial does, and Close does not wait for the wedged
+// goroutine.
+func TestPoolReplacesWorkerOfCancelledRun(t *testing.T) {
+	p := NewPool(1)
+	wedge := make(chan struct{})
+	started := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	wedged := make(chan error, 1)
+	go func() {
+		_, err := p.EstimateProportion(ctx, Config{Trials: 4, Seed: 1}, func(trial int, r *rng.Rand) (bool, error) {
+			if trial == 0 {
+				close(started)
+				<-wedge
+			}
+			return true, nil
+		})
+		wedged <- err
+	}()
+	<-started
+	cancel()
+	est, err := p.EstimateProportion(context.Background(), Config{Trials: 5, Seed: 2},
+		func(trial int, r *rng.Rand) (bool, error) { return true, nil })
+	if err != nil || est.Successes != 5 {
+		t.Fatalf("run after the cancelled one: %+v, %v; want 5 successes", est, err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		p.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close waited for the wedged worker")
+	}
+	close(wedge)
+	if err := <-wedged; !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled run returned %v, want context.Canceled", err)
 	}
 }

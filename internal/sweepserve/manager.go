@@ -169,9 +169,13 @@ type Options struct {
 	// QueueDepth bounds jobs queued behind the workers; 0 means 1024. A
 	// full queue rejects submissions with ErrQueueFull.
 	QueueDepth int
-	// PointWorkers and TrialWorkers are handed to the sweep engine
-	// (SweepConfig.PointWorkers, montecarlo.Config.Workers). Scheduling
-	// knobs only: never part of result identity.
+	// PointWorkers and TrialWorkers are handed to each job's sweep
+	// (SweepConfig.PointWorkers and SweepConfig.Workers). With the default
+	// PointWorkers = 0 a job runs its points in order on one pool of
+	// TrialWorkers goroutines, the points overlapping at their boundaries;
+	// PointWorkers > 0 shards the job's points, dividing TrialWorkers
+	// among the shards. TrialWorkers = 0 means all CPUs. Scheduling knobs
+	// only: never part of result identity.
 	PointWorkers int
 	TrialWorkers int
 	// WrapTrialBuild, when set, wraps every proportion-kind job's trial

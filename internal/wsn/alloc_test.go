@@ -23,7 +23,8 @@ import (
 // channel.RowDraw crossing allocation-free. Every mode runs on
 // each way a row is drawn: the native on/off and full-visibility rows and
 // the grouped rows of a disk and a labelled two-class heterogeneous
-// channel.
+// channel, on a fresh Deployer and on one retargeted from another
+// configuration.
 func TestConnectivityTrialAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate needs the full n=1000 deployment")
@@ -40,20 +41,35 @@ func TestConnectivityTrialAllocBudget(t *testing.T) {
 	// with their channel. The disk and heterogeneous draws keep their
 	// scratch in a sync.Pool, which the race detector empties at random,
 	// so those arms run without it only.
-	for prefix, cfg := range map[string]Config{
-		"":           {Sensors: 1000, Scheme: scheme, Channel: channel.OnOff{P: 0.5}},
-		"always-on/": {Sensors: 500, Scheme: scheme, Channel: channel.AlwaysOn{}},
-		"disk/":      {Sensors: 500, Scheme: scheme, Channel: channel.Disk{Radius: 0.2}},
-		"hetero/":    {Sensors: 500, Scheme: hetero, Channel: channel.UniformHeterOnOff(2, 0.5)},
-	} {
-		if raceEnabled && (prefix == "disk/" || prefix == "hetero/") {
+	arms := []struct {
+		prefix string
+		cfg    Config
+	}{
+		{"", Config{Sensors: 1000, Scheme: scheme, Channel: channel.OnOff{P: 0.5}}},
+		{"always-on/", Config{Sensors: 500, Scheme: scheme, Channel: channel.AlwaysOn{}}},
+		{"disk/", Config{Sensors: 500, Scheme: scheme, Channel: channel.Disk{Radius: 0.2}}},
+		{"hetero/", Config{Sensors: 500, Scheme: hetero, Channel: channel.UniformHeterOnOff(2, 0.5)}},
+	}
+	// Every arm runs twice: on a fresh Deployer, and (prefixed
+	// "retargeted/") on one Deployer that reaches each configuration
+	// retargeted from the arm before, as DeployerPool.Get hands out a
+	// Deployer another configuration returned. The race detector slows
+	// this single-goroutine test severalfold, so under it only the fresh
+	// arms run.
+	moved := newDeployer(arms[len(arms)-1].cfg)
+	for _, arm := range arms {
+		if raceEnabled && (arm.prefix == "disk/" || arm.prefix == "hetero/") {
 			continue
 		}
-		d, err := NewDeployer(cfg)
+		d, err := NewDeployer(arm.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireTrialsAllocFree(t, prefix, d)
+		requireTrialsAllocFree(t, arm.prefix, d)
+		if !raceEnabled {
+			moved.retarget(arm.cfg)
+			requireTrialsAllocFree(t, "retargeted/"+arm.prefix, moved)
+		}
 	}
 }
 

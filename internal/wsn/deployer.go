@@ -146,11 +146,20 @@ func (d *Deployer) deploy(cfg Config, r *rng.Rand) (*Network, error) {
 
 // DeployerPool shares one deployment configuration across concurrent Monte
 // Carlo workers: each worker borrows a Deployer per trial, so buffers are
-// amortized per worker without any locking on the deploy path.
+// amortized per worker without any locking on the deploy path. Every pool
+// returns its Deployers to one process-wide free list, which the garbage
+// collector may empty, so a Deployer may come back to Get from another
+// configuration: Get retargets it to this pool's, keeping its grown
+// buffers (ring arena and sampler, intersector index, sinks, skip tables).
+// A worker moving on to the next grid point of a sweep thus keeps its warm
+// Deployer, and a retargeted Deployer deploys exactly what a fresh one
+// would.
 type DeployerPool struct {
-	cfg  Config
-	pool sync.Pool
+	cfg Config
 }
+
+// deployers is the free list every DeployerPool shares.
+var deployers sync.Pool
 
 // NewDeployerPool validates the configuration once and returns the pool.
 func NewDeployerPool(cfg Config) (*DeployerPool, error) {
@@ -163,12 +172,24 @@ func NewDeployerPool(cfg Config) (*DeployerPool, error) {
 // Get borrows a Deployer. Return it with Put when the trial is done with
 // the deployed network.
 func (p *DeployerPool) Get() *Deployer {
-	if d, ok := p.pool.Get().(*Deployer); ok {
+	if d, ok := deployers.Get().(*Deployer); ok {
+		d.retarget(p.cfg)
 		return d
 	}
 	return newDeployer(p.cfg)
 }
 
-// Put returns a borrowed Deployer to the pool. Networks deployed from it
-// must no longer be used.
-func (p *DeployerPool) Put(d *Deployer) { p.pool.Put(d) }
+// Put returns a borrowed Deployer to the free list. Networks deployed from
+// it must no longer be used.
+func (p *DeployerPool) Put(d *Deployer) { deployers.Put(d) }
+
+// retarget points an idle Deployer at another validated configuration. Every
+// buffer sizes itself per pass from the configuration it reads, so only the
+// intersector, whose bitmap stride is fixed by its pool size, is dropped
+// when the pool size changes.
+func (d *Deployer) retarget(cfg Config) {
+	if d.ix != nil && d.cfg.Scheme.PoolSize() != cfg.Scheme.PoolSize() {
+		d.ix = nil
+	}
+	d.cfg = cfg
+}

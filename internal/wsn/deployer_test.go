@@ -3,6 +3,9 @@ package wsn
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
+	"sync"
 	"testing"
 
 	"github.com/secure-wsn/qcomposite/internal/channel"
@@ -240,6 +243,122 @@ func TestDeployerPoolConcurrent(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("pooled estimate not reproducible: %v vs %v", a, b)
+	}
+}
+
+// TestRetargetedDeployerMatchesFresh pins the contract of the shared
+// Deployer free list: a Deployer that DeployerPool.Get retargets from
+// another configuration deploys and decides exactly what a fresh Deployer
+// does. One Deployer cycles through every deployerConfigs entry — differing
+// in sensor count, pool size, channel model and scheme, heterogeneous ones
+// included — forwards and then backwards, so every entry is reached from
+// two different predecessors, and at each stop every mode must match a
+// fresh Deployer's topology, statistics and verdicts seed for seed.
+func TestRetargetedDeployerMatchesFresh(t *testing.T) {
+	cfgs := deployerConfigs(t)
+	names := slices.Sorted(maps.Keys(cfgs))
+	order := append(slices.Clone(names), names[:len(names)-1]...)
+	slices.Reverse(order[len(names):])
+	d, err := NewDeployer(cfgs[names[len(names)-1]])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range order {
+		cfg := cfgs[name]
+		d.retarget(cfg)
+		fresh, err := NewDeployer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := uint64(0); seed < 3; seed++ {
+			at := fmt.Sprintf("stop %d (%s) seed %d", i, name, seed)
+			want, err := fresh.Deploy(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := d.Deploy(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameNetwork(t, want, got)
+
+			wantDeg, err := fresh.DeployDegreeStats(seed, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotDeg, err := d.DeployDegreeStats(seed, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotDeg != wantDeg {
+				t.Fatalf("%s: degree stats %+v, want %+v", at, gotDeg, wantDeg)
+			}
+			verdicts := map[string]func(d *Deployer, r *rng.Rand) (any, error){
+				"connectivity": func(d *Deployer, r *rng.Rand) (any, error) { return d.DeployConnectivityRand(r) },
+				"kconn-1":      func(d *Deployer, r *rng.Rand) (any, error) { return d.KConnectedRand(r, 1) },
+				"kconn-2":      func(d *Deployer, r *rng.Rand) (any, error) { return d.KConnectedRand(r, 2) },
+				"mindegree-2":  func(d *Deployer, r *rng.Rand) (any, error) { return d.MinDegreeAtLeastRand(r, 2) },
+				"degree-count": func(d *Deployer, r *rng.Rand) (any, error) { return d.DegreeCountRand(r, 1) },
+			}
+			for mode, verdict := range verdicts {
+				wantV, err := verdict(fresh, rng.New(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotV, err := verdict(d, rng.New(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gotV != wantV {
+					t.Fatalf("%s: %s = %v, want %v", at, mode, gotV, wantV)
+				}
+			}
+		}
+	}
+}
+
+// TestDeployerPoolsShareDeployers runs two pools of different
+// configurations at once, so their Deployers pass back and forth through
+// the shared free list: each estimate must equal its pool's estimate run
+// alone. With -race this is the concurrency check on retargeting.
+func TestDeployerPoolsShareDeployers(t *testing.T) {
+	cfgs := deployerConfigs(t)
+	var pools []*DeployerPool
+	for _, name := range []string{"onoff-dense", "onoff-sparse", "hetero-heterchannel", "disk-torus"} {
+		p, err := NewDeployerPool(cfgs[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		pools = append(pools, p)
+	}
+	estimate := func(p *DeployerPool) int {
+		est, err := montecarlo.EstimateProportion(context.Background(), montecarlo.Config{Trials: 24, Workers: 3, Seed: 8},
+			func(trial int, r *rng.Rand) (bool, error) {
+				d := p.Get()
+				defer p.Put(d)
+				return d.KConnectedRand(r, 1)
+			})
+		if err != nil {
+			t.Error(err)
+		}
+		return est.Successes
+	}
+	alone := make([]int, len(pools))
+	for i, p := range pools {
+		alone[i] = estimate(p)
+	}
+	together := make([]int, len(pools))
+	var wg sync.WaitGroup
+	for i, p := range pools {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			together[i] = estimate(p)
+		}()
+	}
+	wg.Wait()
+	if !slices.Equal(alone, together) {
+		t.Errorf("estimates run together %v, run alone %v", together, alone)
 	}
 }
 
