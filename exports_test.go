@@ -42,7 +42,6 @@ var exportAllowlist = map[string]string{
 	"internal/graph.Undirected.Edges":           "graphalgo tests replay a graph's edge list",
 	"internal/graph.Undirected.DegreeHistogram": "wsn tests check the streamed degree counts and min-degree statistics against it",
 	"internal/keys.NewRing":                     "wsn tests plant rings holding out-of-pool keys",
-	"internal/keys.Ring.SharedWith":             "wsn tests check link keys against the rings' shared keys",
 	"internal/randgraph.Geometric":              "channel's disk pins compare the disk channel with it",
 	"internal/stats.ChiSquare":                  "stattest's tests check Pearson statistics against it",
 	"internal/theory.HeteroConnProbability":     "the stattest heterogeneous gate predicts with it",

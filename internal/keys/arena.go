@@ -9,8 +9,8 @@ import (
 // RingArena amortizes ring storage across repeated assignments: all key IDs
 // of an assignment live in one flat backing slice and the Ring headers in one
 // slice, so assigning n rings costs O(1) allocations after the first use.
-// Each ring is drawn already sorted (rng.SubsetSampler.AppendSortedSample)
-// straight into the flat slice, so no ring is copied or sorted.
+// Each ring is drawn (rng.SubsetSampler.AppendSample) straight into the flat
+// slice and kept in draw order, so no ring is copied or sorted.
 //
 // Rings returned by an arena-backed assignment are views into the arena and
 // remain valid only until the next assignment into the same arena. The zero
@@ -24,9 +24,9 @@ type RingArena struct {
 
 // ensureSampler returns a SubsetSampler over [0, pool), reusing the cached
 // one when the pool matches. A SubsetSampler rolls its permutation back
-// and clears its bitmaps after every draw, so a cached one behaves exactly
-// like a fresh one and can be reused across assignments (it is the arena's
-// largest single buffer).
+// after every draw, so a cached one behaves exactly like a fresh one and
+// can be reused across assignments (it is the arena's largest single
+// buffer).
 func (a *RingArena) ensureSampler(pool int) (*rng.SubsetSampler, error) {
 	if a.sampler == nil || a.sampler.Universe() != pool {
 		var err error
@@ -54,11 +54,11 @@ func (a *RingArena) reserve(n, totalIDs int) {
 }
 
 // appendRing samples one ring of the given size into the arena. A subset
-// has distinct elements and the draw is ascending, so the appended IDs are
-// already a valid ring.
+// has distinct elements, so the appended IDs, in draw order, are already a
+// valid ring.
 func (a *RingArena) appendRing(r *rng.Rand, sampler *rng.SubsetSampler, size int) error {
 	start := len(a.ids)
-	ids, err := sampler.AppendSortedSample(r, size, a.ids)
+	ids, err := sampler.AppendSample(r, size, a.ids)
 	if err != nil {
 		return err
 	}

@@ -7,7 +7,9 @@ import (
 )
 
 // assignmentFingerprint folds an assignment's class labels, ring sizes and
-// ring IDs, followed by the generator's next output, into an FNV-1a hash.
+// ring IDs (each ring as its ascending copy, so the hash pins the set a
+// sensor holds, not the order it was drawn in), followed by the
+// generator's next output, into an FNV-1a hash.
 // Two assignments collide only if they are (with overwhelming probability)
 // ring-for-ring identical and left the generator at the same position.
 func assignmentFingerprint(asg Assignment, next uint64) uint64 {
@@ -27,7 +29,7 @@ func assignmentFingerprint(asg Assignment, next uint64) uint64 {
 	for v, ring := range asg.Rings {
 		mix(uint64(asg.Label(v)))
 		mix(uint64(ring.Len()))
-		for _, k := range ring.ids {
+		for _, k := range ring.IDs() {
 			mix(uint64(uint32(k)))
 		}
 	}
@@ -39,7 +41,8 @@ func assignmentFingerprint(asg Assignment, next uint64) uint64 {
 // fixed seeds, through both Assign and AssignInto: the plateau and Figure-1
 // shapes of the q-composite scheme, Eschenauer–Gligor, and a 2-class
 // heterogeneous mixture. The hashes were recorded from the sort-per-ring
-// assignment that preceded the sorted subset draw. One arena serves every
+// assignment that preceded the sorted subset draw, and still hold for the
+// draw-order rings kept since. One arena serves every
 // case in turn, so its cached sampler is swapped between pool sizes. Any
 // change to which keys a sensor draws or to how many generator outputs an
 // assignment consumes flips a hash and fails this test.

@@ -2,7 +2,7 @@ package keys
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // SharedCount returns |ring(u) ∩ ring(v)| without allocating.
@@ -18,11 +18,12 @@ func (x *Intersector) SharedCount(u, v int32) int {
 		}
 		return c
 	}
-	return x.rings[u].SharedCount(x.rings[v])
+	x.mark(u)
+	return x.marks.Count(x.rings[v])
 }
 
-// AppendShared appends the sorted shared keys of rings u and v to dst and
-// returns the extended slice.
+// AppendShared appends the shared keys of rings u and v to dst in ascending
+// order and returns the extended slice.
 func (x *Intersector) AppendShared(u, v int32, dst []ID) []ID {
 	if x.dense {
 		a, b := x.row(u), x.row(v)
@@ -36,7 +37,33 @@ func (x *Intersector) AppendShared(u, v int32, dst []ID) []ID {
 		}
 		return dst
 	}
-	return x.rings[u].AppendShared(x.rings[v], dst)
+	start := len(dst)
+	x.mark(u)
+	dst = x.marks.AppendShared(x.rings[v], dst)
+	slices.Sort(dst[start:])
+	return dst
+}
+
+// mergeShared is the oracle every intersection is checked against: the
+// sorted merge of ascending copies of the two rings, which holds whatever
+// order the rings keep their keys in.
+func mergeShared(a, b Ring) []ID {
+	x, y := a.IDs(), b.IDs()
+	shared := []ID{}
+	i, j := 0, 0
+	for i < len(x) && j < len(y) {
+		switch {
+		case x[i] == y[j]:
+			shared = append(shared, x[i])
+			i++
+			j++
+		case x[i] < y[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return shared
 }
 
 // Label returns sensor v's class index.
@@ -52,7 +79,4 @@ func (a Assignment) Label(v int) int {
 func (s *QComposite) RingSize() int { return s.ring }
 
 // Contains reports whether the ring holds key k.
-func (r Ring) Contains(k ID) bool {
-	i := sort.Search(len(r.ids), func(i int) bool { return r.ids[i] >= k })
-	return i < len(r.ids) && r.ids[i] == k
-}
+func (r Ring) Contains(k ID) bool { return slices.Contains(r.ids, k) }

@@ -2,6 +2,7 @@ package keys
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/secure-wsn/qcomposite/internal/rng"
@@ -204,7 +205,8 @@ func TestOneClassHeterogeneousMatchesQComposite(t *testing.T) {
 // FuzzHeterogeneousClassBoundaries fuzzes the class-boundary machinery:
 // arbitrary mixture cuts and ring sizes must either be rejected by
 // validation or produce assignments whose every label is in range and whose
-// every ring matches its class's size exactly.
+// every ring matches its class's size exactly and holds distinct in-pool
+// keys, the same set as its ascending copy.
 func FuzzHeterogeneousClassBoundaries(f *testing.F) {
 	f.Add(uint64(1), 0.5, 0.25, uint8(3), uint8(9), uint8(27))
 	f.Add(uint64(7), 0.999999, 1e-7, uint8(1), uint8(1), uint8(255))
@@ -237,18 +239,18 @@ func FuzzHeterogeneousClassBoundaries(f *testing.F) {
 				t.Fatalf("sensor %d (class %d) ring size %d, want %d",
 					v, label, ring.Len(), classes[label].RingSize)
 			}
-			prev := ID(-1)
-			bad := false
+			var drawn []ID
 			ring.ForEachID(func(k ID) bool {
-				if k <= prev || k < 0 || int(k) >= pool {
-					bad = true
-					return false
+				if k < 0 || int(k) >= pool {
+					t.Fatalf("sensor %d key %d outside pool", v, k)
 				}
-				prev = k
+				drawn = append(drawn, k)
 				return true
 			})
-			if bad {
-				t.Fatalf("sensor %d ring not sorted/deduped in pool: %v", v, ring.IDs())
+			// Sorting and deduplicating the keys in draw order must keep
+			// every one of them and give the ring's ascending copy.
+			if want := NewRing(drawn).IDs(); len(want) != len(drawn) || !slices.Equal(ring.IDs(), want) {
+				t.Fatalf("sensor %d ring %v (ascending %v) is not a set of distinct keys", v, drawn, ring.IDs())
 			}
 		}
 	})

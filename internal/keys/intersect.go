@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // denseRingFactor selects the Intersector strategy: the flat-bitmap path
-// scans pool/64 words per query while the sorted merge scans up to 2·K
-// elements, so word-parallel intersection wins once pool ≤
-// denseRingFactor·K (i.e. the word count drops below the merge length).
+// scans pool/64 words per query while a probe tests the K keys of one ring
+// against the marks of the other, about 2·K operations, so word-parallel
+// intersection wins once pool ≤ denseRingFactor·K (i.e. the word count
+// drops below the probe's).
 const denseRingFactor = 128
 
 // Intersector answers ring-intersection queries over a fixed set of rings
@@ -18,8 +20,9 @@ const denseRingFactor = 128
 //   - dense: when rings are dense relative to the pool (K ≥
 //     pool/denseRingFactor) every ring is indexed as a pool-width bitmap and
 //     a query intersects two rows word-parallel, stride = ⌈pool/64⌉ words;
-//   - merge: otherwise a query is the sorted merge of Ring.SharedCount /
-//     SharedAtLeast, up to 2·K̄ IDs;
+//   - probe: otherwise ring(u) is marked in a pool-sized bitmap (RingMarks),
+//     once for as long as the queries keep to u, and a query tests the K̄
+//     keys of ring(v) against the marks;
 //   - row: the counts |ring(u) ∩ ring(w)| for every sensor w, read from a
 //     lazily built key→holders index. A row has two halves — the sensors
 //     above u and those below — and each is counted, in one pass over the
@@ -27,31 +30,34 @@ const denseRingFactor = 128
 //     its side. Every later query on that side with u (or v) as the row's
 //     owner is one counter read.
 //
+// No strategy depends on the order of a ring's keys: rings are kept in the
+// order they were drawn.
+//
 // Queries reach the Intersector in two ways. A streaming deployment hands
-// it rows: BeginRow announces sensor u with the number of channel
-// neighbours about to be queried, and RowHasAtLeast answers each (u, v).
-// The row's length decides on arrival whether counting u's row pays: a
-// half row costs about Σ_{k∈ring(u)} h_k/2 ≈ K̄·ΣK/(2P) counter increments
-// for holder counts h_k, a direct query costs stride words (dense) or 2·K̄
-// IDs (merge), and Reset derives the break-even query count from the
-// rings (at least two). A row that reaches it is counted before its first
-// query; a shorter one is answered directly, so no row starts with a merge
-// or a bitmap AND only to be counted later. Sparse rings (Figure 1) count
-// most rows; the dense plateau, with a break-even in the hundreds, counts
-// only the longest.
+// it whole rows: AppendAtLeast takes sensor u with its channel neighbours
+// and returns those it shares at least q keys with. The row's length
+// decides on arrival whether counting u's row pays: a half row costs about
+// Σ_{k∈ring(u)} h_k/2 ≈ K̄·ΣK/(2P) counter increments for holder counts
+// h_k, a direct query costs stride words (dense) or about 2·K̄ operations
+// (probe), and Reset derives the break-even query count from the rings (at
+// least two). A row that reaches it is counted before it is answered; a
+// shorter one is answered directly, so no row starts with a probe or a
+// bitmap AND only to be counted later. Sparse rings (Figure 1) count most
+// rows; the dense plateau, with a break-even in the hundreds, counts only
+// the longest.
 //
-// Per-edge callers use HasAtLeast and SharedCount, for which a sensor
-// claims the row on the query that brings a run of consecutive queries
-// sharing it (as first or as second argument) to the break-even count. An
-// edge stream that walks u in order — CSR ForEachEdge, say — only asks
-// about pairs (u, w) with w > u, so it counts upper halves alone and, when
-// rings are sparse, claims a row on the second query of a sensor; shuffled
-// queries almost never do. There is no setting: the choice depends only on
-// the rings and the order or shape of the queries.
+// Per-edge callers use HasAtLeast, for which a sensor claims the row on the
+// query that brings a run of consecutive queries sharing it (as first or
+// as second argument) to the break-even count. An edge stream that walks u
+// in order — CSR ForEachEdge, say — only asks about pairs (u, w) with
+// w > u, so it counts upper halves alone and, when rings are sparse,
+// claims a row on the second query of a sensor; shuffled queries almost
+// never do. There is no setting: the choice depends only on the rings and
+// the order or shape of the queries.
 //
-// HasAtLeast and RowHasAtLeast are split so that their hot case — u owns
-// the row, its upper half is counted and v > u — is an inlinable counter
-// read at the call site; every other query takes the out-of-line path.
+// HasAtLeast is split so that its hot case — u owns the row, its upper
+// half is counted and v > u — is an inlinable counter read at the call
+// site; every other query takes the out-of-line path.
 //
 // All three strategies compute the exact integer |ring(u) ∩ ring(v)| from
 // the same rings, and none draws randomness, so every answer is identical
@@ -64,15 +70,20 @@ const denseRingFactor = 128
 // instead of the pointer-chase's two to three. At the streaming-ladder
 // design point (P = 512, stride = 8) each ring is exactly one cache line.
 //
-// An Intersector amortizes its arena, key index and row counters across
-// Reset calls (memory O(n + ΣK + P)), making it suitable for repeated
-// deployments. It is not safe for concurrent use.
+// An Intersector amortizes its arena, marks, key index and row counters
+// across Reset calls (memory O(n + ΣK + P)), making it suitable for
+// repeated deployments. It is not safe for concurrent use.
 type Intersector struct {
 	pool   int
 	rings  []Ring
 	dense  bool
 	stride int
 	flat   []uint64
+
+	// Probing: marks hold the keys of ring(markedU), or none when markedU
+	// is -1.
+	marks   RingMarks
+	markedU int32
 
 	// Row counting. The index and counters are allocated on the first row,
 	// so configurations whose runs never reach breakEven never pay for them.
@@ -85,7 +96,7 @@ type Intersector struct {
 	rowU      int32   // sensor owning the current row, or -1
 	hiU       int32   // rowU once its upper half (w > rowU) is counted, or -1
 	loU       int32   // rowU once its lower half (w < rowU) is counted, or -1
-	rowCnt    []int32 // |ring(rowU) ∩ ring(w)| on counted halves; zero elsewhere
+	rowCnt    []int32 // |ring(rowU) ∩ ring(w)| on counted halves and at rowU; zero elsewhere
 	touched   []int32 // sensors with a nonzero rowCnt
 	runU      int32   // sensor the current run of queries shares
 	runAlt    int32   // the run's other candidate while it has one query
@@ -98,17 +109,19 @@ func NewIntersector(pool int) (*Intersector, error) {
 	if pool <= 0 {
 		return nil, fmt.Errorf("keys: intersector pool size %d must be positive", pool)
 	}
-	return &Intersector{pool: pool, stride: (pool + 63) / 64, rowU: -1, hiU: -1, loU: -1, runU: -1, runAlt: -1}, nil
+	return &Intersector{pool: pool, stride: (pool + 63) / 64, markedU: -1, rowU: -1, hiU: -1, loU: -1, runU: -1, runAlt: -1}, nil
 }
 
 // Reset points the Intersector at a new set of rings (typically one
-// deployment's assignment), drops the previous row and key index, derives
-// the row break-even count, and rebuilds the bitmap arena if the dense
-// strategy is selected. Ring IDs must lie in [0, pool): Reset reports an
-// error otherwise, whichever strategy the rings would select, and the
+// deployment's assignment), drops the previous marks, row and key index,
+// derives the row break-even count, and rebuilds the bitmap arena if the
+// dense strategy is selected. Ring IDs must lie in [0, pool): Reset reports
+// an error otherwise, whichever strategy the rings would select, and the
 // Intersector must not be queried until a later Reset succeeds.
 func (x *Intersector) Reset(rings []Ring) error {
 	x.rings = rings
+	x.marks.Reset(x.pool)
+	x.markedU = -1
 	x.clearRow()
 	x.indexed = false
 	x.dense = false
@@ -121,13 +134,10 @@ func (x *Intersector) Reset(rings []Ring) error {
 			minRing = l
 		}
 		total += l
-		// Ring IDs are sorted, so the two ends bound the whole ring.
-		if l > 0 && (r.ids[0] < 0 || int(r.ids[l-1]) >= x.pool) {
-			k := r.ids[0]
-			if k >= 0 {
-				k = r.ids[l-1]
+		for _, k := range r.ids {
+			if k < 0 || int(k) >= x.pool {
+				return fmt.Errorf("keys: intersector: ring %d key %d outside pool [0,%d)", i, k, x.pool)
 			}
-			return fmt.Errorf("keys: intersector: ring %d key %d outside pool [0,%d)", i, k, x.pool)
 		}
 	}
 	x.dense = len(rings) > 0 && x.pool <= denseRingFactor*minRing
@@ -168,6 +178,14 @@ func (x *Intersector) row(i int32) []uint64 {
 	return x.flat[int(i)*x.stride : (int(i)+1)*x.stride]
 }
 
+// mark makes the marks hold ring(u), unless they already do.
+func (x *Intersector) mark(u int32) {
+	if x.markedU != u {
+		x.marks.Mark(x.rings[u])
+		x.markedU = u
+	}
+}
+
 // rowOther returns the endpoint of (u, v) that does not own the current
 // row; it is meaningful only when one of them does.
 func (x *Intersector) rowOther(u, v int32) int32 { return u ^ v ^ x.rowU }
@@ -193,8 +211,9 @@ func (x *Intersector) extendRun(u, v int32) bool {
 	return true
 }
 
-// claimRow makes u the owner of an empty row, building the key index and
-// the row counters on first use.
+// claimRow makes u the owner of a row with no half counted, building the
+// key index and the row counters on first use. The counter at u itself
+// holds |ring(u)|, so a query of u against itself reads it like any other.
 func (x *Intersector) claimRow(u int32) {
 	if !x.indexed {
 		x.buildIndex()
@@ -205,6 +224,8 @@ func (x *Intersector) claimRow(u int32) {
 		x.touched = make([]int32, 0, n)
 	}
 	x.rowU = u
+	x.rowCnt[u] = int32(x.rings[u].Len())
+	x.touched = append(x.touched, u)
 }
 
 // clearRow zeroes the current row's counters and drops its owner.
@@ -221,8 +242,6 @@ func (x *Intersector) clearRow() {
 func (x *Intersector) rowCount(w int32) int {
 	u := x.rowU
 	switch {
-	case w == u:
-		return x.rings[u].Len()
 	case w > u && x.hiU != u:
 		x.countHalf(true)
 		x.hiU = u
@@ -306,12 +325,11 @@ func (x *Intersector) buildIndex() {
 	x.indexed = true
 }
 
-// HasAtLeast reports whether rings u and v share at least q keys. It is the
-// hot predicate of shared-key discovery — every emitted channel edge of a
-// streaming deployment passes through here — so its common case is small
-// enough to inline: when u owns the current row with its upper half counted
-// and v > u, the answer is one counter read (correct for q ≤ 0 too, since
-// counts are never negative). Every other query goes to hasAtLeast.
+// HasAtLeast reports whether rings u and v share at least q keys. Its
+// common case is small enough to inline: when u owns the current row with
+// its upper half counted and v > u, the answer is one counter read (correct
+// for q ≤ 0 too, since counts are never negative). Every other query goes
+// to hasAtLeast.
 func (x *Intersector) HasAtLeast(u, v int32, q int) bool {
 	if u == x.hiU && v > u {
 		return int(x.rowCnt[v]) >= q
@@ -322,9 +340,8 @@ func (x *Intersector) HasAtLeast(u, v int32, q int) bool {
 // hasAtLeast is HasAtLeast's out-of-line path. A query whose u or v owns
 // the current row reads (counting its half first if needed) the row;
 // otherwise it may claim a row (see Intersector) or falls back to the dense
-// bitmap or the sorted merge, both of which short-circuit once q shared
-// keys are found. The answer is the exact count compared with q whichever
-// path served it.
+// bitmap, which stops once q shared keys are found, or to a probe. The
+// answer is the exact count compared with q whichever path served it.
 func (x *Intersector) hasAtLeast(u, v int32, q int) bool {
 	if q <= 0 {
 		return true
@@ -332,12 +349,6 @@ func (x *Intersector) hasAtLeast(u, v int32, q int) bool {
 	if x.rowU == u || x.rowU == v || x.extendRun(u, v) {
 		return x.rowCount(x.rowOther(u, v)) >= q
 	}
-	return x.directAtLeast(u, v, q)
-}
-
-// directAtLeast answers a query without the row: the dense bitmap or the
-// sorted merge, each stopping once q shared keys are found.
-func (x *Intersector) directAtLeast(u, v int32, q int) bool {
 	if x.dense {
 		a, b := x.row(u), x.row(v)
 		c := 0
@@ -349,42 +360,64 @@ func (x *Intersector) directAtLeast(u, v int32, q int) bool {
 		}
 		return false
 	}
-	return x.rings[u].SharedAtLeast(x.rings[v], q)
+	x.mark(u)
+	return x.marks.Count(x.rings[v]) >= q
 }
 
-// BeginRow announces a row: the queries (u, v) that RowHasAtLeast is about
-// to answer for length channel neighbours v of u, the unit a streaming
-// deployment draws (channel.RowDraw). The row's length decides on arrival
-// what the run detection of HasAtLeast decides only on a run's
-// breakEven-th query: a row of at least breakEven queries makes u the
-// owner of the counted row before its first query, and a shorter row's
-// queries go straight to the bitmap or the merge. A row whose u already
-// owns the counted row keeps it.
-func (x *Intersector) BeginRow(u int32, length int) {
-	if length >= x.breakEven && x.rowU != u {
+// AppendAtLeast answers one row of queries: it appends to dst, in the order
+// of vs, every v in vs whose ring shares at least q keys with ring(u), and
+// returns the extended slice. dst must not overlap vs. A row of at least
+// breakEven queries makes u the owner of the counted row before it is
+// answered (a row whose u already owns it keeps it); a shorter row is
+// answered directly, without the run detection of HasAtLeast. Each
+// strategy decides every v of the row the same way and then compacts
+// without a branch on the answer: a counted row reads its counters, a dense
+// row ANDs and counts the whole bitmap row of every v, and a short sparse
+// row probes every ring(v) against the marks of ring(u).
+func (x *Intersector) AppendAtLeast(u int32, vs []int32, q int, dst []int32) []int32 {
+	if q <= 0 {
+		return append(dst, vs...)
+	}
+	if len(vs) >= x.breakEven && x.rowU != u {
 		x.claimRow(u)
 	}
+	start := len(dst)
+	dst = slices.Grow(dst, len(vs))
+	out := dst[start : start+len(vs)]
+	n := 0
+	switch {
+	case x.rowU == u:
+		for _, v := range vs {
+			if (v > u && x.hiU != u) || (v < u && x.loU != u) {
+				x.rowCount(v)
+			}
+		}
+		cnt := x.rowCnt
+		for _, v := range vs {
+			out[n] = v
+			n += atLeast(int(cnt[v]), q)
+		}
+	case x.dense:
+		a := x.row(u)
+		for _, v := range vs {
+			b := x.row(v)[:len(a)]
+			c := 0
+			for i, w := range a {
+				c += bits.OnesCount64(w & b[i])
+			}
+			out[n] = v
+			n += atLeast(c, q)
+		}
+	default:
+		x.mark(u)
+		for _, v := range vs {
+			out[n] = v
+			n += atLeast(x.marks.Count(x.rings[v]), q)
+		}
+	}
+	return dst[:start+n]
 }
 
-// RowHasAtLeast reports whether rings u and v share at least q keys, for a
-// query of the row BeginRow announced. Like HasAtLeast its common case —
-// u owns the row, its upper half is counted and v > u — is an inlinable
-// counter read; every other query reads the row if u or v owns it, or
-// else intersects directly, without the run detection of HasAtLeast.
-func (x *Intersector) RowHasAtLeast(u, v int32, q int) bool {
-	if u == x.hiU && v > u {
-		return int(x.rowCnt[v]) >= q
-	}
-	return x.rowHasAtLeast(u, v, q)
-}
-
-// rowHasAtLeast is RowHasAtLeast's out-of-line path.
-func (x *Intersector) rowHasAtLeast(u, v int32, q int) bool {
-	if q <= 0 {
-		return true
-	}
-	if x.rowU == u || x.rowU == v {
-		return x.rowCount(x.rowOther(u, v)) >= q
-	}
-	return x.directAtLeast(u, v, q)
-}
+// atLeast returns 1 if c ≥ q and 0 otherwise, without a branch, for counts
+// c ≥ 0 and q ≥ 1.
+func atLeast(c, q int) int { return int(uint(q-1-c) >> (bits.UintSize - 1)) }

@@ -2,6 +2,8 @@ package keys
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"github.com/secure-wsn/qcomposite/internal/rng"
@@ -88,8 +90,8 @@ func randomRings(t *testing.T, r *rng.Rand, pool, ring, n int) []Ring {
 
 // TestIntersectorMatchesMerge is the property test for the density-adaptive
 // path: across dense and sparse pool/ring ratios, the Intersector must agree
-// exactly with the sorted-merge reference (SharedWith/SharedCount) on count,
-// membership and order, whichever strategy it selects.
+// exactly with the merge oracle on count, membership and (ascending) order,
+// whichever strategy it selects.
 func TestIntersectorMatchesMerge(t *testing.T) {
 	r := rng.New(7)
 	cases := []struct {
@@ -119,7 +121,7 @@ func TestIntersectorMatchesMerge(t *testing.T) {
 			}
 			for u := int32(0); u < n; u++ {
 				for v := u + 1; v < n; v++ {
-					wantShared := rings[u].SharedWith(rings[v])
+					wantShared := mergeShared(rings[u], rings[v])
 					if got := ix.SharedCount(u, v); got != len(wantShared) {
 						t.Fatalf("pool=%d: SharedCount(%d,%d) = %d, want %d",
 							tc.pool, u, v, got, len(wantShared))
@@ -292,10 +294,10 @@ func checkQueries(t *testing.T, name string, ix *Intersector, rings []Ring, quer
 
 // checkQuery issues query i as HasAtLeast (with q cycling through 1..3)
 // for even i and as SharedCount for odd i, and checks the answer against
-// the sorted merge of the rings.
+// the merge oracle.
 func checkQuery(t *testing.T, name string, ix *Intersector, rings []Ring, i int, p pair) {
 	t.Helper()
-	want := rings[p.u].SharedCount(rings[p.v])
+	want := len(mergeShared(rings[p.u], rings[p.v]))
 	if i%2 == 0 {
 		q := 1 + i/2%3
 		if got := ix.HasAtLeast(p.u, p.v, q); got != (want >= q) {
@@ -306,7 +308,7 @@ func checkQuery(t *testing.T, name string, ix *Intersector, rings []Ring, i int,
 	}
 }
 
-// TestIntersectorRowsMatchMerge pins the row strategy to the sorted merge
+// TestIntersectorRowsMatchMerge pins the row strategy to the merge oracle
 // over every query order the emitters produce — u-major, column-major (the
 // v-owns-the-row branch), heterogeneous class blocks — and a shuffled order
 // that must (almost) never build rows. Back-to-back Resets with a different
@@ -337,7 +339,7 @@ func TestIntersectorRowsMatchMerge(t *testing.T) {
 	} {
 		reset(rings)
 		if ix.Dense() {
-			t.Fatal("K = 40, P = 10000 should select the merge strategy")
+			t.Fatal("K = 40, P = 10000 should select the probe strategy")
 		}
 		if rows := checkQueries(t, tc.name, ix, rings, tc.queries); rows < n/2 {
 			t.Errorf("%s: %d rows over %d sensors, want most sensors to own one", tc.name, rows, n)
@@ -402,48 +404,83 @@ func TestIntersectorRowsMatchMerge(t *testing.T) {
 }
 
 // checkRows groups consecutive queries sharing their first argument into
-// rows and answers each row through BeginRow and RowHasAtLeast (q cycling
-// through 0..3), checking every answer against the sorted merge. A row of
-// at least breakEven queries must own the counted row before its first
-// query; a shorter one must not claim a row. After each row, one
-// HasAtLeast query on a random pair checks that per-edge queries
-// interleave with rows. It returns the number of counted rows.
-func checkRows(t *testing.T, name string, r *rng.Rand, ix *Intersector, rings []Ring, queries []pair) (counted int) {
+// rows and answers each row with one AppendAtLeast call (q cycling through
+// 0..3), checking that it appends, after dst's prefix, exactly the
+// neighbours the merge oracle finds secure, in row order. A row of at least
+// breakEven queries must own the counted row after the call; a shorter one
+// must not claim a row. After each row, one per-edge query on a random pair
+// checks that per-edge queries interleave with rows. It returns the number
+// of counted rows and of rows probed against marks.
+func checkRows(t *testing.T, name string, r *rng.Rand, ix *Intersector, rings []Ring, queries []pair) (counted, probed int) {
 	t.Helper()
+	var vs, want, dst []int32
 	for i := 0; i < len(queries); {
 		u, j := queries[i].u, i
 		for j < len(queries) && queries[j].u == u {
 			j++
 		}
+		q := i % 4
+		vs, want = vs[:0], append(want[:0], -1)
+		for _, p := range queries[i:j] {
+			vs = append(vs, p.v)
+			if len(mergeShared(rings[u], rings[p.v])) >= q {
+				want = append(want, p.v)
+			}
+		}
 		before := ix.rowU
-		ix.BeginRow(u, j-i)
+		dst = ix.AppendAtLeast(u, vs, q, append(dst[:0], -1))
+		if !slices.Equal(dst, want) {
+			t.Fatalf("%s: AppendAtLeast(%d, %v, %d) = %v, want %v", name, u, vs, q, dst[1:], want[1:])
+		}
 		switch {
+		case q == 0:
 		case j-i >= ix.breakEven:
 			if ix.rowU != u {
-				t.Fatalf("%s: row %d of %d queries (break-even %d) not claimed on arrival", name, u, j-i, ix.breakEven)
+				t.Fatalf("%s: row %d of %d queries (break-even %d) not claimed", name, u, j-i, ix.breakEven)
 			}
 			counted++
 		case ix.rowU != before:
 			t.Fatalf("%s: row %d of %d queries (break-even %d) claimed a row", name, u, j-i, ix.breakEven)
-		}
-		for k, p := range queries[i:j] {
-			q := (i + k) % 4
-			want := rings[p.u].SharedCount(rings[p.v])
-			if got := ix.RowHasAtLeast(p.u, p.v, q); got != (want >= q) {
-				t.Fatalf("%s: RowHasAtLeast(%d,%d,%d) = %v with %d shared", name, p.u, p.v, q, got, want)
-			}
+		case ix.rowU != u && !ix.dense:
+			probed++
 		}
 		a, b := int32(r.Intn(len(rings))), int32(r.Intn(len(rings)))
 		checkQuery(t, name, ix, rings, 0, pair{a, b})
 		i = j
 	}
-	return counted
+	return counted, probed
 }
 
-// TestIntersectorRowQueries pins the row API to the sorted merge: u-major
+// shuffledRows lists rows in a random sensor order, each a random subset
+// of the other sensors on both sides of u, in random order, and now and
+// then u itself: row shapes no emitter produces, which every strategy must
+// still answer exactly.
+func shuffledRows(r *rng.Rand, n int, p float64) []pair {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	r.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+	var ps []pair
+	for _, u := range order {
+		start := len(ps)
+		for v := 0; v < n; v++ {
+			if (v != u || r.Bernoulli(0.1)) && r.Bernoulli(p) {
+				ps = append(ps, pair{int32(u), int32(v)})
+			}
+		}
+		row := ps[start:]
+		r.Shuffle(len(row), func(i, j int) { row[i], row[j] = row[j], row[i] })
+	}
+	return ps
+}
+
+// TestIntersectorRowQueries pins the row call to the merge oracle: u-major
 // rows (on/off draws), rows that revisit a sensor and reach below it
-// (heterogeneous class blocks), sparse rings that count most rows and
-// dense rings whose break-even leaves short rows to the bitmap.
+// (heterogeneous class blocks), rows in arbitrary orders, sparse rings
+// that count most rows, sparse rings whose break-even leaves short rows to
+// the probe, and dense rings whose break-even leaves short rows to the
+// bitmap.
 func TestIntersectorRowQueries(t *testing.T) {
 	r := rng.New(47)
 	const pool, n = 10000, 300
@@ -455,9 +492,10 @@ func TestIntersectorRowQueries(t *testing.T) {
 	if err := ix.Reset(rings); err != nil {
 		t.Fatal(err)
 	}
-	if counted := checkRows(t, "u-major", r, ix, rings, uMajorPairs(r, n, 0.3)); counted < n/2 {
+	if counted, _ := checkRows(t, "u-major", r, ix, rings, uMajorPairs(r, n, 0.3)); counted < n/2 {
 		t.Errorf("u-major: %d counted rows over %d sensors, want most", counted, n)
 	}
+	checkRows(t, "shuffled rows", r, ix, rings, shuffledRows(r, n, 0.3))
 
 	het, err := NewHeterogeneous(pool, 2, []Class{{Mu: 0.6, RingSize: 20}, {Mu: 0.4, RingSize: 120}})
 	if err != nil {
@@ -470,8 +508,33 @@ func TestIntersectorRowQueries(t *testing.T) {
 	if err := ix.Reset(hasg.Rings); err != nil {
 		t.Fatal(err)
 	}
-	if counted := checkRows(t, "class blocks", r, ix, hasg.Rings, classBlockPairs(r, hasg.Labels, 2, 0.5)); counted == 0 {
+	if counted, _ := checkRows(t, "class blocks", r, ix, hasg.Rings, classBlockPairs(r, hasg.Labels, 2, 0.5)); counted == 0 {
 		t.Error("class blocks: no row counted")
+	}
+
+	// Sparse rings over many sensors: a break-even of 5, so the short rows
+	// of a thin draw are probed.
+	probe, err := NewIntersector(3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nProbe = 3000
+	rings = randomRings(t, r, 3000, 20, nProbe)
+	if err := probe.Reset(rings); err != nil || probe.Dense() || probe.breakEven != 5 {
+		t.Fatalf("K = 20, P = 3000, n = %d: Reset %v, Dense() = %v, break-even %d; want the probe strategy at 5",
+			nProbe, err, probe.Dense(), probe.breakEven)
+	}
+	for _, tc := range []struct {
+		name    string
+		queries []pair
+	}{
+		{"probed u-major", uMajorPairs(r, nProbe, 0.001)},
+		{"probed shuffled rows", shuffledRows(r, nProbe, 0.001)},
+	} {
+		counted, probed := checkRows(t, tc.name, r, probe, rings, tc.queries)
+		if counted == 0 || probed < nProbe/3 {
+			t.Errorf("%s: %d counted and %d probed rows, want both, mostly probed", tc.name, counted, probed)
+		}
 	}
 
 	dense, err := NewIntersector(600)
@@ -483,7 +546,66 @@ func TestIntersectorRowQueries(t *testing.T) {
 		t.Fatalf("K = 30, P = 600: Reset %v, Dense() = %v; want the dense strategy", err, dense.Dense())
 	}
 	checkRows(t, "dense", r, dense, rings, uMajorPairs(r, n, 0.05))
-	checkRows(t, "dense-complete", r, dense, rings, uMajorPairs(r, n, 1))
+	checkRows(t, "dense shuffled rows", r, dense, rings, shuffledRows(r, n, 0.05))
+	if counted, _ := checkRows(t, "dense-complete", r, dense, rings, uMajorPairs(r, n, 1)); counted == 0 {
+		t.Error("dense-complete: no row counted")
+	}
+}
+
+// TestIntersectorProbeAcrossResets pins that no mark outlives its rings:
+// one arena is assigned again and again, overwriting the rings the
+// previous Reset saw, and each deployment first asks about the sensor the
+// previous one marked last — in a short row holding the sensor itself at
+// q = K, or per edge against itself, by turns. Its ring shares all K keys with
+// itself; marks left from the overwritten ring, or cleared by re-reading
+// it, would share almost none.
+func TestIntersectorProbeAcrossResets(t *testing.T) {
+	const pool, ring, n = 3000, 20, 3000
+	s, err := NewQComposite(pool, ring, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := NewIntersector(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var arena RingArena
+	r := rng.New(48)
+	for round := 0; round < 6; round++ {
+		prev := ix.markedU
+		asg, err := s.AssignInto(r, n, &arena)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.Reset(asg.Rings); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case prev < 0:
+		case round%2 == 0:
+			vs := []int32{(prev + 1) % n, prev, (prev + 7) % n}
+			want := []int32{}
+			for _, v := range vs {
+				if len(mergeShared(asg.Rings[prev], asg.Rings[v])) >= ring {
+					want = append(want, v)
+				}
+			}
+			if got := ix.AppendAtLeast(prev, vs, ring, nil); !slices.Equal(got, want) {
+				t.Fatalf("round %d: AppendAtLeast(%d, %v, %d) = %v, want %v", round, prev, vs, ring, got, want)
+			}
+			if ix.rowU == prev {
+				t.Fatalf("round %d: a row of %d claimed a row at break-even %d", round, len(vs), ix.breakEven)
+			}
+		default:
+			if got := ix.SharedCount(prev, prev); got != ring {
+				t.Fatalf("round %d: SharedCount(%d,%d) = %d, want %d", round, prev, prev, got, ring)
+			}
+		}
+		_, probed := checkRows(t, fmt.Sprintf("round %d", round), r, ix, asg.Rings, uMajorPairs(r, n, 0.001))
+		if probed == 0 || ix.markedU < 0 {
+			t.Fatalf("round %d: %d rows probed, marks on %d", round, probed, ix.markedU)
+		}
+	}
 }
 
 // halfUse records, for one row owner, whether it was claimed by a query
@@ -648,9 +770,10 @@ func TestIntersectorSelfQueries(t *testing.T) {
 }
 
 // FuzzIntersectorQueries decodes arbitrary bytes into rings over a small
-// pool plus a query sequence — fresh pairs, runs on the first or second
-// argument, and Resets to a prefix of the rings — and checks every answer
-// against the sorted merge.
+// pool, each holding distinct keys in the order given, plus a query
+// sequence — fresh pairs, runs on the first or second argument, whole rows
+// of arbitrary neighbours, and Resets to a prefix of the rings — and checks
+// every answer, per edge or per row, against the merge oracle.
 func FuzzIntersectorQueries(f *testing.F) {
 	f.Add([]byte{199, 5, 3, 1, 2, 3, 3, 2, 3, 4, 2, 1, 9, 0, 4, 0, 1, 65, 2, 65, 3, 65, 4, 129, 0, 129, 1, 192, 2, 0, 1})
 	f.Add([]byte{40, 3, 10, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 0, 7, 2, 1, 65, 0, 66, 1, 67, 2})
@@ -659,6 +782,9 @@ func FuzzIntersectorQueries(f *testing.F) {
 	// owner and as a run's first query.
 	f.Add([]byte{49, 3, 5, 1, 2, 3, 4, 5, 5, 3, 4, 5, 6, 7, 4, 1, 3, 5, 7, 3, 2, 4, 6, 0, 0, 4, 0, 2, 1, 66, 0, 68, 1, 65, 2, 70, 3, 64, 2, 128, 3, 130, 1, 132, 0, 129, 2})
 	f.Add([]byte{49, 3, 5, 1, 2, 3, 4, 5, 5, 3, 4, 5, 6, 7, 4, 1, 3, 5, 7, 3, 2, 4, 6, 3, 2, 66, 1, 67, 0, 65, 3, 68, 3, 6, 1, 129, 0, 130, 2, 131, 3})
+	// Rings out of order and whole rows: dense (pool 49), then sparse.
+	f.Add([]byte{48, 5, 4, 9, 2, 7, 1, 4, 7, 9, 3, 1, 3, 5, 3, 2, 1, 4, 3, 4, 9, 1, 2, 3, 0, 4, 1, 2, 3, 4, 7, 1, 3, 2, 0, 4, 0, 3, 4, 1, 2, 3})
+	f.Add([]byte{250, 6, 3, 200, 7, 90, 3, 90, 7, 1, 2, 7, 200, 3, 3, 200, 90, 7, 0, 1, 9, 3, 0, 5, 1, 2, 3, 4, 5, 7, 2, 4, 0, 1, 3, 4, 5, 15, 5, 4, 1, 2, 3, 4, 5, 195, 4, 3, 0, 3, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() (byte, bool) {
 			if len(data) == 0 {
@@ -680,9 +806,11 @@ func FuzzIntersectorQueries(f *testing.F) {
 			ids := make([]ID, 0, l%12)
 			for range l % 12 {
 				b, _ := next()
-				ids = append(ids, ID(int(b)%pool))
+				if k := ID(int(b) % pool); !slices.Contains(ids, k) {
+					ids = append(ids, k)
+				}
 			}
-			rings[i] = NewRing(ids)
+			rings[i] = Ring{ids: ids}
 		}
 		ix, err := NewIntersector(pool)
 		if err != nil {
@@ -693,6 +821,7 @@ func FuzzIntersectorQueries(f *testing.F) {
 			t.Fatal(err)
 		}
 		var u, v int32
+		var vs, got, want []int32
 		for {
 			a, ok1 := next()
 			b, ok2 := next()
@@ -715,14 +844,35 @@ func FuzzIntersectorQueries(f *testing.F) {
 				u, v = 0, 0
 				continue
 			}
-			want := live[u].SharedCount(live[v])
-			if a&1 == 0 {
-				q := int(a>>1) % 4
+			q := int(a>>2) % 4
+			switch a & 3 {
+			case 0, 2:
+				want := len(mergeShared(live[u], live[v]))
 				if got := ix.HasAtLeast(u, v, q); got != (want >= q) {
 					t.Fatalf("HasAtLeast(%d,%d,%d) = %v with %d shared", u, v, q, got, want)
 				}
-			} else if got := ix.SharedCount(u, v); got != want {
-				t.Fatalf("SharedCount(%d,%d) = %d, want %d", u, v, got, want)
+			case 1:
+				want := len(mergeShared(live[u], live[v]))
+				if got := ix.SharedCount(u, v); got != want {
+					t.Fatalf("SharedCount(%d,%d) = %d, want %d", u, v, got, want)
+				}
+			case 3:
+				// A row: v and up to 15 more neighbours from the data.
+				l, _ := next()
+				vs, want = append(vs[:0], v), want[:0]
+				for range l % 16 {
+					w, _ := next()
+					vs = append(vs, int32(w)%m)
+				}
+				for _, w := range vs {
+					if len(mergeShared(live[u], live[w])) >= q {
+						want = append(want, w)
+					}
+				}
+				got = ix.AppendAtLeast(u, vs, q, got[:0])
+				if !slices.Equal(got, want) {
+					t.Fatalf("AppendAtLeast(%d, %v, %d) = %v, want %v", u, vs, q, got, want)
+				}
 			}
 		}
 	})
@@ -795,4 +945,100 @@ func benchIntersector(b *testing.B, pool, ring, n int, dense bool) *Intersector 
 		b.Fatalf("P = %d, K = %d: Dense() = %v, want %v", pool, ring, ix.Dense(), dense)
 	}
 	return ix
+}
+
+// benchRow is one row of BenchmarkIntersectorRow: a sensor and its
+// neighbours.
+type benchRow struct {
+	u  int32
+	vs []int32
+}
+
+// BenchmarkIntersectorRow measures AppendAtLeast over the rows of one
+// deployment, Reset included, reported per query, at three shapes:
+//
+//   - plateau: dense rows (n = 5000, P = 512, K = 32, q = 2) of a u-major
+//     on/off draw at the plateau's p = 8·ln n/(0.594·n), about 57
+//     neighbours a row, far below the break-even of 625;
+//   - fig1: counted rows (n = 1000, P = 10⁴, K = 60, q = 2) of a u-major
+//     draw at p = 0.5, break-even 2;
+//   - probed: short sparse rows (n = 5000, P = 10⁴, K = 60, q = 2) of four
+//     random neighbours each, below the break-even of 8.
+func BenchmarkIntersectorRow(b *testing.B) {
+	uMajorRows := func(r *rng.Rand, n int, p float64) []benchRow {
+		var rows []benchRow
+		for u := int32(0); int(u) < n; u++ {
+			row := benchRow{u: u}
+			for v := u + 1; int(v) < n; v++ {
+				if r.Bernoulli(p) {
+					row.vs = append(row.vs, v)
+				}
+			}
+			if len(row.vs) > 0 {
+				rows = append(rows, row)
+			}
+		}
+		return rows
+	}
+	for _, sh := range []struct {
+		name          string
+		n, pool, ring int
+		dense         bool
+		rows          func(r *rng.Rand, n int) []benchRow
+	}{
+		{"plateau", 5000, 512, 32, true, func(r *rng.Rand, n int) []benchRow {
+			return uMajorRows(r, n, 8*math.Log(float64(n))/(0.594*float64(n)))
+		}},
+		{"fig1", 1000, 10000, 60, false, func(r *rng.Rand, n int) []benchRow { return uMajorRows(r, n, 0.5) }},
+		{"probed", 5000, 10000, 60, false, func(r *rng.Rand, n int) []benchRow {
+			rows := make([]benchRow, n)
+			for u := range rows {
+				rows[u].u = int32(u)
+				for range 4 {
+					rows[u].vs = append(rows[u].vs, int32(r.Intn(n)))
+				}
+			}
+			return rows
+		}},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			const q = 2
+			s, err := NewQComposite(sh.pool, sh.ring, q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			asg, err := s.AssignInto(rng.New(11), sh.n, new(RingArena))
+			if err != nil {
+				b.Fatal(err)
+			}
+			ix, err := NewIntersector(sh.pool)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows := sh.rows(rng.New(12), sh.n)
+			queries := 0
+			for _, row := range rows {
+				queries += len(row.vs)
+			}
+			var dst []int32
+			secure := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := ix.Reset(asg.Rings); err != nil {
+					b.Fatal(err)
+				}
+				secure = 0
+				for _, row := range rows {
+					dst = ix.AppendAtLeast(row.u, row.vs, q, dst[:0])
+					secure += len(dst)
+				}
+			}
+			if ix.Dense() != sh.dense {
+				b.Fatalf("Dense() = %v, want %v", ix.Dense(), sh.dense)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*queries), "ns/query")
+			b.ReportMetric(float64(secure)/float64(queries), "secure/query")
+		})
+	}
 }

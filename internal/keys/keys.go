@@ -23,9 +23,12 @@ import (
 // ID identifies a key within a pool.
 type ID = int32
 
-// Ring is a sensor's key ring: a sorted set of key IDs drawn from the pool.
+// Ring is a sensor's key ring: a set of distinct key IDs drawn from the
+// pool, held in draw order. Nothing that reads a ring depends on its order:
+// rings are intersected by marking one in a pool-sized bitmap and probing
+// the other (RingMarks), and IDs hands out an ascending copy.
 type Ring struct {
-	ids []ID // sorted ascending, no duplicates
+	ids []ID // distinct, in draw order
 }
 
 // NewRing builds a ring from the given IDs (copied, sorted, deduplicated).
@@ -37,8 +40,8 @@ func NewRing(ids []ID) Ring {
 // sortDedup sorts ids in place and removes adjacent duplicates, returning the
 // compacted prefix. The comparison is index-based rather than against an
 // in-band sentinel, so every ID value — including negative ones — is kept.
-// Only NewRing needs it: assigned rings are drawn already sorted and
-// duplicate-free (see RingArena).
+// Only NewRing needs it: assigned rings are drawn duplicate-free (see
+// RingArena).
 func sortDedup(ids []ID) []ID {
 	slices.Sort(ids)
 	out := ids[:0]
@@ -53,88 +56,17 @@ func sortDedup(ids []ID) []ID {
 // Len returns the number of keys in the ring.
 func (r Ring) Len() int { return len(r.ids) }
 
-// IDs returns a copy of the ring's sorted key IDs.
-func (r Ring) IDs() []ID { return append([]ID(nil), r.ids...) }
+// IDs returns a copy of the ring's key IDs in ascending order.
+func (r Ring) IDs() []ID { return slices.Sorted(slices.Values(r.ids)) }
 
-// ForEachID calls fn on each key ID in ascending order without copying.
-// Iteration stops early if fn returns false.
+// ForEachID calls fn on each key ID in ring order (the order drawn) without
+// copying. Iteration stops early if fn returns false.
 func (r Ring) ForEachID(fn func(ID) bool) {
 	for _, k := range r.ids {
 		if !fn(k) {
 			return
 		}
 	}
-}
-
-// SharedWith returns the keys present in both rings, by sorted merge.
-func (r Ring) SharedWith(other Ring) []ID {
-	return r.AppendShared(other, nil)
-}
-
-// AppendShared appends the keys present in both rings to dst (sorted merge)
-// and returns the extended slice. Pass a reused buffer to avoid allocating on
-// hot paths.
-func (r Ring) AppendShared(other Ring, dst []ID) []ID {
-	i, j := 0, 0
-	for i < len(r.ids) && j < len(other.ids) {
-		switch {
-		case r.ids[i] == other.ids[j]:
-			dst = append(dst, r.ids[i])
-			i++
-			j++
-		case r.ids[i] < other.ids[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return dst
-}
-
-// SharedCount returns |r ∩ other| without allocating.
-func (r Ring) SharedCount(other Ring) int {
-	count := 0
-	i, j := 0, 0
-	for i < len(r.ids) && j < len(other.ids) {
-		switch {
-		case r.ids[i] == other.ids[j]:
-			count++
-			i++
-			j++
-		case r.ids[i] < other.ids[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return count
-}
-
-// SharedAtLeast reports whether |r ∩ other| ≥ q, short-circuiting as soon as
-// the running count reaches q — the hot predicate of q-composite shared-key
-// discovery on the sorted-merge path.
-func (r Ring) SharedAtLeast(other Ring, q int) bool {
-	if q <= 0 {
-		return true
-	}
-	count := 0
-	i, j := 0, 0
-	for i < len(r.ids) && j < len(other.ids) {
-		switch {
-		case r.ids[i] == other.ids[j]:
-			count++
-			if count >= q {
-				return true
-			}
-			i++
-			j++
-		case r.ids[i] < other.ids[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return false
 }
 
 // Class is one sensor class of a (possibly heterogeneous) key
@@ -184,7 +116,7 @@ type Scheme interface {
 }
 
 // MaxRingSize returns the largest class ring size — the bound sizing
-// per-sensor buffers (broadcast frames, merge scratch).
+// per-sensor buffers.
 func MaxRingSize(s Scheme) int {
 	classes := s.Classes()
 	max := classes[0].RingSize

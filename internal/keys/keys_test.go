@@ -2,6 +2,7 @@ package keys
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -39,25 +40,41 @@ func TestRingIDsIsACopy(t *testing.T) {
 	}
 }
 
-func TestSharedWith(t *testing.T) {
-	a := NewRing([]ID{1, 3, 5, 7})
-	b := NewRing([]ID{3, 4, 7, 9})
-	shared := a.SharedWith(b)
-	if len(shared) != 2 || shared[0] != 3 || shared[1] != 7 {
-		t.Errorf("SharedWith = %v, want [3 7]", shared)
+// TestRingMarks pins the probe primitive on small rings kept out of order:
+// Count and AppendShared against the merge oracle, marks replaced by the
+// next Mark and dropped by Reset.
+func TestRingMarks(t *testing.T) {
+	a := Ring{ids: []ID{7, 1, 5, 3}}
+	b := Ring{ids: []ID{9, 3, 4, 7}}
+	var m RingMarks
+	m.Reset(16)
+	m.Mark(a)
+	if got := m.AppendShared(b, nil); !slices.Equal(got, []ID{3, 7}) {
+		t.Errorf("AppendShared = %v, want [3 7] in b's order", got)
 	}
-	if got := a.SharedCount(b); got != 2 {
-		t.Errorf("SharedCount = %d, want 2", got)
+	if got := m.Count(b); got != 2 {
+		t.Errorf("Count = %d, want 2", got)
 	}
-	if got := b.SharedCount(a); got != 2 {
-		t.Errorf("SharedCount reversed = %d", got)
+	if got := m.Count(NewRing(nil)); got != 0 {
+		t.Errorf("Count of the empty ring = %d", got)
 	}
-	empty := NewRing(nil)
-	if got := a.SharedCount(empty); got != 0 {
-		t.Errorf("SharedCount with empty = %d", got)
+	m.Mark(b)
+	if got := m.AppendShared(a, nil); !slices.Equal(got, []ID{7, 3}) {
+		t.Errorf("after marking b: AppendShared = %v, want [7 3] in a's order", got)
 	}
-	if got := empty.SharedWith(a); len(got) != 0 {
-		t.Errorf("empty SharedWith = %v", got)
+	if got := m.Count(Ring{ids: []ID{1, 5}}); got != 0 {
+		t.Errorf("marks of a left behind after marking b: Count = %d", got)
+	}
+	// Reset to a larger pool drops the marks; so does a smaller one.
+	for _, pool := range []int{200, 10} {
+		m.Reset(pool)
+		if got := m.Count(Ring{ids: []ID{3, 4, 7, 9}}); got != 0 {
+			t.Errorf("Reset(%d) left %d marks", pool, got)
+		}
+	}
+	m.Mark(NewRing([]ID{9}))
+	if got := m.Count(b); got != 1 {
+		t.Errorf("Count after Reset(10) = %d, want 1", got)
 	}
 }
 
@@ -191,35 +208,46 @@ func TestDeriveLinkKeyProperties(t *testing.T) {
 	}
 }
 
-func TestQuickSharedCountMatchesSets(t *testing.T) {
+// TestQuickRingMarksMatchSets checks the probe against a set computation on
+// arbitrary rings, kept in the order given.
+func TestQuickRingMarksMatchSets(t *testing.T) {
+	var m RingMarks
+	m.Reset(64)
 	f := func(aRaw, bRaw []uint8) bool {
-		toIDs := func(raw []uint8) []ID {
-			ids := make([]ID, len(raw))
-			for i, v := range raw {
-				ids[i] = ID(v % 64)
+		toRing := func(raw []uint8) Ring {
+			seen := map[ID]bool{}
+			var ids []ID
+			for _, v := range raw {
+				if k := ID(v % 64); !seen[k] {
+					seen[k] = true
+					ids = append(ids, k)
+				}
 			}
-			return ids
+			return Ring{ids: ids}
 		}
-		a := NewRing(toIDs(aRaw))
-		b := NewRing(toIDs(bRaw))
+		a, b := toRing(aRaw), toRing(bRaw)
 		am := map[ID]bool{}
-		for _, k := range a.IDs() {
+		for _, k := range a.ids {
 			am[k] = true
 		}
-		want := 0
-		for _, k := range b.IDs() {
+		var want []ID
+		for _, k := range b.ids {
 			if am[k] {
-				want++
+				want = append(want, k)
 			}
 		}
-		return a.SharedCount(b) == want && len(a.SharedWith(b)) == want
+		m.Mark(a)
+		return m.Count(b) == len(want) && slices.Equal(m.AppendShared(b, nil), want) &&
+			slices.Equal(mergeShared(a, b), slices.Sorted(slices.Values(want)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
 
-func BenchmarkSharedCount(b *testing.B) {
+// BenchmarkRingMarksCount measures one probe: a K = 80 ring tested against
+// the marks of another at P = 10⁴.
+func BenchmarkRingMarksCount(b *testing.B) {
 	r := rng.New(3)
 	s, err := NewQComposite(10000, 80, 2)
 	if err != nil {
@@ -230,9 +258,12 @@ func BenchmarkSharedCount(b *testing.B) {
 		b.Fatal(err)
 	}
 	rings := asg.Rings
+	var m RingMarks
+	m.Reset(10000)
+	m.Mark(rings[0])
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = rings[0].SharedCount(rings[1])
+		_ = m.Count(rings[1])
 	}
 }

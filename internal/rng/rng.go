@@ -5,9 +5,8 @@
 // integers and floats, Bernoulli, binomial, batched geometric skips, and
 // k-subset sampling without replacement). A GeometricSource buffers raw
 // uniforms; a skip is a lookup in a per-p table first and a guarded
-// logarithm second, exact either way. A k-subset can be drawn in draw order
-// or, with the same draws, in ascending order without a sort
-// (SubsetSampler), which is how key rings are assigned.
+// logarithm second, exact either way. A SubsetSampler draws k-subsets in
+// draw order, which is how key rings are assigned.
 //
 // Every randomized API in this repository takes an explicit *Rand so that
 // experiments are reproducible bit-for-bit from a single seed, regardless of
@@ -198,24 +197,15 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 // persistent identity array that is rolled back after each draw.
 //
 // It is the hot path for key-ring assignment: each of n sensors draws K keys
-// from a pool of P, so per-draw O(P) work would dominate graph sampling.
-// AppendSortedSample returns a draw in ascending order without sorting it:
-// it marks each drawn element in a bitmap over [0, n) and in a summary
-// bitmap of the bitmap's non-empty words, then reads both back in order,
-// clearing every word it reads. Both bitmaps are therefore all-zero between
-// draws, and a sorted draw costs O(k + n/4096) rather than O(k log k) plus
-// an O(n) clear.
+// from a pool of P, so per-draw O(P) work would dominate graph sampling. A
+// draw comes out in the order drawn; no consumer of a key ring needs it
+// sorted.
 //
 // A SubsetSampler is not safe for concurrent use.
 type SubsetSampler struct {
 	perm []int32
 	// swapped records the positions touched by the last draw for rollback.
 	swapped []int32
-	// words has bit x set iff x was drawn by the sorted draw in progress;
-	// summary has bit w set iff words[w] is non-zero. Both are all-zero
-	// outside AppendSortedSample.
-	words   []uint64
-	summary []uint64
 }
 
 // NewSubsetSampler returns a sampler over the universe [0, n).
@@ -230,12 +220,7 @@ func NewSubsetSampler(n int) (*SubsetSampler, error) {
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	words := (n + 63) / 64
-	return &SubsetSampler{
-		perm:    perm,
-		words:   make([]uint64, words),
-		summary: make([]uint64, (words+63)/64),
-	}, nil
+	return &SubsetSampler{perm: perm}, nil
 }
 
 // Universe returns the size of the sampling universe.
@@ -250,30 +235,10 @@ func (s *SubsetSampler) AppendSample(r *Rand, k int, dst []int32) ([]int32, erro
 		return nil, fmt.Errorf("rng: subset size %d out of range [0, %d]", k, n)
 	}
 	swapped := s.swappedBuf(k)
-	for i := range swapped {
-		j := i + int(r.uint64n(uint64(n-i)))
-		x := s.perm[j]
-		s.perm[j] = s.perm[i]
-		s.perm[i] = x
-		swapped[i] = int32(j)
-		dst = append(dst, x)
-	}
-	s.rollback(swapped)
-	return dst, nil
-}
-
-// AppendSortedSample appends the k-subset AppendSample would draw from the
-// same generator state to dst, in ascending order, and returns the extended
-// slice. It makes exactly the draws AppendSample makes, so the generator is
-// left at the same position and the two are interchangeable wherever only
-// the drawn set matters. k must be in [0, n].
-func (s *SubsetSampler) AppendSortedSample(r *Rand, k int, dst []int32) ([]int32, error) {
-	n := len(s.perm)
-	if k < 0 || k > n {
-		return nil, fmt.Errorf("rng: subset size %d out of range [0, %d]", k, n)
-	}
-	swapped := s.swappedBuf(k)
-	perm, words, summary := s.perm, s.words, s.summary
+	perm := s.perm
+	start := len(dst)
+	dst = slices.Grow(dst, k)[:start+k]
+	out := dst[start:]
 	// Step a local copy of the generator so its state stays in registers;
 	// the bounded draw is uint64n written out, since a call would pin the
 	// copy to memory.
@@ -292,37 +257,10 @@ func (s *SubsetSampler) AppendSortedSample(r *Rand, k int, dst []int32) ([]int32
 		perm[j] = perm[i]
 		perm[i] = x
 		swapped[i] = int32(j)
-		u := uint32(x)
-		words[u>>6] |= 1 << (u & 63)
-		summary[u>>12] |= 1 << ((u >> 6) & 63)
+		out[i] = x
 	}
 	*r = g
 	s.rollback(swapped)
-	// Read the marks back in ascending order into the k reserved slots,
-	// zeroing each word as it is read so the bitmaps are clean for the next
-	// draw.
-	start := len(dst)
-	dst = slices.Grow(dst, k)[:start+k]
-	out := dst[start:]
-	o := 0
-	for si, sum := range summary {
-		if sum == 0 {
-			continue
-		}
-		summary[si] = 0
-		for sum != 0 {
-			w := si<<6 | bits.TrailingZeros64(sum)
-			sum &= sum - 1
-			word := words[w]
-			words[w] = 0
-			base := int32(w << 6)
-			for word != 0 {
-				out[o] = base | int32(bits.TrailingZeros64(word))
-				o++
-				word &= word - 1
-			}
-		}
-	}
 	return dst, nil
 }
 

@@ -439,78 +439,48 @@ func TestSubsetSamplerFullDraw(t *testing.T) {
 	}
 }
 
-// checkSortedDraw draws a k-subset twice from one generator state, once
-// with AppendSample and once with AppendSortedSample, and fails unless the
-// sorted draw is the plain draw sorted, both left the generator at the same
-// position, the sorted draw kept dst's prefix, and the bitmaps are clean.
-func checkSortedDraw(t *testing.T, s *SubsetSampler, r *Rand, k int) {
-	t.Helper()
-	plainRand := *r
-	plain, plainErr := s.AppendSample(&plainRand, k, nil)
-	prefix := []int32{-7, 3}
-	sorted, err := s.AppendSortedSample(r, k, slices.Clone(prefix))
-	for i, w := range append(slices.Clone(s.words), s.summary...) {
-		if w != 0 {
-			t.Fatalf("n=%d k=%d: bitmap word %d = %#x after the draw, want 0", s.Universe(), k, i, w)
-		}
-	}
-	if (err != nil) != (plainErr != nil) {
-		t.Fatalf("n=%d k=%d: AppendSortedSample err %v, AppendSample err %v", s.Universe(), k, err, plainErr)
-	}
-	if next, plainNext := r.Uint64(), plainRand.Uint64(); next != plainNext {
-		t.Fatalf("n=%d k=%d: generators diverged after the draw (%#x vs %#x)", s.Universe(), k, next, plainNext)
-	}
-	if err != nil {
-		return
-	}
-	if !slices.Equal(sorted[:len(prefix)], prefix) {
-		t.Fatalf("n=%d k=%d: dst prefix clobbered: %v", s.Universe(), k, sorted[:len(prefix)])
-	}
-	if want := slices.Sorted(slices.Values(plain)); !slices.Equal(sorted[len(prefix):], want) {
-		t.Fatalf("n=%d k=%d: sorted draw %v, want %v", s.Universe(), k, sorted[len(prefix):], want)
-	}
-}
-
-// TestAppendSortedSampleMatchesAppendSample pins the sorted draw to the
-// plain one across word and summary-word boundaries (n = 64·64 = 4096 is
-// one full summary word; n = 10⁴ needs three), at k = 0, 1, n/2 and n, and
-// across repeated and rejected draws on one sampler.
-func TestAppendSortedSampleMatchesAppendSample(t *testing.T) {
+// TestAppendSampleMatchesReference pins the subset draw to a reference
+// partial Fisher–Yates written with Intn over a fresh identity array: the
+// same elements in the same order, the generator left at the same
+// position, dst's prefix kept, and the sampler's permutation rolled back so
+// repeated and rejected draws on one sampler stay exact.
+func TestAppendSampleMatchesReference(t *testing.T) {
 	r := New(20)
-	for _, n := range []int{1, 2, 63, 64, 65, 4095, 4096, 4097, 10000} {
+	for _, n := range []int{1, 2, 63, 64, 65, 4096, 10000} {
 		s, err := NewSubsetSampler(n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, k := range []int{0, 1, n / 2, n, n + 1, -1, 1, n} {
 			for rep := 0; rep < 3; rep++ {
-				checkSortedDraw(t, s, r, k)
+				ref := *r
+				prefix := []int32{-7, 3}
+				got, err := s.AppendSample(r, k, slices.Clone(prefix))
+				if (err != nil) != (k < 0 || k > n) {
+					t.Fatalf("n=%d k=%d: err %v", n, k, err)
+				}
+				if err != nil {
+					continue
+				}
+				perm := make([]int32, n)
+				for i := range perm {
+					perm[i] = int32(i)
+				}
+				want := slices.Clone(prefix)
+				for i := 0; i < k; i++ {
+					j := i + ref.Intn(n-i)
+					perm[i], perm[j] = perm[j], perm[i]
+					want = append(want, perm[i])
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("n=%d k=%d: draw %v, want %v", n, k, got, want)
+				}
+				if next, refNext := r.Uint64(), ref.Uint64(); next != refNext {
+					t.Fatalf("n=%d k=%d: generators diverged after the draw (%#x vs %#x)", n, k, next, refNext)
+				}
 			}
 		}
 	}
-}
-
-// FuzzSortedSample checks the sorted draw against the plain draw over
-// arbitrary universes (up to 2¹⁷, i.e. several summary words), subset
-// sizes (including the rejected k = n + 1), seeds and runs of repeated
-// draws on one sampler.
-func FuzzSortedSample(f *testing.F) {
-	f.Add(uint32(512), uint32(32), uint64(1), uint8(3))
-	f.Add(uint32(4096), uint32(4096), uint64(2), uint8(1))
-	f.Add(uint32(10000), uint32(88), uint64(3), uint8(5))
-	f.Add(uint32(1), uint32(2), uint64(4), uint8(2))
-	f.Fuzz(func(t *testing.T, nRaw, kRaw uint32, seed uint64, repeats uint8) {
-		n := int(nRaw%(1<<17)) + 1
-		k := int(kRaw % uint32(n+2))
-		s, err := NewSubsetSampler(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := New(seed)
-		for rep := 0; rep <= int(repeats%8); rep++ {
-			checkSortedDraw(t, s, r, k)
-		}
-	})
 }
 
 func TestQuickBinomialRange(t *testing.T) {
@@ -573,20 +543,6 @@ func BenchmarkSubsetSampleK50(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf, _ = s.AppendSample(r, 50, buf[:0])
-	}
-}
-
-func BenchmarkSubsetSampleSortedK50(b *testing.B) {
-	s, err := NewSubsetSampler(10000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := New(2)
-	buf := make([]int32, 0, 50)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf, _ = s.AppendSortedSample(r, 50, buf[:0])
 	}
 }
 

@@ -36,9 +36,9 @@ import (
 // (see verdict.go): a secure edge list for Deploy, a union-find and degree
 // counters for the graph-free modes, and one stop rule for all of them —
 // stop once the union-find (if fed) spans and every degree has reached k.
-// The consumer announces each row to the intersector (which counts u's row
-// up front when the row is long enough to pay for it) and reads each
-// neighbour's answer, in the common case an inlined counter read. The
+// The consumer hands each row to the intersector in one call (which counts
+// u's row up front when the row is long enough to pay for it) and feeds
+// the secure neighbours it returns to the sinks. The
 // channel graph itself is never built during a deployment; a Network keeps
 // the generator state the draw started from and re-emits it into CSR only
 // if asked for it (Snapshot, SimulateDiscovery). Ring sizes may differ
@@ -69,10 +69,12 @@ type Deployer struct {
 
 	// The pipeline's shared state: the row draw of the channel, the
 	// generator position the draw starts from (kept by the Network for lazy
-	// re-emission) and the overlap requirement.
-	rows     channel.RowDraw
-	chanRand rng.Rand
-	streamQ  int
+	// re-emission), the overlap requirement, and the secure neighbours of
+	// the current row (reused, bounded by the longest row).
+	rows      channel.RowDraw
+	chanRand  rng.Rand
+	streamQ   int
+	secureRow []int32
 
 	// The sinks a pass may feed beside edges: the union-find and the degree
 	// counters, which hold their current target k.

@@ -187,7 +187,7 @@ func TestLazyLinkKeysMatchDerivation(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := make([]keys.ID, 0, len(l.SharedKeys))
-			for _, k := range ra.SharedWith(rb) {
+			for _, k := range sharedOracle(ra, rb) {
 				if net.RevokedKeyCount() == 0 || !revokedContains(net, k) {
 					want = append(want, k)
 				}

@@ -3,6 +3,7 @@ package wsn
 import (
 	"fmt"
 
+	"github.com/secure-wsn/qcomposite/internal/keys"
 	"github.com/secure-wsn/qcomposite/internal/stats"
 )
 
@@ -31,7 +32,10 @@ type DiscoveryStats struct {
 	// UnicastBytes is the total bytes across challenge/response frames.
 	UnicastBytes int64
 	// KeyComparisons counts pairwise ring-intersection work performed by
-	// receivers (one sorted-merge step each).
+	// receivers under the modelled protocol, where a sensor merges a
+	// received sorted ID list against its own sorted ring (one merge step
+	// each). The simulator itself finds the shared keys by probing (see
+	// keys.RingMarks); the count models the sensors, not the simulator.
 	KeyComparisons int64
 	// EstablishedLinks is the number of secure links confirmed.
 	EstablishedLinks int
@@ -65,8 +69,9 @@ func (n *Network) SimulateDiscovery() (DiscoveryStats, error) {
 
 	// Phase 1: one key-ID broadcast per sensor, heard by channel neighbors.
 	// Frames are sized by the sensor's actual ring (per-class sizes under a
-	// heterogeneous scheme); each neighbor merges the received ring against
-	// its own, one sorted merge of |ring_v| + |ring_w| steps.
+	// heterogeneous scheme); in the modelled protocol each neighbor merges
+	// the received ring against its own, one sorted merge of
+	// |ring_v| + |ring_w| steps.
 	totalNeighbors := 0
 	for v := int32(0); int(v) < n.cfg.Sensors; v++ {
 		broadcastFrame := int64(headerBytes + n.rings[v].Len()*keyIDBytes)
@@ -84,11 +89,12 @@ func (n *Network) SimulateDiscovery() (DiscoveryStats, error) {
 
 	// Phase 2: challenge/response per qualifying channel edge. The
 	// lower-indexed endpoint issues the challenge; the peer acknowledges.
+	// The simulator decides qualification by probing, not by the modelled
+	// merge.
 	q := n.cfg.Scheme.RequiredOverlap()
-	channels.ForEachEdge(func(u, v int32) bool {
-		shared := n.rings[u].SharedCount(n.rings[v])
-		if shared < q {
-			return true
+	n.forEachShared(channels, func(u, v int32, shared []keys.ID) {
+		if len(shared) < q {
+			return
 		}
 		frame := int64(headerBytes + challengeBytes)
 		st.Unicasts += 2
@@ -96,7 +102,6 @@ func (n *Network) SimulateDiscovery() (DiscoveryStats, error) {
 		sent[u] += frame
 		sent[v] += frame
 		st.EstablishedLinks++
-		return true
 	})
 
 	var summary stats.Summary

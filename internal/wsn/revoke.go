@@ -55,14 +55,12 @@ func (n *Network) RevokeNodeKeys(ids ...int32) (int, error) {
 	q := n.cfg.Scheme.RequiredOverlap()
 	torn := 0
 	var edges []graph.Edge
-	n.secure.ForEachEdge(func(u, v int32) bool {
-		n.sharedBuf = n.appendSurvivingShared(u, v, n.sharedBuf[:0])
-		if len(n.sharedBuf) >= q {
+	n.forEachShared(n.secure, func(u, v int32, shared []keys.ID) {
+		if len(n.surviving(shared)) >= q {
 			edges = append(edges, graph.Edge{U: u, V: v})
 		} else if n.alive[u] && n.alive[v] {
 			torn++
 		}
-		return true
 	})
 	secure, err := graph.NewFromEdges(n.cfg.Sensors, edges)
 	if err != nil {

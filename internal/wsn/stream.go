@@ -173,7 +173,8 @@ func (d *Deployer) pass(r *rng.Rand, tr trial) (keys.Assignment, error) {
 
 	// The exact intersection predicate: with sparse rings the Intersector
 	// answers a long row from one counted row of u (see keys.Intersector);
-	// short rows and dense rings query directly.
+	// short rows probe ring(u)'s marks, or AND bitmap rows when rings are
+	// dense.
 	if d.ix == nil {
 		ix, err := keys.NewIntersector(d.cfg.Scheme.PoolSize())
 		if err != nil {

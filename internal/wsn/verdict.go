@@ -117,9 +117,10 @@ func (d *Deployer) verdict(r *rng.Rand, tr trial) (bool, error) {
 	return d.edgesKConnected()
 }
 
-// rowSink is the one row consumer: the "no" exit once per row, then each
-// secure edge into the sinks of the pass and through its stop rule, whose
-// test is inline; stopAt decides the rare edge that meets it.
+// rowSink is the one row consumer: the "no" exit once per row, then one
+// intersector call that keeps the row's secure neighbours, then each secure
+// edge, in row order, into the sinks of the pass and through its stop
+// rule, whose test is inline; stopAt decides the rare edge that meets it.
 func (d *Deployer) rowSink(u int32, vs []int32) bool {
 	tr := &d.tr
 	if u > tr.row {
@@ -129,12 +130,8 @@ func (d *Deployer) rowSink(u int32, vs []int32) bool {
 		}
 		tr.row = u
 	}
-	ix, q := d.ix, d.streamQ
-	ix.BeginRow(u, len(vs))
-	for _, v := range vs {
-		if !ix.RowHasAtLeast(u, v, q) {
-			continue
-		}
+	d.secureRow = d.ix.AppendAtLeast(u, vs, d.streamQ, d.secureRow[:0])
+	for _, v := range d.secureRow {
 		if tr.edges {
 			d.edges = append(d.edges, graph.Edge{U: u, V: v})
 		}

@@ -9,6 +9,7 @@ package wsn
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/secure-wsn/qcomposite/internal/bitset"
 	"github.com/secure-wsn/qcomposite/internal/channel"
@@ -118,6 +119,7 @@ type Network struct {
 	linkFlat    []keys.ID // flat arena behind linkStore[i].SharedKeys
 	linkOffs    []int     // per-link offsets into linkFlat
 	sharedBuf   []keys.ID // scratch for shared-set queries
+	marks       keys.RingMarks
 }
 
 // reset re-points the network at a fresh deployment's state, reusing the
@@ -164,11 +166,11 @@ func Deploy(cfg Config) (*Network, error) {
 }
 
 // materializeShared builds the shared-key half of the link table: one
-// entry per secure edge with its endpoints and surviving shared keys, the
-// keys collected into a flat arena. Called lazily from ForEachLink and
-// materializeLinks. The arenas are reused across invalidations, so
-// re-materializing (after revocation or Deployer reuse) allocates only on
-// growth.
+// entry per secure edge with its endpoints and surviving shared keys
+// (ascending), the keys collected into a flat arena. Called lazily from
+// ForEachLink and materializeLinks. The arenas are reused across
+// invalidations, so re-materializing (after revocation or Deployer reuse)
+// allocates only on growth.
 func (n *Network) materializeShared() {
 	if n.sharedReady {
 		return
@@ -179,11 +181,12 @@ func (n *Network) materializeShared() {
 	n.linkStore = n.linkStore[:0]
 	flat := n.linkFlat[:0]
 	offs := append(n.linkOffs[:0], 0)
-	n.secure.ForEachEdge(func(u, v int32) bool {
-		flat = n.appendSurvivingShared(u, v, flat)
+	n.forEachShared(n.secure, func(u, v int32, shared []keys.ID) {
+		start := len(flat)
+		flat = append(flat, n.surviving(shared)...)
+		slices.Sort(flat[start:])
 		offs = append(offs, len(flat))
 		n.linkStore = append(n.linkStore, Link{A: u, B: v})
-		return true
 	})
 	n.linkFlat, n.linkOffs = flat, offs
 	for i := range n.linkStore {
@@ -220,22 +223,38 @@ func (n *Network) invalidateLinks() {
 	n.linkStore = n.linkStore[:0]
 }
 
-// appendSurvivingShared appends the shared keys of u and v that have not
-// been revoked, in ascending order.
-func (n *Network) appendSurvivingShared(u, v int32, dst []keys.ID) []keys.ID {
-	start := len(dst)
-	dst = n.rings[u].AppendShared(n.rings[v], dst)
+// forEachShared calls fn with every edge of g, in ForEachEdge order, and
+// the keys rings u and v share, in ring(v)'s order. Ring(u) is marked once
+// for all of u's edges (keys.RingMarks) and each ring(v) probed against it.
+// shared is valid only during the call; fn may reorder it in place.
+func (n *Network) forEachShared(g *graph.Undirected, fn func(u, v int32, shared []keys.ID)) {
+	n.marks.Reset(n.cfg.Scheme.PoolSize())
+	marked := int32(-1)
+	g.ForEachEdge(func(u, v int32) bool {
+		if u != marked {
+			n.marks.Mark(n.rings[u])
+			marked = u
+		}
+		n.sharedBuf = n.marks.AppendShared(n.rings[v], n.sharedBuf[:0])
+		fn(u, v, n.sharedBuf)
+		return true
+	})
+}
+
+// surviving drops the revoked keys from shared in place, keeping the order
+// of the rest, and returns the shortened slice.
+func (n *Network) surviving(shared []keys.ID) []keys.ID {
 	if n.revoked == nil {
-		return dst
+		return shared
 	}
-	w := start
-	for _, k := range dst[start:] {
+	w := 0
+	for _, k := range shared {
 		if !n.revoked.Contains(int(k)) {
-			dst[w] = k
+			shared[w] = k
 			w++
 		}
 	}
-	return dst[:w]
+	return shared[:w]
 }
 
 // Sensors returns the number of deployed sensors.
