@@ -439,11 +439,45 @@ func TestSubsetSamplerFullDraw(t *testing.T) {
 	}
 }
 
-// TestAppendSampleMatchesReference pins the subset draw to a reference
-// partial Fisher–Yates written with Intn over a fresh identity array: the
-// same elements in the same order, the generator left at the same
-// position, dst's prefix kept, and the sampler's permutation rolled back so
-// repeated and rejected draws on one sampler stay exact.
+// checkDraw draws a k-subset with AppendSample and fails unless it equals a
+// reference partial Fisher–Yates written with Intn over a fresh identity
+// array: the same elements in the same order, the generator left at the
+// same position and dst's prefix kept. A rejected k (outside [0, n]) must
+// fail the draw. Because the reference starts from the identity, a sampler
+// that did not roll its permutation back fails the next draw.
+func checkDraw(t *testing.T, s *SubsetSampler, r *Rand, k int) {
+	t.Helper()
+	n := s.Universe()
+	ref := *r
+	prefix := []int32{-7, 3}
+	got, err := s.AppendSample(r, k, slices.Clone(prefix))
+	if (err != nil) != (k < 0 || k > n) {
+		t.Fatalf("n=%d k=%d: err %v", n, k, err)
+	}
+	if err != nil {
+		return
+	}
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	want := slices.Clone(prefix)
+	for i := 0; i < k; i++ {
+		j := i + ref.Intn(n-i)
+		perm[i], perm[j] = perm[j], perm[i]
+		want = append(want, perm[i])
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("n=%d k=%d: draw %v, want %v", n, k, got, want)
+	}
+	if next, refNext := r.Uint64(), ref.Uint64(); next != refNext {
+		t.Fatalf("n=%d k=%d: generators diverged after the draw (%#x vs %#x)", n, k, next, refNext)
+	}
+}
+
+// TestAppendSampleMatchesReference pins the subset draw to the reference
+// at k = 0, 1, n/2 and n, across word-sized universes, and across repeated
+// and rejected draws on one sampler.
 func TestAppendSampleMatchesReference(t *testing.T) {
 	r := New(20)
 	for _, n := range []int{1, 2, 63, 64, 65, 4096, 10000} {
@@ -453,34 +487,34 @@ func TestAppendSampleMatchesReference(t *testing.T) {
 		}
 		for _, k := range []int{0, 1, n / 2, n, n + 1, -1, 1, n} {
 			for rep := 0; rep < 3; rep++ {
-				ref := *r
-				prefix := []int32{-7, 3}
-				got, err := s.AppendSample(r, k, slices.Clone(prefix))
-				if (err != nil) != (k < 0 || k > n) {
-					t.Fatalf("n=%d k=%d: err %v", n, k, err)
-				}
-				if err != nil {
-					continue
-				}
-				perm := make([]int32, n)
-				for i := range perm {
-					perm[i] = int32(i)
-				}
-				want := slices.Clone(prefix)
-				for i := 0; i < k; i++ {
-					j := i + ref.Intn(n-i)
-					perm[i], perm[j] = perm[j], perm[i]
-					want = append(want, perm[i])
-				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("n=%d k=%d: draw %v, want %v", n, k, got, want)
-				}
-				if next, refNext := r.Uint64(), ref.Uint64(); next != refNext {
-					t.Fatalf("n=%d k=%d: generators diverged after the draw (%#x vs %#x)", n, k, next, refNext)
-				}
+				checkDraw(t, s, r, k)
 			}
 		}
 	}
+}
+
+// FuzzSampleMatchesReference checks the subset draw against the reference
+// over arbitrary universes (up to 2¹⁷), subset sizes (including the
+// rejected k = n + 1), seeds and runs of repeated draws on one sampler. The
+// draw inlines the bounded-integer rejection step that Intn calls, so
+// universes that are not powers of two exercise the rejection path.
+func FuzzSampleMatchesReference(f *testing.F) {
+	f.Add(uint32(512), uint32(32), uint64(1), uint8(3))
+	f.Add(uint32(4096), uint32(4096), uint64(2), uint8(1))
+	f.Add(uint32(10000), uint32(88), uint64(3), uint8(5))
+	f.Add(uint32(1), uint32(2), uint64(4), uint8(2))
+	f.Fuzz(func(t *testing.T, nRaw, kRaw uint32, seed uint64, repeats uint8) {
+		n := int(nRaw%(1<<17)) + 1
+		k := int(kRaw % uint32(n+2))
+		s, err := NewSubsetSampler(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := New(seed)
+		for rep := 0; rep <= int(repeats%8); rep++ {
+			checkDraw(t, s, r, k)
+		}
+	})
 }
 
 func TestQuickBinomialRange(t *testing.T) {
