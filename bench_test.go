@@ -80,6 +80,54 @@ func BenchmarkE1Figure1Trial(b *testing.B) {
 	}
 }
 
+// BenchmarkE1Figure1Grid measures one pass over the Figure 1 grid as its
+// sweeps run it: one connectivity verdict (KConnectedRand at k = 1, which
+// stops the channel draw once the verdict is decided) at each of the 96
+// points K = 28, 32, …, 88 × q ∈ {2, 3} × p ∈ {1, 0.5, 0.2} of
+// G_{n,q}(1000, K, 10000, p), on Deployers borrowed from one pool per point
+// and so retargeted from point to point, as a sequential sweep's workers
+// are. Most points lie off the K* thresholds BenchmarkE1Figure1Trial
+// times, where a verdict stops early or most rows are counted.
+func BenchmarkE1Figure1Grid(b *testing.B) {
+	var pools []*wsn.DeployerPool
+	for _, q := range []int{2, 3} {
+		for _, p := range []float64{1, 0.5, 0.2} {
+			for k := 28; k <= 88; k += 4 {
+				scheme, err := keys.NewQComposite(10000, k, q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				pool, err := wsn.NewDeployerPool(wsn.Config{Sensors: 1000, Scheme: scheme, Channel: channel.OnOff{P: p}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				pools = append(pools, pool)
+			}
+		}
+	}
+	var r rng.Rand
+	connected := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, pool := range pools {
+			d := pool.Get()
+			r.Reseed(uint64(i*len(pools) + j))
+			ok, err := d.KConnectedRand(&r, 1)
+			pool.Put(d)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if ok {
+				connected++
+			}
+		}
+	}
+	trials := float64(b.N * len(pools))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/trials, "ns/trial")
+	b.ReportMetric(float64(connected)/trials, "connected/trial")
+}
+
 // BenchmarkE2KStarTable regenerates the full in-text K* table (six exact
 // eq. (5) solves plus six asymptotic solves) per iteration.
 func BenchmarkE2KStarTable(b *testing.B) {

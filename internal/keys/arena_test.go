@@ -111,7 +111,7 @@ func TestAssignIntoAllocFree(t *testing.T) {
 		const n = 300
 		// Warm the arena at the largest total a multi-class draw can need,
 		// so label-dependent totals never outgrow it.
-		arena.reserve(n, n*MaxRingSize(s))
+		arena.reserve(n, n*MaxRingSize(s), s.PoolSize())
 		if _, err := s.AssignInto(r, n, &arena); err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,7 @@ func (x *Intersector) SharedCount(u, v int32) int {
 	if x.rowU == u || x.rowU == v || x.extendRun(u, v) {
 		return x.rowCount(x.rowOther(u, v))
 	}
-	if x.dense {
+	if x.useFlat(1) {
 		a, b := x.row(u), x.row(v)
 		c := 0
 		for i, w := range a {
@@ -25,7 +25,7 @@ func (x *Intersector) SharedCount(u, v int32) int {
 // AppendShared appends the shared keys of rings u and v to dst in ascending
 // order and returns the extended slice.
 func (x *Intersector) AppendShared(u, v int32, dst []ID) []ID {
-	if x.dense {
+	if x.useFlat(1) {
 		a, b := x.row(u), x.row(v)
 		for i, w := range a {
 			w &= b[i]

@@ -122,7 +122,7 @@ func (s *Heterogeneous) AssignInto(r *rng.Rand, n int, a *RingArena) (Assignment
 		}
 	}
 
-	a.reserve(n, totalIDs)
+	a.reserve(n, totalIDs, s.pool)
 	for v := 0; v < n; v++ {
 		size := s.classes[0].RingSize
 		if labels != nil {

@@ -63,6 +63,19 @@ const denseRingFactor = 128
 // the same rings, and none draws randomness, so every answer is identical
 // whichever strategy served it and in whatever order queries arrive.
 //
+// Nothing is built before a query pays for it. Reset only reads the ring
+// lengths, and checks the IDs against the pool unless ResetFrom shows the
+// rings to be an arena's own draw; it is O(n) then. The key index is built
+// by the first counted row. The dense index is built by ski rental: direct
+// queries on dense rings are probed, like sparse ones, until the probes
+// have cost about as much as building the index (n·stride words cleared
+// and ΣK bits set), and are answered from the index from then on. Rings
+// whose rows are nearly all counted — a sweep's small-n, dense points —
+// thus never build it, and the plateau's short rows build it after a few
+// dozen rows. A Deployer resets one Intersector for trial after trial of
+// one configuration, so when the direct queries on the previous rings
+// reached the price, the index is built at the first direct query instead.
+//
 // The dense index is one flat word arena — ring i occupies
 // flat[i·stride : (i+1)·stride] — rather than per-ring bitset objects: the
 // query pattern of streaming discovery (sequential u, random v) is
@@ -78,7 +91,15 @@ type Intersector struct {
 	rings  []Ring
 	dense  bool
 	stride int
-	flat   []uint64
+
+	// The dense index, built once probes have cost buildCost (see
+	// Intersector): flat holds the current rings only while built is true.
+	flat      []uint64
+	built     bool
+	buyNow    bool // the previous rings' direct queries cost their buildCost
+	spent     int  // direct queries so far, in probe operations, until it reaches buildCost
+	buildCost int  // operations to build the index: n·stride + ΣK
+	probeCost int  // operations per probed query: about 2·K̄
 
 	// Probing: marks hold the keys of ring(markedU), or none when markedU
 	// is -1.
@@ -97,10 +118,11 @@ type Intersector struct {
 	hiU       int32   // rowU once its upper half (w > rowU) is counted, or -1
 	loU       int32   // rowU once its lower half (w < rowU) is counted, or -1
 	rowCnt    []int32 // |ring(rowU) ∩ ring(w)| on counted halves and at rowU; zero elsewhere
-	touched   []int32 // sensors with a nonzero rowCnt
-	runU      int32   // sensor the current run of queries shares
-	runAlt    int32   // the run's other candidate while it has one query
-	lenRun    int     // queries in the current run
+	touched   []int32 // touched[:nTouched] are the sensors with a nonzero rowCnt; room for n+1
+	nTouched  int
+	runU      int32 // sensor the current run of queries shares
+	runAlt    int32 // the run's other candidate while it has one query
+	lenRun    int   // queries in the current run
 }
 
 // NewIntersector returns an Intersector over rings drawn from a pool of the
@@ -113,18 +135,36 @@ func NewIntersector(pool int) (*Intersector, error) {
 }
 
 // Reset points the Intersector at a new set of rings (typically one
-// deployment's assignment), drops the previous marks, row and key index,
-// derives the row break-even count, and rebuilds the bitmap arena if the
-// dense strategy is selected. Ring IDs must lie in [0, pool): Reset reports
-// an error otherwise, whichever strategy the rings would select, and the
-// Intersector must not be queried until a later Reset succeeds.
-func (x *Intersector) Reset(rings []Ring) error {
+// deployment's assignment), drops the previous marks, row, key index and
+// dense index, selects the strategy and derives the row break-even count
+// and the dense index's price. It builds nothing: each index is built by
+// the first query that pays for it (see Intersector). Ring IDs must lie in
+// [0, pool): Reset checks every one and reports an error otherwise,
+// whichever strategy the rings would select, and the Intersector must not
+// be queried until a later Reset succeeds.
+func (x *Intersector) Reset(rings []Ring) error { return x.reset(rings, false) }
+
+// ResetFrom is Reset for rings that may be arena a's last draw. When they
+// are exactly that draw — each ring views a's own ID storage at the offset
+// where the rings before it end, the rings cover all of it, and the draw's
+// pool is no larger than the Intersector's — every ID was drawn from the
+// pool by construction, and ResetFrom skips Reset's per-ID check, which
+// leaves it O(n). Any other rings, such as a wrapper scheme's replacements
+// written over the assignment's ring headers, take Reset's check.
+func (x *Intersector) ResetFrom(a *RingArena, rings []Ring) error {
+	return x.reset(rings, a.drew(rings, x.pool))
+}
+
+// reset is Reset, checking each ID against the pool unless inPool vouches
+// for them.
+func (x *Intersector) reset(rings []Ring, inPool bool) error {
+	x.buyNow = x.dense && x.spent >= x.buildCost
 	x.rings = rings
 	x.marks.Reset(x.pool)
 	x.markedU = -1
 	x.clearRow()
 	x.indexed = false
-	x.dense = false
+	x.dense, x.built = false, false
 	x.breakEven = math.MaxInt
 	x.runU, x.runAlt, x.lenRun = -1, -1, 0
 	minRing, total := 0, 0
@@ -134,46 +174,74 @@ func (x *Intersector) Reset(rings []Ring) error {
 			minRing = l
 		}
 		total += l
-		for _, k := range r.ids {
-			if k < 0 || int(k) >= x.pool {
-				return fmt.Errorf("keys: intersector: ring %d key %d outside pool [0,%d)", i, k, x.pool)
+	}
+	if !inPool {
+		for i, r := range rings {
+			for _, k := range r.ids {
+				if k < 0 || int(k) >= x.pool {
+					return fmt.Errorf("keys: intersector: ring %d key %d outside pool [0,%d)", i, k, x.pool)
+				}
 			}
 		}
 	}
 	x.dense = len(rings) > 0 && x.pool <= denseRingFactor*minRing
-	if total > 0 {
-		mean := float64(total) / float64(len(rings))
-		row := mean * float64(total) / float64(2*x.pool)
-		query := 2 * mean
-		if x.dense {
-			query = float64(x.stride)
-		}
-		x.breakEven = max(2, int(math.Ceil(row/query)))
-	}
-	if !x.dense {
+	if total == 0 {
 		return nil
 	}
-	need := x.stride * len(rings)
+	mean := float64(total) / float64(len(rings))
+	row := mean * float64(total) / float64(2*x.pool)
+	query := 2 * mean
+	if x.dense {
+		query = float64(x.stride)
+	}
+	x.breakEven = max(2, int(math.Ceil(row/query)))
+	x.spent = 0
+	x.buildCost = len(rings)*x.stride + total
+	x.probeCost = max(1, int(math.Ceil(2*mean)))
+	return nil
+}
+
+// Dense reports whether the flat-bitmap strategy is selected, whether or
+// not its index has been built yet (exported for tests and benchmarks;
+// callers get identical answers either way).
+func (x *Intersector) Dense() bool { return x.dense }
+
+// useFlat reports whether the dense index answers the next batch of direct
+// queries. On dense rings it charges the batch's probes to the index until
+// they have cost as much as building it, then builds it, or builds it at
+// once when the previous rings' direct queries paid for theirs.
+func (x *Intersector) useFlat(queries int) bool {
+	if !x.dense {
+		return false
+	}
+	if x.spent < x.buildCost {
+		x.spent += queries * x.probeCost
+	}
+	if !x.built && (x.buyNow || x.spent >= x.buildCost) {
+		x.buildFlat()
+	}
+	return x.built
+}
+
+// buildFlat builds the dense index of the current rings.
+func (x *Intersector) buildFlat() {
+	need := x.stride * len(x.rings)
 	if cap(x.flat) < need {
 		x.flat = make([]uint64, need)
 	} else {
 		x.flat = x.flat[:need]
 		clear(x.flat)
 	}
-	for i, r := range rings {
+	for i, r := range x.rings {
 		row := x.flat[i*x.stride : (i+1)*x.stride]
 		for _, k := range r.ids {
 			row[k/64] |= 1 << (uint(k) % 64)
 		}
 	}
-	return nil
+	x.built = true
 }
 
-// Dense reports whether the flat-bitmap strategy is active (exported for
-// tests and benchmarks; callers get identical answers either way).
-func (x *Intersector) Dense() bool { return x.dense }
-
-// row returns ring i's words in the dense arena.
+// row returns ring i's words in the dense index, which must be built.
 func (x *Intersector) row(i int32) []uint64 {
 	return x.flat[int(i)*x.stride : (int(i)+1)*x.stride]
 }
@@ -214,51 +282,62 @@ func (x *Intersector) extendRun(u, v int32) bool {
 // claimRow makes u the owner of a row with no half counted, building the
 // key index and the row counters on first use. The counter at u itself
 // holds |ring(u)|, so a query of u against itself reads it like any other.
+// touched has room for n+1 sensors: countHalf writes each holder there
+// before it knows whether the holder is new.
 func (x *Intersector) claimRow(u int32) {
 	if !x.indexed {
 		x.buildIndex()
 	}
 	x.clearRow()
-	if n := len(x.rings); len(x.rowCnt) < n {
+	if n := len(x.rings); len(x.touched) < n+1 {
 		x.rowCnt = make([]int32, n)
-		x.touched = make([]int32, 0, n)
+		x.touched = make([]int32, n+1)
 	}
 	x.rowU = u
 	x.rowCnt[u] = int32(x.rings[u].Len())
-	x.touched = append(x.touched, u)
+	x.touched[0], x.nTouched = u, 1
 }
 
 // clearRow zeroes the current row's counters and drops its owner.
 func (x *Intersector) clearRow() {
-	for _, w := range x.touched {
+	for _, w := range x.touched[:x.nTouched] {
 		x.rowCnt[w] = 0
 	}
-	x.touched = x.touched[:0]
+	x.nTouched = 0
 	x.rowU, x.hiU, x.loU = -1, -1, -1
 }
 
 // rowCount returns |ring(rowU) ∩ ring(w)|, counting the half of the row on
 // w's side first if no earlier query needed it.
 func (x *Intersector) rowCount(w int32) int {
+	x.countHalves(w, w)
+	return int(x.rowCnt[w])
+}
+
+// countHalves counts each half of rowU's row that a sensor in [lo, hi]
+// falls in, unless an earlier query counted it.
+func (x *Intersector) countHalves(lo, hi int32) {
 	u := x.rowU
-	switch {
-	case w > u && x.hiU != u:
+	if hi > u && x.hiU != u {
 		x.countHalf(true)
 		x.hiU = u
-	case w < u && x.loU != u:
+	}
+	if lo < u && x.loU != u {
 		x.countHalf(false)
 		x.loU = u
 	}
-	return int(x.rowCnt[w])
 }
 
 // countHalf counts |ring(rowU) ∩ ring(w)| for every sensor w above rowU
 // (upper) or below it by walking the holder lists of rowU's keys. A holder
 // list is ascending and holds rowU itself, at the place slotAt records,
-// which splits it into the halves.
+// which splits it into the halves. The walk has no branch on the counts:
+// every holder is written at the end of the touched list, which grows past
+// it only when its counter was zero (a holder is touched at most once, and
+// the list has room for one write past the n sensors).
 func (x *Intersector) countHalf(upper bool) {
 	u := x.rowU
-	cnt, touched := x.rowCnt, x.touched
+	cnt, touched, nt := x.rowCnt, x.touched, x.nTouched
 	ids := x.rings[u].ids
 	at := x.slotAt[x.ringOff[u]:][:len(ids)]
 	for j, k := range ids {
@@ -269,20 +348,25 @@ func (x *Intersector) countHalf(upper bool) {
 			hs = x.holders[x.keyOff[k]:at[j]]
 		}
 		for _, w := range hs {
-			if cnt[w] == 0 {
-				touched = append(touched, w)
-			}
-			cnt[w]++
+			c := cnt[w]
+			touched[nt] = w
+			nt += int(uint32(c-1) >> 31) // 1 iff c == 0; counts are below 2³¹
+			cnt[w] = c + 1
 		}
 	}
-	x.touched = touched
+	x.nTouched = nt
 }
 
 // buildIndex inverts the rings into the key→holders index by counting
 // sort; holder lists come out in ascending sensor order. It records where
 // each ring slot's sensor landed, so a row finds its own place in every
-// holder list without a search. Reset has checked that every ID lies in
-// the pool.
+// holder list without a search. The caller's Reset has made sure that every
+// ID lies in the pool.
+//
+// The placement runs in two loops: one advances the per-key cursors and
+// records each slot's place, the other scatters the sensors to those
+// places. Fused, each scattered store sat between cursor loads and
+// stores, and the loop ran about a third slower.
 func (x *Intersector) buildIndex() {
 	if len(x.keyOff) < x.pool+1 {
 		x.keyOff = make([]int32, x.pool+1)
@@ -296,8 +380,12 @@ func (x *Intersector) buildIndex() {
 		}
 		total += len(r.ids)
 	}
-	for k := 1; k <= x.pool; k++ {
-		off[k] += off[k-1]
+	// The running sum stays in a register: summing in place would make
+	// every step wait for the store of the step before.
+	sum := int32(0)
+	for k, c := range off {
+		sum += c
+		off[k] = sum
 	}
 	if cap(x.holders) < total {
 		x.holders = make([]int32, total)
@@ -310,15 +398,22 @@ func (x *Intersector) buildIndex() {
 	x.ringOff = x.ringOff[:len(x.rings)]
 	// off[k] serves as key k's fill cursor, ending at the start of key k+1;
 	// shifting by one slot restores the start offsets.
-	slot := int32(0)
+	slot := 0
 	for v, r := range x.rings {
-		x.ringOff[v] = slot
-		for _, k := range r.ids {
-			x.slotAt[slot] = off[k]
-			x.holders[off[k]] = int32(v)
+		x.ringOff[v] = int32(slot)
+		at := x.slotAt[slot : slot+len(r.ids)]
+		for j, k := range r.ids {
+			at[j] = off[k]
 			off[k]++
-			slot++
 		}
+		slot += len(r.ids)
+	}
+	slot = 0
+	for v, r := range x.rings {
+		for _, o := range x.slotAt[slot : slot+len(r.ids)] {
+			x.holders[o] = int32(v)
+		}
+		slot += len(r.ids)
 	}
 	copy(off[1:], off[:x.pool])
 	off[0] = 0
@@ -349,7 +444,7 @@ func (x *Intersector) hasAtLeast(u, v int32, q int) bool {
 	if x.rowU == u || x.rowU == v || x.extendRun(u, v) {
 		return x.rowCount(x.rowOther(u, v)) >= q
 	}
-	if x.dense {
+	if x.useFlat(1) {
 		a, b := x.row(u), x.row(v)
 		c := 0
 		for i, w := range a {
@@ -371,9 +466,11 @@ func (x *Intersector) hasAtLeast(u, v int32, q int) bool {
 // answered (a row whose u already owns it keeps it); a shorter row is
 // answered directly, without the run detection of HasAtLeast. Each
 // strategy decides every v of the row the same way and then compacts
-// without a branch on the answer: a counted row reads its counters, a dense
-// row ANDs and counts the whole bitmap row of every v, and a short sparse
-// row probes every ring(v) against the marks of ring(u).
+// without a branch on the answer: a counted row reads its counters (after
+// counting the halves its lowest and highest v fall in), a dense row ANDs
+// and counts the whole bitmap row of every v, and a short row on sparse
+// rings, or on dense rings whose index is not built yet, probes every
+// ring(v) against the marks of ring(u).
 func (x *Intersector) AppendAtLeast(u int32, vs []int32, q int, dst []int32) []int32 {
 	if q <= 0 {
 		return append(dst, vs...)
@@ -387,17 +484,19 @@ func (x *Intersector) AppendAtLeast(u int32, vs []int32, q int, dst []int32) []i
 	n := 0
 	switch {
 	case x.rowU == u:
-		for _, v := range vs {
-			if (v > u && x.hiU != u) || (v < u && x.loU != u) {
-				x.rowCount(v)
+		if len(vs) > 0 && (x.hiU != u || x.loU != u) {
+			lo, hi := vs[0], vs[0]
+			for _, v := range vs[1:] {
+				lo, hi = min(lo, v), max(hi, v)
 			}
+			x.countHalves(lo, hi)
 		}
 		cnt := x.rowCnt
 		for _, v := range vs {
 			out[n] = v
 			n += atLeast(int(cnt[v]), q)
 		}
-	case x.dense:
+	case x.useFlat(len(vs)):
 		a := x.row(u)
 		for _, v := range vs {
 			b := x.row(v)[:len(a)]

@@ -410,7 +410,8 @@ func TestIntersectorRowsMatchMerge(t *testing.T) {
 // breakEven queries must own the counted row after the call; a shorter one
 // must not claim a row. After each row, one per-edge query on a random pair
 // checks that per-edge queries interleave with rows. It returns the number
-// of counted rows and of rows probed against marks.
+// of counted rows and of rows probed against marks (on sparse rings, or on
+// dense rings before their bitmap index is built).
 func checkRows(t *testing.T, name string, r *rng.Rand, ix *Intersector, rings []Ring, queries []pair) (counted, probed int) {
 	t.Helper()
 	var vs, want, dst []int32
@@ -441,7 +442,7 @@ func checkRows(t *testing.T, name string, r *rng.Rand, ix *Intersector, rings []
 			counted++
 		case ix.rowU != before:
 			t.Fatalf("%s: row %d of %d queries (break-even %d) claimed a row", name, u, j-i, ix.breakEven)
-		case ix.rowU != u && !ix.dense:
+		case ix.rowU != u && !ix.built:
 			probed++
 		}
 		a, b := int32(r.Intn(len(rings))), int32(r.Intn(len(rings)))
@@ -480,7 +481,8 @@ func shuffledRows(r *rng.Rand, n int, p float64) []pair {
 // (heterogeneous class blocks), rows in arbitrary orders, sparse rings
 // that count most rows, sparse rings whose break-even leaves short rows to
 // the probe, and dense rings whose break-even leaves short rows to the
-// bitmap.
+// probe until their probes have paid for the bitmap index, and to the
+// bitmap from then on.
 func TestIntersectorRowQueries(t *testing.T) {
 	r := rng.New(47)
 	const pool, n = 10000, 300
@@ -542,11 +544,28 @@ func TestIntersectorRowQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	rings = randomRings(t, r, 600, 30, n)
-	if err := dense.Reset(rings); err != nil || !dense.Dense() {
-		t.Fatalf("K = 30, P = 600: Reset %v, Dense() = %v; want the dense strategy", err, dense.Dense())
+	if err := dense.Reset(rings); err != nil || !dense.Dense() || dense.built {
+		t.Fatalf("K = 30, P = 600: Reset %v, Dense() = %v, index built %v; want the dense strategy, unbuilt",
+			err, dense.Dense(), dense.built)
 	}
-	checkRows(t, "dense", r, dense, rings, uMajorPairs(r, n, 0.05))
+	// The short rows of a thin draw, and the per-edge queries between them,
+	// are probed until they have paid for the index, then ANDed.
+	if _, probed := checkRows(t, "dense", r, dense, rings, uMajorPairs(r, n, 0.05)); probed == 0 || !dense.built {
+		t.Errorf("dense: %d probed rows, index built %v; want probes, then the index", probed, dense.built)
+	}
 	checkRows(t, "dense shuffled rows", r, dense, rings, shuffledRows(r, n, 0.05))
+	// Those direct queries paid for the index, so the next rings build it
+	// at their first direct query; one query pays for nothing, so the
+	// rings after those rent again.
+	for i, wantBuilt := range []bool{true, false} {
+		if err := dense.Reset(rings); err != nil || dense.built {
+			t.Fatalf("dense reset %d: %v, index built %v", i, err, dense.built)
+		}
+		checkQuery(t, "dense reset", dense, rings, 1, pair{0, 1})
+		if dense.built != wantBuilt {
+			t.Fatalf("dense reset %d: index built %v after one direct query, want %v", i, dense.built, wantBuilt)
+		}
+	}
 	if counted, _ := checkRows(t, "dense-complete", r, dense, rings, uMajorPairs(r, n, 1)); counted == 0 {
 		t.Error("dense-complete: no row counted")
 	}
@@ -769,11 +788,152 @@ func TestIntersectorSelfQueries(t *testing.T) {
 	}
 }
 
+// TestIntersectorFullOverlapRows pins the branch-free counted row at its
+// bound: with P = K every ring holds the whole pool, every pair shares
+// every key, and a row counted on both halves touches all n sensors. The
+// rows are claimed directly (at a stride of one word the break-even is 4n
+// queries). Each Reset grows n, so the row counters must grow with the
+// rings.
+func TestIntersectorFullOverlapRows(t *testing.T) {
+	const pool = 8
+	ix, err := NewIntersector(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{3, 40, 41, 200} {
+		rings := randomRings(t, rng.New(uint64(n)), pool, pool, n)
+		if err := ix.Reset(rings); err != nil {
+			t.Fatal(err)
+		}
+		all := make([]int32, n)
+		for v := range all {
+			all[v] = int32(v)
+		}
+		for _, u := range []int32{0, int32(n / 2), int32(n - 1)} {
+			ix.claimRow(u)
+			got := ix.AppendAtLeast(u, all, pool, nil)
+			if !slices.Equal(got, all) || ix.rowU != u {
+				t.Fatalf("n = %d: AppendAtLeast(%d, all, %d) = %v on row owner %d, want every sensor on row %d",
+					n, u, pool, got, ix.rowU, u)
+			}
+			if want := 1 + min(1, int(u))*int(u) + min(1, n-1-int(u))*(n-1-int(u)); ix.nTouched != want {
+				t.Fatalf("n = %d, u = %d: %d sensors touched, want %d", n, u, ix.nTouched, want)
+			}
+			for w := int32(0); int(w) < n; w++ {
+				if got := ix.SharedCount(u, w); got != pool {
+					t.Fatalf("n = %d: SharedCount(%d,%d) = %d, want %d", n, u, w, got, pool)
+				}
+			}
+			if ix.nTouched != n {
+				t.Fatalf("n = %d, u = %d: %d sensors touched after both halves, want %d", n, u, ix.nTouched, n)
+			}
+		}
+	}
+}
+
+// TestIntersectorResetFromMatchesReset pins ResetFrom's provenance rule: it
+// trusts exactly the arena's last draw, and an Intersector reset on those
+// rings answers every query as one reset by Reset on hand-built copies —
+// in draw order or sorted — whichever strategy the rings select. Rings the
+// arena did not draw last, or headers written over its assignment, are
+// checked like Reset's, so an out-of-pool ID among them is an error.
+func TestIntersectorResetFromMatchesReset(t *testing.T) {
+	r := rng.New(49)
+	must := func(s Scheme, err error) Scheme {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name   string
+		scheme Scheme
+		dense  bool
+	}{
+		{"sparse", must(NewQComposite(10000, 40, 2)), false},
+		{"dense", must(NewQComposite(600, 30, 2)), true},
+		{"heterogeneous", must(NewHeterogeneous(4000, 2, []Class{{Mu: 0.5, RingSize: 20}, {Mu: 0.5, RingSize: 60}})), false},
+	} {
+		const n = 200
+		var arena RingArena
+		asg, err := tc.scheme.AssignInto(r, n, &arena)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !arena.drew(asg.Rings, tc.scheme.PoolSize()) || arena.drew(asg.Rings, tc.scheme.PoolSize()-1) {
+			t.Fatalf("%s: the arena's own draw not trusted at its pool, or trusted at a smaller one", tc.name)
+		}
+		copies := make([]Ring, n)
+		sorted := make([]Ring, n)
+		for v, ring := range asg.Rings {
+			copies[v] = Ring{ids: slices.Clone(ring.ids)}
+			sorted[v] = NewRing(ring.ids)
+		}
+		if arena.drew(copies, tc.scheme.PoolSize()) || arena.drew(asg.Rings[1:], tc.scheme.PoolSize()) {
+			t.Fatalf("%s: copies, or a suffix of the draw, trusted as the draw", tc.name)
+		}
+		queries := append(uMajorPairs(r, n, 0.05), shuffledRows(r, n, 0.02)...)
+		queries = append(queries, uMajorPairs(r, n, 0.5)...)
+		var answers [3][]int32
+		for i, reset := range []func(ix *Intersector) error{
+			func(ix *Intersector) error { return ix.ResetFrom(&arena, asg.Rings) },
+			func(ix *Intersector) error { return ix.Reset(copies) },
+			func(ix *Intersector) error { return ix.ResetFrom(&arena, sorted) },
+		} {
+			ix, err := NewIntersector(tc.scheme.PoolSize())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := reset(ix); err != nil || ix.Dense() != tc.dense {
+				t.Fatalf("%s: reset %d: %v, Dense() = %v, want %v", tc.name, i, err, ix.Dense(), tc.dense)
+			}
+			var dst []int32
+			for j := 0; j < len(queries); {
+				u, k := queries[j].u, j
+				vs := []int32{}
+				for ; k < len(queries) && queries[k].u == u; k++ {
+					vs = append(vs, queries[k].v)
+				}
+				if j%3 == 0 {
+					for _, v := range vs {
+						answers[i] = append(answers[i], int32(ix.SharedCount(u, v)))
+					}
+				} else {
+					dst = ix.AppendAtLeast(u, vs, 2, dst[:0])
+					answers[i] = append(append(answers[i], -1), dst...)
+				}
+				j = k
+			}
+		}
+		if !slices.Equal(answers[0], answers[1]) || !slices.Equal(answers[0], answers[2]) {
+			t.Errorf("%s: ResetFrom on the arena's rings and Reset on copies answer differently", tc.name)
+		}
+
+		// Headers written over the draw, as a wrapper scheme might: the
+		// arena's IDs are untouched, but the rings are no longer its draw.
+		asg.Rings[1] = NewRing([]ID{3, ID(tc.scheme.PoolSize())})
+		if arena.drew(asg.Rings, tc.scheme.PoolSize()) {
+			t.Fatalf("%s: an overwritten header trusted as the draw", tc.name)
+		}
+		ix, err := NewIntersector(tc.scheme.PoolSize())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.ResetFrom(&arena, asg.Rings); err == nil {
+			t.Errorf("%s: ResetFrom accepted an out-of-pool ID written over the draw", tc.name)
+		}
+	}
+}
+
 // FuzzIntersectorQueries decodes arbitrary bytes into rings over a small
 // pool, each holding distinct keys in the order given, plus a query
 // sequence — fresh pairs, runs on the first or second argument, whole rows
-// of arbitrary neighbours, and Resets to a prefix of the rings — and checks
-// every answer, per edge or per row, against the merge oracle.
+// of arbitrary neighbours, and Resets to a prefix of the rings, each either
+// leaving the dense index to be built when probes have paid for it or
+// building it at once — and checks every answer, per edge or per row,
+// against the merge oracle. On dense rings, direct queries thus come both
+// before and after the index is built.
 func FuzzIntersectorQueries(f *testing.F) {
 	f.Add([]byte{199, 5, 3, 1, 2, 3, 3, 2, 3, 4, 2, 1, 9, 0, 4, 0, 1, 65, 2, 65, 3, 65, 4, 129, 0, 129, 1, 192, 2, 0, 1})
 	f.Add([]byte{40, 3, 10, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 0, 7, 2, 1, 65, 0, 66, 1, 67, 2})
@@ -782,6 +942,9 @@ func FuzzIntersectorQueries(f *testing.F) {
 	// owner and as a run's first query.
 	f.Add([]byte{49, 3, 5, 1, 2, 3, 4, 5, 5, 3, 4, 5, 6, 7, 4, 1, 3, 5, 7, 3, 2, 4, 6, 0, 0, 4, 0, 2, 1, 66, 0, 68, 1, 65, 2, 70, 3, 64, 2, 128, 3, 130, 1, 132, 0, 129, 2})
 	f.Add([]byte{49, 3, 5, 1, 2, 3, 4, 5, 5, 3, 4, 5, 6, 7, 4, 1, 3, 5, 7, 3, 2, 4, 6, 3, 2, 66, 1, 67, 0, 65, 3, 68, 3, 6, 1, 129, 0, 130, 2, 131, 3})
+	// Dense rings (pool 49) probed per edge and per row until the index
+	// pays, then a Reset that builds it at once (b = 0x80) and more of both.
+	f.Add([]byte{48, 5, 4, 9, 2, 7, 1, 4, 7, 9, 3, 1, 3, 5, 3, 2, 1, 4, 3, 4, 9, 1, 2, 3, 0, 1, 2, 2, 3, 1, 2, 4, 3, 1, 4, 3, 1, 2, 3, 0, 3, 1, 4, 1, 2, 3, 4, 2, 1, 2, 3, 4, 0, 3, 1, 4, 192, 128, 0, 1, 1, 2, 2, 4, 3, 4, 1, 2, 3, 4, 0, 1})
 	// Rings out of order and whole rows: dense (pool 49), then sparse.
 	f.Add([]byte{48, 5, 4, 9, 2, 7, 1, 4, 7, 9, 3, 1, 3, 5, 3, 2, 1, 4, 3, 4, 9, 1, 2, 3, 0, 4, 1, 2, 3, 4, 7, 1, 3, 2, 0, 4, 0, 3, 4, 1, 2, 3})
 	f.Add([]byte{250, 6, 3, 200, 7, 90, 3, 90, 7, 1, 2, 7, 200, 3, 3, 200, 90, 7, 0, 1, 9, 3, 0, 5, 1, 2, 3, 4, 5, 7, 2, 4, 0, 1, 3, 4, 5, 15, 5, 4, 1, 2, 3, 4, 5, 195, 4, 3, 0, 3, 1, 2, 3})
@@ -840,6 +1003,12 @@ func FuzzIntersectorQueries(f *testing.F) {
 				live = rings[:1+int(b)%n]
 				if err := ix.Reset(live); err != nil {
 					t.Fatal(err)
+				}
+				if ix.built {
+					t.Fatal("Reset built the dense index")
+				}
+				if b&0x80 != 0 && ix.dense {
+					ix.buildFlat()
 				}
 				u, v = 0, 0
 				continue
@@ -955,13 +1124,17 @@ type benchRow struct {
 }
 
 // BenchmarkIntersectorRow measures AppendAtLeast over the rows of one
-// deployment, Reset included, reported per query, at three shapes:
+// deployment, Reset included, reported per query, at four shapes:
 //
 //   - plateau: dense rows (n = 5000, P = 512, K = 32, q = 2) of a u-major
 //     on/off draw at the plateau's p = 8·ln n/(0.594·n), about 57
-//     neighbours a row, far below the break-even of 625;
+//     neighbours a row, far below the break-even of 625, so the bitmap
+//     index is built once the first few dozen rows have paid for it;
 //   - fig1: counted rows (n = 1000, P = 10⁴, K = 60, q = 2) of a u-major
 //     draw at p = 0.5, break-even 2;
+//   - sweepd: a sweepd job's point (n = 400, P = 4000, K = 60, q = 2) at
+//     p = 0.5: dense rings, yet with a break-even of 3 nearly every row is
+//     counted and the bitmap index is never built;
 //   - probed: short sparse rows (n = 5000, P = 10⁴, K = 60, q = 2) of four
 //     random neighbours each, below the break-even of 8.
 func BenchmarkIntersectorRow(b *testing.B) {
@@ -990,6 +1163,7 @@ func BenchmarkIntersectorRow(b *testing.B) {
 			return uMajorRows(r, n, 8*math.Log(float64(n))/(0.594*float64(n)))
 		}},
 		{"fig1", 1000, 10000, 60, false, func(r *rng.Rand, n int) []benchRow { return uMajorRows(r, n, 0.5) }},
+		{"sweepd", 400, 4000, 60, true, func(r *rng.Rand, n int) []benchRow { return uMajorRows(r, n, 0.5) }},
 		{"probed", 5000, 10000, 60, false, func(r *rng.Rand, n int) []benchRow {
 			rows := make([]benchRow, n)
 			for u := range rows {
@@ -1007,7 +1181,8 @@ func BenchmarkIntersectorRow(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			asg, err := s.AssignInto(rng.New(11), sh.n, new(RingArena))
+			var arena RingArena
+			asg, err := s.AssignInto(rng.New(11), sh.n, &arena)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -1025,7 +1200,7 @@ func BenchmarkIntersectorRow(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := ix.Reset(asg.Rings); err != nil {
+				if err := ix.ResetFrom(&arena, asg.Rings); err != nil {
 					b.Fatal(err)
 				}
 				secure = 0

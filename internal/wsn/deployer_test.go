@@ -440,11 +440,20 @@ func TestNewDeployerValidatesEagerly(t *testing.T) {
 }
 
 // outOfPoolScheme is a q-composite scheme whose assignment gives sensors 0
-// and 1 key 1500, outside its pool of 1000.
-type outOfPoolScheme struct{ keys.Scheme }
+// and 1 key 1500, outside its pool of 1000. It draws into an arena of its
+// own, or, with ownArena set, into the one it is handed — the Deployer's —
+// and then writes the out-of-pool rings over the first two ring headers,
+// which alias that arena's.
+type outOfPoolScheme struct {
+	keys.Scheme
+	ownArena bool
+}
 
-func (s outOfPoolScheme) AssignInto(r *rng.Rand, n int, _ *keys.RingArena) (keys.Assignment, error) {
-	asg, err := s.Scheme.AssignInto(r, n, new(keys.RingArena))
+func (s outOfPoolScheme) AssignInto(r *rng.Rand, n int, a *keys.RingArena) (keys.Assignment, error) {
+	if !s.ownArena {
+		a = new(keys.RingArena)
+	}
+	asg, err := s.Scheme.AssignInto(r, n, a)
 	if err != nil {
 		return asg, err
 	}
@@ -455,26 +464,46 @@ func (s outOfPoolScheme) AssignInto(r *rng.Rand, n int, _ *keys.RingArena) (keys
 }
 
 // TestOutOfPoolRingsFailClosed pins that every deployment mode refuses key
-// IDs outside the pool, for sparse rings (which the ring intersector answers
-// by sorted merge or counted rows) and dense ones (bitmap rows).
+// IDs outside the pool with an error, for sparse rings (probes and counted
+// rows) and dense ones (bitmap rows), whether the scheme draws into an
+// arena of its own or into the Deployer's and then overwrites its ring
+// headers. The latter must not pass for the Deployer's own draw, whose IDs
+// the ring intersector takes as in the pool unchecked.
 func TestOutOfPoolRingsFailClosed(t *testing.T) {
-	for _, ring := range []int{4, 40} {
-		inner, err := keys.NewQComposite(1000, ring, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := NewDeployer(Config{Sensors: 50, Scheme: outOfPoolScheme{inner}, Channel: channel.AlwaysOn{}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := d.Deploy(1); err == nil {
-			t.Errorf("K=%d: Deploy accepted a key outside the pool", ring)
-		}
-		if _, err := d.DeployConnectivity(1); err == nil {
-			t.Errorf("K=%d: DeployConnectivity accepted a key outside the pool", ring)
-		}
-		if _, err := d.DeployDegreeStats(1, 1); err == nil {
-			t.Errorf("K=%d: DeployDegreeStats accepted a key outside the pool", ring)
+	modes := []struct {
+		name string
+		run  func(d *Deployer, r *rng.Rand) error
+	}{
+		{"Deploy", func(d *Deployer, r *rng.Rand) error { _, err := d.DeployRand(r); return err }},
+		{"DeployConnectivity", func(d *Deployer, r *rng.Rand) error { _, err := d.DeployConnectivityRand(r); return err }},
+		{"DeployDegreeStats", func(d *Deployer, r *rng.Rand) error { _, err := d.DeployDegreeStatsRand(r, 1); return err }},
+		{"KConnectedRand/1", func(d *Deployer, r *rng.Rand) error { _, err := d.KConnectedRand(r, 1); return err }},
+		{"KConnectedRand/2", func(d *Deployer, r *rng.Rand) error { _, err := d.KConnectedRand(r, 2); return err }},
+		{"MinDegreeAtLeastRand", func(d *Deployer, r *rng.Rand) error { _, err := d.MinDegreeAtLeastRand(r, 1); return err }},
+		{"DegreeCountRand", func(d *Deployer, r *rng.Rand) error { _, err := d.DegreeCountRand(r, 1); return err }},
+	}
+	for _, ownArena := range []bool{false, true} {
+		for _, ring := range []int{4, 40} {
+			inner, err := keys.NewQComposite(1000, ring, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := NewDeployer(Config{Sensors: 50, Scheme: outOfPoolScheme{inner, ownArena}, Channel: channel.AlwaysOn{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range modes {
+				func() {
+					defer func() {
+						if p := recover(); p != nil {
+							t.Errorf("own arena %v, K=%d: %s panicked: %v", ownArena, ring, m.name, p)
+						}
+					}()
+					if err := m.run(d, rng.New(1)); err == nil {
+						t.Errorf("own arena %v, K=%d: %s accepted a key outside the pool", ownArena, ring, m.name)
+					}
+				}()
+			}
 		}
 	}
 }

@@ -171,10 +171,12 @@ func (d *Deployer) pass(r *rng.Rand, tr trial) (keys.Assignment, error) {
 		return keys.Assignment{}, err
 	}
 
-	// The exact intersection predicate: with sparse rings the Intersector
-	// answers a long row from one counted row of u (see keys.Intersector);
-	// short rows probe ring(u)'s marks, or AND bitmap rows when rings are
-	// dense.
+	// The exact intersection predicate: the Intersector answers a long row
+	// from one counted row of u (see keys.Intersector); short rows probe
+	// ring(u)'s marks, or AND bitmap rows once rings are dense and enough
+	// short rows have come to pay for the bitmaps. Rings drawn into the
+	// Deployer's own arena skip the per-ID pool check; any other rings a
+	// scheme returns are checked.
 	if d.ix == nil {
 		ix, err := keys.NewIntersector(d.cfg.Scheme.PoolSize())
 		if err != nil {
@@ -182,7 +184,7 @@ func (d *Deployer) pass(r *rng.Rand, tr trial) (keys.Assignment, error) {
 		}
 		d.ix = ix
 	}
-	if err := d.ix.Reset(asg.Rings); err != nil {
+	if err := d.ix.ResetFrom(&d.arena, asg.Rings); err != nil {
 		return keys.Assignment{}, err
 	}
 	d.streamQ = d.cfg.Scheme.RequiredOverlap()
